@@ -17,21 +17,21 @@ certification below. B families reduce to A families with the fleet
 sizes swapped.
 """
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InconsistencyError, NumericalError, ShapeError, ValidationError
-from .game import GameSpec, JointStrategy, joint_from_arrays
+from .game import GameSpec, JointStrategy, joint_from_arrays, opponent, raw_utility_gradient
 from .interior import interior_equilibrium
 from .result import EquilibriumResult
-from .verify import duals_from_gradients, ne_residual
+from .verify import _result
 
 FAMILIES = ("A1", "A2", "B1", "B2")
 
-#: Certification accepts nu down to -CERT_RTOL * (1 + term scale).
+#: Certification accepts nu down to -CERT_RTOL * (1 + the summed |gradient| of the
+#: pinned player).
 CERT_RTOL = 1e-9
 
 #: Strategies closer than this (relative to 1 + total fleet) are one candidate.
@@ -63,20 +63,6 @@ def _params(spec: GameSpec) -> _Params:
     )
 
 
-def _v_bounds(p: _Params) -> tuple[float, float]:
-    """Free player's slope at z = 0 and z = xb when a is empty in region 1."""
-    upper = p.bc2 - p.bc1 + p.bm1 / p.e1 - p.bm2 * (p.xa + p.e2) / (p.xa + p.xb + p.e2) ** 2
-    lower = p.bc2 - p.bc1 + p.bm1 * p.e1 / (p.xb + p.e1) ** 2 - p.bm2 / (p.xa + p.e2)
-    return upper, lower
-
-
-def _w_bounds(p: _Params) -> tuple[float, float]:
-    """Free player's slope at z = 0 and z = xb when a is empty in region 2."""
-    upper = p.bc2 - p.bc1 + p.bm1 / (p.xa + p.e1) - p.bm2 * p.e2 / (p.xb + p.e2) ** 2
-    lower = p.bc2 - p.bc1 + p.bm1 * (p.xa + p.e1) / (p.xa + p.xb + p.e1) ** 2 - p.bm2 / p.e2
-    return upper, lower
-
-
 def _slope_region1_empty(p: _Params, z: float) -> float:
     return (
         p.bm1 * p.e1 / (z + p.e1) ** 2
@@ -93,6 +79,11 @@ def _slope_region2_empty(p: _Params, z: float) -> float:
         + p.bc2
         - p.bc1
     )
+
+
+def _endpoint_slopes(slope, p: _Params) -> tuple[float, float]:
+    """A decreasing slope at z = 0 and z = xb: its upper and lower bound."""
+    return slope(p, 0.0), slope(p, p.xb)
 
 
 def _pinned_root(slope, p: _Params) -> float:
@@ -125,6 +116,10 @@ def _family_view(spec: GameSpec, family: str) -> _Params:
     return _params(spec if family.startswith("A") else spec.swapped())
 
 
+def _family_slope(family: str):
+    return _slope_region1_empty if family.endswith("1") else _slope_region2_empty
+
+
 def slope_bounds_region1_empty(spec: GameSpec) -> tuple[float, float]:
     """Slope of b's payoff along family A1 at z = 0 and z = fleet_b.
 
@@ -133,23 +128,19 @@ def slope_bounds_region1_empty(spec: GameSpec) -> tuple[float, float]:
     a unique root strictly inside. The first value always exceeds the
     second.
     """
-    return _v_bounds(_params(spec))
+    return _endpoint_slopes(_slope_region1_empty, _params(spec))
 
 
 def slope_bounds_region2_empty(spec: GameSpec) -> tuple[float, float]:
     """Slope of b's payoff along family A2 at z = 0 and z = fleet_b."""
-    return _w_bounds(_params(spec))
+    return _endpoint_slopes(_slope_region2_empty, _params(spec))
 
 
 def pinned_best_response(spec: GameSpec, family: str) -> float:
     """Best region-1 mass z* of the free player within one family."""
     p = _family_view(spec, family)
-    if family.endswith("1"):
-        upper, lower = _v_bounds(p)
-        slope = _slope_region1_empty
-    else:
-        upper, lower = _w_bounds(p)
-        slope = _slope_region2_empty
+    slope = _family_slope(family)
+    upper, lower = _endpoint_slopes(slope, p)
     if lower >= 0.0:
         return p.xb
     if upper <= 0.0:
@@ -195,62 +186,33 @@ class BoundaryCandidate:
 def certify(spec: GameSpec, family: str, z_star: float) -> BoundaryCandidate:
     """Certify a family at free-player mass z_star.
 
-    Evaluates the pinned player's multiplier on its empty region. The
-    all-in endpoints that can never be equilibria (z = xb in the
-    region-1-empty families, z = 0 in the region-2-empty families) are
-    rejected outright; their nu_check is still reported.
+    nu_check is the pinned player's payoff gradient in its full region
+    minus that in its empty region, its multiplier on the empty region.
+    A point where the free player has left the pinned player's full
+    region puts the two players alone in opposite regions; such a point
+    is never an equilibrium and is rejected outright, though its
+    nu_check is still reported.
     """
     p = _family_view(spec, family)
     z = float(z_star)
     if not 0.0 <= z <= p.xb:
         raise ValidationError(f"z_star={z!r} is outside [0, {p.xb}]")
-
-    if family.endswith("1"):
-        upper, lower = _v_bounds(p)
-        if 0.0 < z < p.xb:
-            t2 = (p.xa + p.xb - z + p.e2) ** 2
-            term_gain = (p.xb - z - p.xa) * p.bm2 / t2
-            term_loss = p.bm1 * z / (z + p.e1) ** 2
-            nu = term_gain - term_loss
-            certifiable = True
-        elif z == 0.0:
-            term_gain = (p.xb - p.xa) * p.bm2 / (p.xa + p.xb + p.e2) ** 2
-            term_loss = upper
-            nu = term_gain - term_loss
-            certifiable = True
-        else:
-            term_gain = -p.bm1 * p.xb / (p.xb + p.e1) ** 2
-            term_loss = lower + p.bm2 * p.xa / (p.xa + p.e2) ** 2
-            nu = term_gain - term_loss
-            certifiable = False
-    else:
-        upper, lower = _w_bounds(p)
-        if 0.0 < z < p.xb:
-            term_gain = (z - p.xa) * p.bm1 / (p.xa + z + p.e1) ** 2
-            term_loss = (p.xb - z) * p.bm2 / (p.xb - z + p.e2) ** 2
-            nu = term_gain - term_loss
-            certifiable = True
-        elif z == p.xb:
-            term_gain = (p.xb - p.xa) * p.bm1 / (p.xa + p.xb + p.e1) ** 2
-            term_loss = -lower
-            nu = term_gain - term_loss
-            certifiable = True
-        else:
-            term_gain = upper
-            term_loss = p.bm1 * p.xa / (p.xa + p.e1) ** 2 + p.bm2 * p.xb / (p.xb + p.e2) ** 2
-            nu = term_gain - term_loss
-            certifiable = False
-
-    tol = CERT_RTOL * (1.0 + abs(term_gain) + abs(term_loss))
-    certified = bool(certifiable and nu >= -tol)
+    strategy = family_strategy(spec, family, z)
+    pinned = "a" if family.startswith("A") else "b"
+    own, rival = strategy.of(pinned).values, strategy.of(opponent(pinned)).values
+    full = 1 if family.endswith("1") else 0
+    grad = raw_utility_gradient(spec, own, rival)
+    nu = float(grad[full] - grad[1 - full])
+    tol = CERT_RTOL * (1.0 + float(np.abs(grad).sum()))
+    upper, lower = _endpoint_slopes(_family_slope(family), p)
     return BoundaryCandidate(
         family=family,
         z_star=z,
         slope_upper=upper,
         slope_lower=lower,
-        nu_check=float(nu),
-        certified=certified,
-        strategy=family_strategy(spec, family, z),
+        nu_check=nu,
+        certified=bool(rival[full] > 0.0 and nu >= -tol),
+        strategy=strategy,
     )
 
 
@@ -283,16 +245,6 @@ def _distinct_certified(spec: GameSpec, candidates) -> list[BoundaryCandidate]:
     return distinct
 
 
-def _boundary_result(spec: GameSpec, cand: BoundaryCandidate) -> EquilibriumResult:
-    return EquilibriumResult(
-        strategy=cand.strategy,
-        duals=duals_from_gradients(spec, cand.strategy),
-        location=cand.family,
-        ne_residual=ne_residual(spec, cand.strategy),
-        trace=None,
-    )
-
-
 def solve_two_region(spec: GameSpec) -> EquilibriumResult:
     """The unique equilibrium of a two-region game.
 
@@ -307,38 +259,21 @@ def solve_two_region(spec: GameSpec) -> EquilibriumResult:
     if spec.m != 2:
         raise ShapeError(f"solve_two_region needs exactly two regions, spec has {spec.m}")
     outcome = interior_equilibrium(spec)
-    if outcome.is_interior:
-        return EquilibriumResult(
-            strategy=outcome.strategy,
-            duals=outcome.duals,
-            location="interior",
-            ne_residual=ne_residual(spec, outcome.strategy),
-            trace=outcome.trace,
-            iterations=outcome.trace.iterations,
-        )
+    interior = None
+    if outcome.strategy is not None:
+        interior = _result(spec, outcome.strategy, "interior", outcome.duals, outcome.trace)
+        if outcome.is_interior:
+            return interior
 
     distinct = _distinct_certified(spec, enumerate_candidates(spec))
-
-    if outcome.not_interior.strictly_outside:
+    if interior is None:
         if len(distinct) != 1:
             raise InconsistencyError(
                 f"interior candidate is outside the simplex but {len(distinct)} distinct "
                 "certified boundary candidates exist (expected exactly 1)"
             )
-        return _boundary_result(spec, distinct[0])
+        return _result(spec, distinct[0].strategy, distinct[0].family)
 
     # Boundary-suspect interior point: keep whichever candidate verifies best.
-    interior_result = EquilibriumResult(
-        strategy=outcome.strategy,
-        duals=outcome.duals,
-        location="interior",
-        ne_residual=ne_residual(spec, outcome.strategy),
-        trace=outcome.trace,
-        iterations=outcome.trace.iterations,
-    )
-    best = interior_result
-    for cand in distinct:
-        result = _boundary_result(spec, cand)
-        if result.ne_residual < best.ne_residual:
-            best = result
-    return best
+    results = [interior] + [_result(spec, cand.strategy, cand.family) for cand in distinct]
+    return min(results, key=lambda result: result.ne_residual)

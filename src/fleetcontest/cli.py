@@ -6,10 +6,10 @@ import sys
 import numpy as np
 
 from .boundary import solve_two_region
-from .config import emit_csv, parse_config
+from .config import _fmt, emit_csv, parse_config
 from .errors import NumericalError, ValidationError
 from .experiments import (
-    SweepRecord,
+    _record,
     alpha_sweep,
     detect_alpha_crit,
     detect_optimal_fleet,
@@ -17,18 +17,7 @@ from .experiments import (
     solve_spec,
 )
 from .game import is_feasible, opponent, raw_utility_gradient, utility
-from .verify import grid_equilibrium, kkt_residual, ne_residual
-
-
-def _result_record(spec, result) -> SweepRecord:
-    return SweepRecord(
-        parameter=0.0,
-        strategy=result.strategy,
-        u_a=utility(spec, "a", result.strategy),
-        u_b=utility(spec, "b", result.strategy),
-        location=result.location,
-        t_lambda=result.trace.multiplier_sum if result.trace is not None else None,
-    )
+from .verify import grid_equilibrium, kkt_residual
 
 
 def _read_config(path: str):
@@ -40,14 +29,10 @@ def _read_config(path: str):
     return parse_config(text)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _cmd_solve(args) -> int:
     spec = _read_config(args.config)
     result = solve_spec(spec)
-    sys.stdout.write(emit_csv([_result_record(spec, result)], m=spec.m))
+    sys.stdout.write(emit_csv([_record(0.0, spec, result)], m=spec.m))
     print(f"lambda_a = {_fmt(result.duals.lambda_a)}")
     print(f"lambda_b = {_fmt(result.duals.lambda_b)}")
     print("nu_a = " + " ".join(_fmt(v) for v in result.duals.nu_a))

@@ -5,10 +5,10 @@ from dataclasses import dataclass
 
 from .boundary import solve_two_region
 from .errors import FleetContestError, ValidationError
-from .game import GameSpec, JointStrategy, RegionParams, utility
+from .game import SUPPORT_RTOL, GameSpec, JointStrategy, RegionParams, utility
 from .interior import interior_equilibrium
 from .result import EquilibriumResult
-from .verify import iterated_best_response, ne_residual
+from .verify import _result, iterated_best_response
 
 
 def four_region_spec(alpha: float) -> GameSpec:
@@ -64,7 +64,7 @@ class SweepRecord:
     error: str | None = None
 
 
-def _record(parameter: float, spec: GameSpec, result) -> SweepRecord:
+def _record(parameter: float, spec: GameSpec, result: EquilibriumResult) -> SweepRecord:
     return SweepRecord(
         parameter=parameter,
         strategy=result.strategy,
@@ -95,14 +95,7 @@ def solve_spec(spec: GameSpec) -> EquilibriumResult:
         return solve_two_region(spec)
     outcome = interior_equilibrium(spec)
     if outcome.is_interior:
-        return EquilibriumResult(
-            strategy=outcome.strategy,
-            duals=outcome.duals,
-            location="interior",
-            ne_residual=ne_residual(spec, outcome.strategy),
-            trace=outcome.trace,
-            iterations=outcome.trace.iterations,
-        )
+        return _result(spec, outcome.strategy, "interior", outcome.duals, outcome.trace)
     return iterated_best_response(spec)
 
 
@@ -143,7 +136,7 @@ def _concentrated_in_region1(alpha: float) -> bool:
     result = solve_two_region(spec)
     x_a2 = result.strategy.alloc_a.values[1]
     x_b2 = result.strategy.alloc_b.values[1]
-    return x_a2 <= 1e-9 * spec.fleet_a and x_b2 <= 1e-9 * spec.fleet_b
+    return x_a2 <= SUPPORT_RTOL * spec.fleet_a and x_b2 <= SUPPORT_RTOL * spec.fleet_b
 
 
 def detect_alpha_crit(lo: float = 1.0, hi: float = 50.0, step: float = 0.1) -> float | None:

@@ -18,8 +18,12 @@ from .errors import ValidationError
 
 PLAYERS = ("a", "b")
 
-#: Absolute tolerance on the fleet-sum equality of a feasible allocation.
-FEASIBILITY_ATOL = 1e-9
+#: Tolerance on the fleet-sum equality of a feasible allocation, relative to
+#: the owner's fleet.
+FEASIBILITY_RTOL = 1e-11
+
+#: Components at or below this fraction of the owner's fleet are empty.
+SUPPORT_RTOL = 1e-9
 
 
 def opponent(player: str) -> str:
@@ -241,7 +245,7 @@ class DualCertificate:
 def is_feasible(spec: GameSpec, alloc: Allocation) -> bool:
     """True when alloc is nonnegative and sums to its owner's fleet.
 
-    The sum check uses an absolute tolerance of FEASIBILITY_ATOL.
+    The sum may miss the fleet by FEASIBILITY_RTOL times the fleet.
     """
     if alloc.values.size != spec.m:
         raise ValidationError(
@@ -249,7 +253,8 @@ def is_feasible(spec: GameSpec, alloc: Allocation) -> bool:
         )
     if np.any(alloc.values < 0):
         return False
-    return abs(alloc.values.sum() - spec.fleet_of(alloc.owner)) <= FEASIBILITY_ATOL
+    fleet = spec.fleet_of(alloc.owner)
+    return abs(alloc.values.sum() - fleet) <= FEASIBILITY_RTOL * fleet
 
 
 def market_share(region: RegionParams, own: float, rival: float) -> float:

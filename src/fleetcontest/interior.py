@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 from .game import (
+    SUPPORT_RTOL,
     DualCertificate,
     GameSpec,
     JointStrategy,
@@ -27,10 +28,6 @@ from .game import (
 #: Relative tolerance of the scalar-equation residual at the returned root,
 #: scaled by the total mass fleet_a + fleet_b + sum(eps).
 BALANCE_RTOL = 1e-10
-
-#: Components at or below this fraction of the owner's fleet are treated as
-#: boundary-suspect rather than safely interior.
-INTERIOR_THRESHOLD_RTOL = 1e-9
 
 # Discriminants in [-1e-12 * beta_m**2, 0) are rounding noise and clamp to 0.
 _DISC_CLAMP_RTOL = 1e-12
@@ -45,16 +42,28 @@ def _offsets_array(spec: GameSpec, offsets) -> np.ndarray:
     return out
 
 
-def _discriminants(spec: GameSpec, offsets: np.ndarray, t: float) -> np.ndarray:
+def _checked_gaps(spec: GameSpec, offsets, t: float) -> tuple[np.ndarray, float]:
+    """Validated gaps offsets - t, and t as a float."""
+    offsets = _offsets_array(spec, offsets)
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValidationError("t must be finite")
+    gaps = offsets - t
+    if np.any(gaps == 0.0):
+        raise DomainError(f"t={t!r} sits on a pole of the mass balance")
+    return gaps, t
+
+
+def _region_mass(spec: GameSpec, gaps: np.ndarray, t: float) -> np.ndarray:
+    """Each region's total mass implied at multiplier sum t, from gaps = offsets - t."""
     bm = spec.beta_m
-    disc = bm * bm + 4.0 * bm * spec.eps * (offsets - t)
-    clamp = -_DISC_CLAMP_RTOL * bm * bm
-    bad = disc < clamp
+    disc = bm * bm + 4.0 * bm * spec.eps * gaps
+    bad = disc < -_DISC_CLAMP_RTOL * bm * bm
     if np.any(bad):
         raise DomainError(
             f"t={t!r} is beyond the domain edge in regions {np.nonzero(bad)[0].tolist()}"
         )
-    return np.maximum(disc, 0.0)
+    return (bm + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * gaps)
 
 
 def mass_balance(spec: GameSpec, offsets, t: float) -> float:
@@ -64,27 +73,14 @@ def mass_balance(spec: GameSpec, offsets, t: float) -> float:
     is the interior equilibrium's multiplier sum. Defined wherever every
     discriminant is nonnegative and t hits no offset exactly.
     """
-    offsets = _offsets_array(spec, offsets)
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValidationError("t must be finite")
-    gaps = offsets - t
-    if np.any(gaps == 0.0):
-        raise DomainError(f"t={t!r} sits on a pole of the mass balance")
-    disc = _discriminants(spec, offsets, t)
-    terms = (spec.beta_m + np.sqrt(disc)) / (2.0 * gaps)
+    gaps, t = _checked_gaps(spec, offsets, t)
+    terms = _region_mass(spec, gaps, t)
     return float(terms.sum() - (spec.fleet_a + spec.fleet_b + spec.eps.sum()))
 
 
 def mass_balance_derivative(spec: GameSpec, offsets, t: float) -> float:
     """Derivative of mass_balance in t, valid strictly inside the domain."""
-    offsets = _offsets_array(spec, offsets)
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValidationError("t must be finite")
-    gaps = offsets - t
-    if np.any(gaps == 0.0):
-        raise DomainError(f"t={t!r} sits on a pole of the mass balance")
+    gaps, t = _checked_gaps(spec, offsets, t)
     ratio = spec.eps / spec.beta_m
     inner = 1.0 + 4.0 * ratio * gaps
     if np.any(inner <= 0.0):
@@ -240,14 +236,15 @@ class InteriorOutcome:
         return self.not_interior is None
 
 
-def _lambdas_from_mass(spec: GameSpec, kappa: np.ndarray) -> tuple[float, float]:
+def _interior_duals(spec: GameSpec, kappa: np.ndarray) -> DualCertificate:
+    """Fleet-sum multipliers from the region masses; no nonnegativity slack."""
     weights = kappa * kappa / spec.beta_m
     total = float(weights.sum())
     cost_term = float((spec.beta_c * weights).sum())
     eps_sum = float(spec.eps.sum())
     lam_a = (cost_term - eps_sum - spec.fleet_b) / total
     lam_b = (cost_term - eps_sum - spec.fleet_a) / total
-    return lam_a, lam_b
+    return DualCertificate(lam_a, lam_b, np.zeros(spec.m), np.zeros(spec.m))
 
 
 def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
@@ -259,40 +256,30 @@ def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
     """
     offsets = 2.0 * spec.beta_c
     t, iterations, residual = _solve_multiplier_sum(spec, offsets)
-    delta = offsets - t
-    disc = spec.beta_m * spec.beta_m + 4.0 * spec.beta_m * spec.eps * delta
-    kappa = (spec.beta_m + np.sqrt(disc)) / (2.0 * delta)
-    lam_a, lam_b = _lambdas_from_mass(spec, kappa)
+    kappa = _region_mass(spec, offsets - t, t)
+    duals = _interior_duals(spec, kappa)
     weights = kappa * kappa / spec.beta_m
-    x_a = weights * (spec.beta_c - lam_b) - spec.eps
-    x_b = weights * (spec.beta_c - lam_a) - spec.eps
-
+    x_a = weights * (spec.beta_c - duals.lambda_b) - spec.eps
+    x_b = weights * (spec.beta_c - duals.lambda_a) - spec.eps
     trace = InteriorSolveTrace(
         multiplier_sum=t,
         region_mass=kappa,
-        lambda_a=lam_a,
-        lambda_b=lam_b,
+        lambda_a=duals.lambda_a,
+        lambda_b=duals.lambda_b,
         balance_residual=residual,
         iterations=iterations,
     )
 
-    items = []
-    for player, vec, fleet in (("a", x_a, spec.fleet_a), ("b", x_b, spec.fleet_b)):
-        threshold = INTERIOR_THRESHOLD_RTOL * fleet
-        for j, value in enumerate(vec):
-            if value <= threshold:
-                items.append((player, j, float(value)))
-
-    if not items:
-        strategy = joint_from_arrays(x_a, x_b)
-        duals = DualCertificate(lam_a, lam_b, np.zeros(spec.m), np.zeros(spec.m))
-        return InteriorOutcome(strategy=strategy, duals=duals, trace=trace, not_interior=None)
-
-    marker = NotInterior(items=tuple(items))
-    if marker.strictly_outside:
+    items = tuple(
+        (player, j, float(value))
+        for player, vec, fleet in (("a", x_a, spec.fleet_a), ("b", x_b, spec.fleet_b))
+        for j, value in enumerate(vec)
+        if value <= SUPPORT_RTOL * fleet
+    )
+    marker = NotInterior(items=items) if items else None
+    if marker is not None and marker.strictly_outside:
         return InteriorOutcome(strategy=None, duals=None, trace=trace, not_interior=marker)
     strategy = joint_from_arrays(x_a, x_b)
-    duals = DualCertificate(lam_a, lam_b, np.zeros(spec.m), np.zeros(spec.m))
     return InteriorOutcome(strategy=strategy, duals=duals, trace=trace, not_interior=marker)
 
 
@@ -301,5 +288,4 @@ def reconstruct_duals(spec: GameSpec, trace: InteriorSolveTrace) -> DualCertific
     kappa = np.asarray(trace.region_mass, dtype=float)
     if kappa.size != spec.m:
         raise ValidationError("trace region count does not match the spec")
-    lam_a, lam_b = _lambdas_from_mass(spec, kappa)
-    return DualCertificate(lam_a, lam_b, np.zeros(spec.m), np.zeros(spec.m))
+    return _interior_duals(spec, kappa)

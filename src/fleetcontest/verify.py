@@ -18,6 +18,7 @@ from .errors import (
     ValidationError,
 )
 from .game import (
+    SUPPORT_RTOL,
     Allocation,
     DualCertificate,
     GameSpec,
@@ -28,6 +29,7 @@ from .game import (
     raw_utility,
     raw_utility_gradient,
 )
+from .interior import InteriorSolveTrace
 from .result import EquilibriumResult
 
 #: Relative (to the player's fleet) tolerance of the best-response fleet sum
@@ -37,9 +39,6 @@ BR_SUM_RTOL = 1e-9
 #: Per-player cell cap and joint point cap for the grid oracle.
 GRID_MAX_CELLS = 100_000
 GRID_MAX_POINTS = 250_000_000
-
-#: Components above this fraction of the fleet count as occupied.
-SUPPORT_RTOL = 1e-9
 
 
 def _require_feasible(spec: GameSpec, joint: JointStrategy) -> None:
@@ -276,6 +275,31 @@ def duals_from_gradients(spec: GameSpec, joint: JointStrategy) -> DualCertificat
     return DualCertificate(lams["a"], lams["b"], nus["a"], nus["b"])
 
 
+def _result(
+    spec: GameSpec,
+    strategy: JointStrategy,
+    location: str,
+    duals: DualCertificate | None = None,
+    trace: InteriorSolveTrace | None = None,
+    converged: bool = True,
+    iterations: int = 0,
+) -> EquilibriumResult:
+    """The one constructor of EquilibriumResult for the solvers.
+
+    Duals not given are read off the payoff gradients; an interior trace
+    supplies the iteration count.
+    """
+    return EquilibriumResult(
+        strategy=strategy,
+        duals=duals_from_gradients(spec, strategy) if duals is None else duals,
+        location=location,
+        ne_residual=ne_residual(spec, strategy),
+        trace=trace,
+        converged=converged,
+        iterations=iterations if trace is None else trace.iterations,
+    )
+
+
 def iterated_best_response(
     spec: GameSpec,
     damping: float = 0.5,
@@ -285,15 +309,18 @@ def iterated_best_response(
     """Damped alternating best responses from the uniform split.
 
     Stops when the largest componentwise movement in one round falls
-    below tol (default 1e-9 times the larger fleet). Hitting max_iters
-    flags converged=False on the result instead of raising.
+    below tol (default SUPPORT_RTOL times the larger fleet). Hitting
+    max_iters flags converged=False on the result instead of raising.
+    Components at or below tol are then set to zero, so that a component
+    the iteration could not tell from zero counts as empty, and each
+    allocation is rescaled to its fleet.
     """
     if not 0.0 < damping <= 1.0:
         raise ValidationError(f"damping must be in (0, 1], got {damping!r}")
     if max_iters < 1:
         raise ValidationError("max_iters must be >= 1")
     if tol is None:
-        tol = 1e-9 * max(spec.fleet_a, spec.fleet_b)
+        tol = SUPPORT_RTOL * max(spec.fleet_a, spec.fleet_b)
 
     m = spec.m
     x_a = np.full(m, spec.fleet_a / m)
@@ -314,16 +341,15 @@ def iterated_best_response(
             converged = True
             break
 
-    x_a *= spec.fleet_a / x_a.sum()
-    x_b *= spec.fleet_b / x_b.sum()
-    strategy = joint_from_arrays(x_a, x_b)
-    interior = np.all(x_a > 1e-9 * spec.fleet_a) and np.all(x_b > 1e-9 * spec.fleet_b)
-    return EquilibriumResult(
-        strategy=strategy,
-        duals=duals_from_gradients(spec, strategy),
-        location="interior" if interior else "boundary",
-        ne_residual=ne_residual(spec, strategy),
-        trace=None,
+    interior = True
+    for x, fleet in ((x_a, spec.fleet_a), (x_b, spec.fleet_b)):
+        x[x <= tol] = 0.0
+        x *= fleet / x.sum()
+        interior = interior and bool(np.all(x > SUPPORT_RTOL * fleet))
+    return _result(
+        spec,
+        joint_from_arrays(x_a, x_b),
+        "interior" if interior else "boundary",
         converged=converged,
         iterations=iterations,
     )

@@ -8,9 +8,10 @@ import pytest
 import fleetcontest as fc
 from fleetcontest.boundary import (
     _distinct_certified,
+    _endpoint_slopes,
     _params,
-    _v_bounds,
-    _w_bounds,
+    _slope_region1_empty,
+    _slope_region2_empty,
     boundary_candidate,
     enumerate_candidates,
 )
@@ -30,10 +31,10 @@ class TestSlopeBounds:
     def test_unit_parameter_bounds_by_hand(self):
         from fleetcontest.boundary import _Params
         p = _Params(bm1=1.0, bm2=1.0, bc1=0.0, bc2=0.0, e1=1.0, e2=1.0, xa=0.0, xb=2.0)
-        upper, lower = _v_bounds(p)
+        upper, lower = _endpoint_slopes(_slope_region1_empty, p)
         assert upper == pytest.approx(8.0 / 9.0, rel=1e-15)
         assert lower == pytest.approx(-8.0 / 9.0, rel=1e-15)
-        w_upper, w_lower = _w_bounds(p)
+        w_upper, w_lower = _endpoint_slopes(_slope_region2_empty, p)
         assert w_upper == pytest.approx(8.0 / 9.0, rel=1e-15)
         assert w_lower == pytest.approx(-8.0 / 9.0, rel=1e-15)
 
@@ -90,11 +91,7 @@ class TestPinnedBestResponse:
 
     def test_interior_root_residual_is_small(self):
         rng = np.random.default_rng(5)
-        from fleetcontest.boundary import (
-            _family_view,
-            _slope_region1_empty,
-            _slope_region2_empty,
-        )
+        from fleetcontest.boundary import _family_view
         checked = 0
         for _ in range(200):
             spec = random_spec(rng)
@@ -110,7 +107,6 @@ class TestPinnedBestResponse:
 
     def test_slope_strictly_decreasing_in_z(self):
         rng = np.random.default_rng(6)
-        from fleetcontest.boundary import _slope_region1_empty, _slope_region2_empty
         samples = 0
         while samples < 1000:
             spec = random_spec(rng)
@@ -195,26 +191,47 @@ class TestCertify:
             assert not fc.certify(spec, "A2", 0.0).certified
             assert not fc.certify(spec, "B2", 0.0).certified
 
-    def test_nu_check_is_pinned_gradient_gap(self):
-        """nu equals the pinned player's slope advantage of its full region."""
+    @pytest.mark.parametrize("family, regions, fleet_a, fleet_b, z_star, nu_check", [
+        ("A1", ((132000.0, 388.0, 320.0), (150000.0, 64.0, 420.0)), 300.0, 1000.0,
+         21.85094718991598, 10.593372482661888),
+        ("A2", ((183000.0, 15.0, 130.0), (10000.0, 10.0, 130.0)), 1000.0, 2900.0,
+         2658.298475729672, 3.6517991679781012),
+        ("B1", ((113000.0, 466.0, 230.0), (112000.0, 20.0, 320.0)), 2800.0, 500.0,
+         9.514778563633008, 0.9376624550930543),
+        ("B2", ((171000.0, 169.0, 70.0), (11000.0, 159.0, 320.0)), 4000.0, 1600.0,
+         3120.2041207581224, 4.606008308001497),
+    ])
+    def test_frozen_multiplier_at_interior_z(self, family, regions, fleet_a, fleet_b,
+                                             z_star, nu_check):
+        """nu_check at a certified inner best reply, as the per-family formulas gave it."""
+        spec = fc.GameSpec(tuple(fc.RegionParams(*r) for r in regions), fleet_a, fleet_b)
+        cand = boundary_candidate(spec, family)
+        assert cand.z_star == pytest.approx(z_star, rel=1e-12)
+        assert cand.nu_check == pytest.approx(nu_check, rel=1e-9)
+        assert cand.certified
+
+    def test_endpoint_nu_check_matches_slope_bounds(self):
+        """At z = 0 and z = fleet, nu is an endpoint slope bound plus crowding terms."""
         rng = np.random.default_rng(5)
-        full_region = {"A1": 1, "A2": 0, "B1": 1, "B2": 0}
-        pinned = {"A1": "a", "A2": "a", "B1": "b", "B2": "b"}
-        checked = 0
         for _ in range(300):
             spec = random_spec(rng)
             for family in fc.FAMILIES:
-                cand = boundary_candidate(spec, family)
-                free_fleet = spec.fleet_b if family.startswith("A") else spec.fleet_a
-                if not 0.0 < cand.z_star < free_fleet:
-                    continue
-                grad = fc.utility_gradient(spec, pinned[family], cand.strategy)
-                j = full_region[family]
-                expected = grad[j] - grad[1 - j]
-                scale = 1.0 + abs(expected) + float(np.abs(grad).max())
-                assert abs(cand.nu_check - expected) <= 1e-9 * scale
-                checked += 1
-        assert checked >= 100
+                view = spec if family.startswith("A") else spec.swapped()
+                p = _params(view)
+                if family.endswith("1"):
+                    upper, lower = fc.slope_bounds_region1_empty(view)
+                    at_zero = (p.xb - p.xa) * p.bm2 / (p.xa + p.xb + p.e2) ** 2 - upper
+                    at_fleet = (-p.bm1 * p.xb / (p.xb + p.e1) ** 2 - lower
+                                - p.bm2 * p.xa / (p.xa + p.e2) ** 2)
+                else:
+                    upper, lower = fc.slope_bounds_region2_empty(view)
+                    at_zero = (upper - p.bm1 * p.xa / (p.xa + p.e1) ** 2
+                               - p.bm2 * p.xb / (p.xb + p.e2) ** 2)
+                    at_fleet = (p.xb - p.xa) * p.bm1 / (p.xa + p.xb + p.e1) ** 2 + lower
+                scale = 1.0 + abs(upper) + abs(lower) + p.bm1 / p.e1 + p.bm2 / p.e2
+                for z, expected in ((0.0, at_zero), (p.xb, at_fleet)):
+                    cand = fc.certify(spec, family, z)
+                    assert abs(cand.nu_check - expected) <= 1e-12 * scale
 
     def test_z_star_out_of_range(self):
         with pytest.raises(fc.ValidationError):
@@ -275,6 +292,22 @@ class TestSolveTwoRegion:
     def test_shape_error_off_two_regions(self):
         with pytest.raises(fc.ShapeError):
             fc.solve_two_region(fc.four_region_spec(1.0))
+
+    def test_box_spec_with_fleet_sum_off_by_a_nanovehicle(self):
+        """The closed form misses a's fleet by 1.3e-9 vehicles, 4e-13 of it."""
+        spec = fc.GameSpec(
+            regions=(
+                fc.RegionParams(189921.5777198292, 420.4049251721063, 415.7017726579397),
+                fc.RegionParams(2977.1903883154546, 299.32540683814136, 361.4056922875875),
+            ),
+            fleet_a=3226.5234392571324,
+            fleet_b=3638.459309013228,
+        )
+        result = fc.solve_two_region(spec)
+        assert result.location == "interior"
+        u_a = fc.utility(spec, "a", result.strategy)
+        u_b = fc.utility(spec, "b", result.strategy)
+        assert result.ne_residual <= 1e-6 * (abs(u_a) + abs(u_b) + 1.0)
 
     def test_exactly_one_equilibrium_description(self):
         """Interior validity and a lone certified family are mutually exclusive."""

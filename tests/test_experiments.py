@@ -49,6 +49,45 @@ class TestSolveSpec:
         assert result.location == "interior"
         assert result.strategy.alloc_a.total == pytest.approx(1000.0, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [4.0, 8.0, 20.0])
+    def test_four_regions_in_units_scaled_by_1e5(self, alpha):
+        """beta_m, epsilon and both fleets times 1e5 scale the equilibrium by 1e5."""
+        base = fc.four_region_spec(alpha)
+        scaled = fc.GameSpec(
+            regions=tuple(fc.RegionParams(r.beta_m * 1e5, r.beta_c, r.epsilon * 1e5)
+                          for r in base.regions),
+            fleet_a=base.fleet_a * 1e5,
+            fleet_b=base.fleet_b * 1e5,
+        )
+        big = fc.solve_spec(scaled)
+        small = fc.solve_spec(base)
+        assert big.location == small.location
+        for player in fc.PLAYERS:
+            np.testing.assert_allclose(
+                big.strategy.of(player).values, 1e5 * small.strategy.of(player).values,
+                rtol=1e-7, atol=0)
+
+    def test_fallback_labels_its_stalled_components_empty(self):
+        """Seven regions whose fallback stalls a's empty regions 2 and 4 near 4e-7."""
+        regions = (
+            (79248.56, 50.38444, 64.81672), (26437.64, 53.81626, 201.4434),
+            (15818.51, 6.124569, 66.74063), (13729.22, 22.05556, 315.1041),
+            (38838.46, 6.802587, 153.9853), (42590.54, 27.44353, 263.6790),
+            (76819.68, 45.11879, 223.6299),
+        )
+        spec = fc.GameSpec(tuple(fc.RegionParams(*r) for r in regions),
+                           fleet_a=380.8565, fleet_b=2378.028)
+        result = fc.solve_spec(spec)
+        assert result.location == "boundary"
+        for player in fc.PLAYERS:
+            x = result.strategy.of(player).values
+            assert np.all((x == 0.0) | (x > 1e-9 * spec.fleet_of(player)))
+        assert np.flatnonzero(result.strategy.alloc_a.values == 0.0).tolist() == [1, 3]
+        # The game's largest payoff gradient, reached at the empty allocation.
+        empty = np.zeros(spec.m)
+        grad_scale = float(np.abs(fc.raw_utility_gradient(spec, empty, empty)).max())
+        assert fc.kkt_residual(spec, result.strategy, result.duals) <= 1e-8 * grad_scale
+
 
 class TestAlphaSweep:
     def test_interior_record_carries_multiplier_sum(self):

@@ -155,6 +155,16 @@ def test_is_feasible_rejects_wrong_total_or_negative():
         fc.is_feasible(spec, fc.Allocation(np.array([1.0, 2.0, 3.0]), "a"))
 
 
+def test_is_feasible_sum_tolerance_scales_with_the_fleet():
+    regions = two_region().regions
+    large = fc.GameSpec(regions=regions, fleet_a=1e8, fleet_b=2e8)
+    assert fc.is_feasible(large, fc.Allocation(np.array([4e7, 6e7 + 5e-5]), "a"))
+    assert not fc.is_feasible(large, fc.Allocation(np.array([4e7, 6e7 + 1e-2]), "a"))
+    small = fc.GameSpec(regions=regions, fleet_a=1.0, fleet_b=2.0)
+    assert fc.is_feasible(small, fc.Allocation(np.array([0.25, 0.75]), "a"))
+    assert not fc.is_feasible(small, fc.Allocation(np.array([0.25, 0.75 + 1e-10]), "a"))
+
+
 def test_market_share_and_profit_loss_by_hand():
     region = fc.RegionParams(beta_m=35000.0, beta_c=10.0, epsilon=100.0)
     own, rival = 222.6, 453.0
