@@ -5,10 +5,10 @@ region by region, the total regional mass (both allocations plus the
 abandonment offset) as a function of one scalar: the sum of the two
 fleet-sum multipliers. Summing those masses and subtracting the mass
 that is actually available gives a strictly increasing scalar function
-whose unique root identifies the equilibrium. The root is bracketed to
-the left of the smallest pole, bisected, polished with a few guarded
-Newton steps, and the full joint strategy plus multipliers follow in
-closed form.
+whose unique root identifies the equilibrium. The root is found left of
+the smallest pole by safeguarded Newton steps in the gap to that pole,
+inside a sign bracket known in closed form, and the full joint strategy
+plus multipliers follow in closed form.
 """
 
 import math
@@ -32,6 +32,9 @@ BALANCE_RTOL = 1e-10
 # Discriminants in [-1e-12 * beta_m**2, 0) are rounding noise and clamp to 0.
 _DISC_CLAMP_RTOL = 1e-12
 
+# Safety cap on balance evaluations per root find; no case-study spec needs more than 9.
+_MAX_EVALUATIONS = 100
+
 
 def _offsets_array(spec: GameSpec, offsets) -> np.ndarray:
     out = np.asarray(offsets, dtype=float).reshape(-1)
@@ -54,16 +57,28 @@ def _checked_gaps(spec: GameSpec, offsets, t: float) -> tuple[np.ndarray, float]
     return gaps, t
 
 
-def _region_mass(spec: GameSpec, gaps: np.ndarray, t: float) -> np.ndarray:
-    """Each region's total mass implied at multiplier sum t, from gaps = offsets - t."""
+def _balance(spec: GameSpec, gaps: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+    """Region masses at gaps = offsets - t, and the t-derivative of their sum.
+
+    The unchecked kernel behind mass_balance, mass_balance_derivative and
+    the root find; one square root serves both outputs. t only names the
+    point in errors. The derivative is inf where a discriminant is zero.
+    """
     bm = spec.beta_m
     disc = bm * bm + 4.0 * bm * spec.eps * gaps
-    bad = disc < -_DISC_CLAMP_RTOL * bm * bm
-    if np.any(bad):
-        raise DomainError(
-            f"t={t!r} is beyond the domain edge in regions {np.nonzero(bad)[0].tolist()}"
-        )
-    return (bm + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * gaps)
+    if disc.min() > 0.0:
+        root = np.sqrt(disc)
+        terms = bm * (root + bm + 2.0 * spec.eps * gaps) / (2.0 * gaps * gaps * root)
+        slope = float(terms.sum())
+    else:
+        bad = disc < -_DISC_CLAMP_RTOL * bm * bm
+        if np.any(bad):
+            raise DomainError(
+                f"t={t!r} is beyond the domain edge in regions {np.nonzero(bad)[0].tolist()}"
+            )
+        root = np.sqrt(np.maximum(disc, 0.0))
+        slope = math.inf
+    return (bm + root) / (2.0 * gaps), slope
 
 
 def mass_balance(spec: GameSpec, offsets, t: float) -> float:
@@ -74,96 +89,76 @@ def mass_balance(spec: GameSpec, offsets, t: float) -> float:
     discriminant is nonnegative and t hits no offset exactly.
     """
     gaps, t = _checked_gaps(spec, offsets, t)
-    terms = _region_mass(spec, gaps, t)
-    return float(terms.sum() - (spec.fleet_a + spec.fleet_b + spec.eps.sum()))
+    kappa, _ = _balance(spec, gaps, t)
+    return float(kappa.sum() - (spec.fleet_a + spec.fleet_b + spec.eps.sum()))
 
 
 def mass_balance_derivative(spec: GameSpec, offsets, t: float) -> float:
     """Derivative of mass_balance in t, valid strictly inside the domain."""
     gaps, t = _checked_gaps(spec, offsets, t)
-    ratio = spec.eps / spec.beta_m
-    inner = 1.0 + 4.0 * ratio * gaps
-    if np.any(inner <= 0.0):
+    _, slope = _balance(spec, gaps, t)
+    if slope == math.inf:
         raise DomainError(f"t={t!r} is not strictly inside the domain")
-    terms = spec.beta_m / (2.0 * gaps * gaps) * (1.0 + (1.0 + 2.0 * ratio * gaps) / np.sqrt(inner))
-    return float(terms.sum())
+    return slope
 
 
-def _solve_multiplier_sum(spec: GameSpec, offsets: np.ndarray) -> tuple[float, int, float]:
-    """Root of mass_balance left of the smallest offset.
+def _solve_multiplier_sum(
+    spec: GameSpec, offsets: np.ndarray
+) -> tuple[float, np.ndarray, int, float]:
+    """Root of mass_balance left of the smallest offset, the pole.
 
-    Returns (root, iterations, residual). The left bracket end grows
-    geometrically; nothing assumes the root is positive.
+    Returns (root, region masses at the root, evaluations, residual);
+    evaluations counts every call of the balance kernel.
+
+    The search runs in the pole gap g = pole - t > 0, where the total
+    region mass falls from +inf to 0. Region gaps are formed as
+    (offsets - pole) + g, so nothing cancels when g is far below |pole|.
+    The bracket is known in closed form: the pole region alone holds the
+    whole mass at g = beta_m (mass + eps) / mass**2 (its own beta_m and
+    eps), at or left of the root; bounding each region's mass by
+    beta_m / g + sqrt(beta_m eps / g) gives a quadratic in 1 / sqrt(g)
+    whose root is at or right of it. From the left end, Newton steps on
+    log(total mass) against log(g) shrink the bracket, and a step that
+    would leave it becomes a bisection of log(g). The iteration stops when
+    the balance is exactly zero or no double is left to try, so the root
+    does not depend on a stopping tolerance.
     """
-    pole = float(offsets.min())
-    mass = spec.fleet_a + spec.fleet_b + float(spec.eps.sum())
-    scale = max(1.0, abs(pole))
-    iterations = 0
+    bm, eps = spec.beta_m, spec.eps
+    pole_region = int(np.argmin(offsets))
+    pole = float(offsets[pole_region])
+    shifts = offsets - pole
+    mass = float(spec.fleet_a + spec.fleet_b + eps.sum())
+    low = float(bm[pole_region] * (mass + eps[pole_region])) / (mass * mass)
+    b, c = float(bm.sum()), float(np.sqrt(bm * eps).sum())
+    high = ((c + math.sqrt(c * c + 4.0 * b * mass)) / (2.0 * mass)) ** 2
 
-    gap = 1e-9 * scale
-    t_high = pole - gap
-    f_high = mass_balance(spec, offsets, t_high)
-    for _ in range(8):
-        if f_high > 0.0:
+    g = low
+    evaluations = 0
+    while True:
+        kappa, slope = _balance(spec, shifts + g, pole - g)
+        evaluations += 1
+        total = float(kappa.sum())
+        residual = total - mass
+        if residual == 0.0 or evaluations == _MAX_EVALUATIONS:
             break
-        gap /= 16.0
-        t_high = pole - gap
-        f_high = mass_balance(spec, offsets, t_high)
-        iterations += 1
-    if f_high <= 0.0:
-        raise NumericalError("could not find a positive end for the root bracket")
-
-    step = scale
-    t_low = pole - step
-    f_low = mass_balance(spec, offsets, t_low)
-    while f_low >= 0.0:
-        step *= 2.0
-        if step > 2.0**200 * scale:
-            raise NumericalError("mass balance never went negative while growing the bracket")
-        t_low = pole - step
-        f_low = mass_balance(spec, offsets, t_low)
-        iterations += 1
-
-    width_tol = 1e-13 * max(1.0, abs(t_low), abs(t_high))
-    while t_high - t_low > width_tol:
-        mid = 0.5 * (t_low + t_high)
-        if mid <= t_low or mid >= t_high:
-            break
-        f_mid = mass_balance(spec, offsets, mid)
-        iterations += 1
-        if f_mid == 0.0:
-            t_low = t_high = mid
-            break
-        if f_mid > 0.0:
-            t_high = mid
+        if residual > 0.0:
+            low = g
         else:
-            t_low = mid
+            high = g
+        step = math.log1p(residual / mass) * total / (g * slope)
+        if math.log(low / g) < step < math.log(high / g):
+            g_next = g + g * math.expm1(step)
+        else:
+            g_next = math.sqrt(low) * math.sqrt(high)
+        if not low < g_next < high:
+            break
+        g = g_next
 
-    t = 0.5 * (t_low + t_high)
-    f_t = mass_balance(spec, offsets, t)
-    for _ in range(4):
-        if abs(f_t) <= 1e-14 * mass:
-            break
-        try:
-            slope = mass_balance_derivative(spec, offsets, t)
-        except DomainError:
-            break
-        if not slope > 0.0:
-            break
-        t_next = t - f_t / slope
-        if not t_low <= t_next <= t_high:
-            break
-        f_next = mass_balance(spec, offsets, t_next)
-        iterations += 1
-        if abs(f_next) >= abs(f_t):
-            break
-        t, f_t = t_next, f_next
-
-    if abs(f_t) > BALANCE_RTOL * mass:
+    if not abs(residual) <= BALANCE_RTOL * mass:
         raise NumericalError(
-            f"root residual {f_t!r} exceeds tolerance {BALANCE_RTOL * mass!r}"
+            f"root residual {residual!r} exceeds tolerance {BALANCE_RTOL * mass!r}"
         )
-    return t, iterations, f_t
+    return pole - g, kappa, evaluations, residual
 
 
 def solve_multiplier_sum(spec: GameSpec, offsets=None) -> float:
@@ -175,7 +170,7 @@ def solve_multiplier_sum(spec: GameSpec, offsets=None) -> float:
         arr = 2.0 * spec.beta_c
     else:
         arr = _offsets_array(spec, offsets)
-    root, _, _ = _solve_multiplier_sum(spec, arr)
+    root, _, _, _ = _solve_multiplier_sum(spec, arr)
     return root
 
 
@@ -184,7 +179,8 @@ class InteriorSolveTrace:
     """Diagnostics of one interior solve.
 
     multiplier_sum is the root t; region_mass holds each region's total
-    mass (both allocations plus epsilon) implied at the root.
+    mass (both allocations plus epsilon) implied at the root; iterations
+    counts every evaluation of the mass balance in the root find.
     """
 
     multiplier_sum: float
@@ -255,8 +251,7 @@ def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
     interior, boundary-suspect, or not interior.
     """
     offsets = 2.0 * spec.beta_c
-    t, iterations, residual = _solve_multiplier_sum(spec, offsets)
-    kappa = _region_mass(spec, offsets - t, t)
+    t, kappa, iterations, residual = _solve_multiplier_sum(spec, offsets)
     duals = _interior_duals(spec, kappa)
     weights = kappa * kappa / spec.beta_m
     x_a = weights * (spec.beta_c - duals.lambda_b) - spec.eps

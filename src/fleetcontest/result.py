@@ -1,8 +1,9 @@
 """Shared result type for the equilibrium solvers."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .game import DualCertificate, JointStrategy
+from .game import DualCertificate, GameSpec, JointStrategy
 from .interior import InteriorSolveTrace
 
 #: Location tags: the interior, one of the four two-region boundary
@@ -12,17 +13,18 @@ LOCATIONS = ("interior", "A1", "A2", "B1", "B2", "boundary")
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """A solved equilibrium with its multipliers and quality measure.
+    """A solved equilibrium of spec with its multipliers and quality measure.
 
     ne_residual is the largest unilateral payoff improvement either
-    player could still gain; trace is present for interior solves;
-    converged is False only when an iterative fallback hit its cap.
+    player could still gain; it is computed on first read and kept.
+    trace is present for interior solves; converged is False only when an
+    iterative fallback hit its cap.
     """
 
     strategy: JointStrategy
     duals: DualCertificate
     location: str
-    ne_residual: float
+    spec: GameSpec
     trace: InteriorSolveTrace | None = None
     converged: bool = True
     iterations: int = 0
@@ -30,3 +32,10 @@ class EquilibriumResult:
     def __post_init__(self):
         if self.location not in LOCATIONS:
             raise ValueError(f"unknown location tag {self.location!r}")
+
+    @cached_property
+    def ne_residual(self) -> float:
+        # verify imports this module, so its checks are looked up at first read.
+        from . import verify
+
+        return verify.ne_residual(self.spec, self.strategy)

@@ -286,14 +286,15 @@ def _result(
 ) -> EquilibriumResult:
     """The one constructor of EquilibriumResult for the solvers.
 
-    Duals not given are read off the payoff gradients; an interior trace
-    supplies the iteration count.
+    Rejects an infeasible strategy. Duals not given are read off the
+    payoff gradients; an interior trace supplies the iteration count.
     """
+    _require_feasible(spec, strategy)
     return EquilibriumResult(
         strategy=strategy,
         duals=duals_from_gradients(spec, strategy) if duals is None else duals,
         location=location,
-        ne_residual=ne_residual(spec, strategy),
+        spec=spec,
         trace=trace,
         converged=converged,
         iterations=iterations if trace is None else trace.iterations,

@@ -309,6 +309,25 @@ class TestSolveTwoRegion:
         u_b = fc.utility(spec, "b", result.strategy)
         assert result.ne_residual <= 1e-6 * (abs(u_a) + abs(u_b) + 1.0)
 
+    def test_boundary_suspect_keeps_the_lowest_residual(self):
+        """Near the A2 transition a's region-2 share is 1e-11 of its fleet.
+
+        The interior candidate is positive but below the support threshold,
+        and the A2 family certifies too, so the two compete on ne_residual.
+        """
+        spec = fc.two_region_spec(39.86759748053348)
+        outcome = fc.interior_equilibrium(spec)
+        assert outcome.strategy is not None and outcome.not_interior is not None
+        distinct = _distinct_certified(spec, enumerate_candidates(spec))
+        assert [cand.family for cand in distinct] == ["A2"]
+        contenders = [("interior", outcome.strategy)] + [
+            (cand.family, cand.strategy) for cand in distinct]
+        residuals = [fc.ne_residual(spec, joint) for _, joint in contenders]
+        best = min(range(len(contenders)), key=residuals.__getitem__)
+        result = fc.solve_two_region(spec)
+        assert result.location == contenders[best][0]
+        assert result.ne_residual == residuals[best]
+
     def test_exactly_one_equilibrium_description(self):
         """Interior validity and a lone certified family are mutually exclusive."""
         rng = np.random.default_rng(42)

@@ -1,5 +1,10 @@
 """Command-line behavior: exit codes, output shapes, error routing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import fleetcontest as fc
@@ -128,6 +133,21 @@ class TestTable1:
         assert len(lines) == 5
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "5", "25", "41"]
         assert lines[4].split(",")[7] == "A2"
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_prints_what_cli_main_prints(self, capsys):
+        assert cli_main(["table1"]) == 0
+        expected = capsys.readouterr().out.encode()
+        src = str(Path(fc.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "fleetcontest", "table1"],
+            capture_output=True, env=env, timeout=120, check=False,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout == expected
 
 
 class TestVerify:

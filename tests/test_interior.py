@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import fleetcontest as fc
-from fleetcontest.interior import solve_multiplier_sum
+from fleetcontest import interior
+from fleetcontest.experiments import _fleet_spec
+from fleetcontest.interior import BALANCE_RTOL, _balance, solve_multiplier_sum
 from helpers import random_spec
 
 
@@ -68,6 +70,22 @@ class TestMassBalance:
         with pytest.raises(fc.DomainError):
             fc.mass_balance_derivative(spec, offsets, 4.0)
 
+    def test_kernel_matches_public_functions(self):
+        """The unchecked kernel, fed the root find's gap form, gives the public values."""
+        rng = np.random.default_rng(15)
+        for m in range(1, 9):
+            for _ in range(25):
+                spec = random_spec(rng, m=m)
+                offsets = 2.0 * spec.beta_c
+                pole = float(offsets.min())
+                t = pole - float(np.exp(rng.uniform(-6.0, 8.0)))
+                kappa, slope = _balance(spec, (offsets - pole) + (pole - t), t)
+                total = float(kappa.sum())
+                mass = spec.fleet_a + spec.fleet_b + float(spec.eps.sum())
+                assert abs(total - mass - fc.mass_balance(spec, offsets, t)) <= 1e-14 * total
+                assert slope == pytest.approx(
+                    fc.mass_balance_derivative(spec, offsets, t), rel=1e-14)
+
     def test_rejects_nonfinite_t_and_bad_offsets(self):
         spec = single_region_spec()
         with pytest.raises(fc.ValidationError):
@@ -98,6 +116,89 @@ class TestMultiplierSum:
         root_default = solve_multiplier_sum(spec)
         assert solve_multiplier_sum(spec, offsets=2.0 * spec.beta_c) == root_default
         assert solve_multiplier_sum(spec, offsets=np.array([10.0])) != root_default
+
+
+def _evaluations(spec):
+    return fc.interior_equilibrium(spec).trace.iterations
+
+
+def _scaled(spec, factor):
+    """spec with beta_m, epsilon and both fleets multiplied by factor."""
+    return fc.GameSpec(
+        regions=tuple(
+            fc.RegionParams(r.beta_m * factor, r.beta_c, r.epsilon * factor)
+            for r in spec.regions
+        ),
+        fleet_a=spec.fleet_a * factor,
+        fleet_b=spec.fleet_b * factor,
+    )
+
+
+class TestRootFind:
+    def test_iterations_count_every_balance_evaluation(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _balance(*args)
+
+        monkeypatch.setattr(interior, "_balance", counted)
+        out = fc.interior_equilibrium(fc.two_region_spec(1.0))
+        assert out.trace.iterations == len(calls)
+        assert len(calls) > 0
+
+    def test_gap_far_below_the_pole(self):
+        """One cheap region against two very expensive ones.
+
+        The root sits 0.6 below a pole at 1e8, where t itself resolves
+        gaps only to 1.5e-8; the balance still closes because the root
+        find works in the gap.
+        """
+        spec = fc.GameSpec(
+            regions=(
+                fc.RegionParams(2000.0, 5e7, 10.0),
+                fc.RegionParams(1e5, 5e9, 100.0),
+                fc.RegionParams(3e5, 8e9, 200.0),
+            ),
+            fleet_a=1000.0,
+            fleet_b=2000.0,
+        )
+        out = fc.interior_equilibrium(spec)
+        assert out.trace.iterations <= 12
+        mass = spec.fleet_a + spec.fleet_b + float(spec.eps.sum())
+        assert abs(out.trace.balance_residual) <= BALANCE_RTOL * mass
+        # The expensive regions sit ~1e10 from the pole, so their masses
+        # barely move with the gap; the cheap region holds the rest, which
+        # fixes its gap in closed form.
+        bm, eps = spec.beta_m[1:], spec.eps[1:]
+        shift = 2.0 * spec.beta_c[1:] - 1e8
+        far = (bm + np.sqrt(bm * bm + 4.0 * bm * eps * shift)) / (2.0 * shift)
+        np.testing.assert_allclose(out.trace.region_mass[1:], far, rtol=1e-9)
+        rest = mass - float(far.sum())
+        assert out.trace.region_mass[0] == pytest.approx(rest, rel=1e-12)
+        gap = 2000.0 * (rest + 10.0) / rest**2
+        assert 1e8 - out.trace.multiplier_sum == pytest.approx(gap, rel=1e-6)
+
+    @pytest.mark.parametrize("alpha", [1.0, 4.0, 8.0, 12.0, 16.0, 20.0])
+    def test_four_regions_in_units_scaled_by_1e5(self, alpha):
+        base = fc.interior_equilibrium(fc.four_region_spec(alpha)).trace
+        big = fc.interior_equilibrium(_scaled(fc.four_region_spec(alpha), 1e5)).trace
+        assert big.iterations <= 12
+        assert big.multiplier_sum == pytest.approx(base.multiplier_sum, rel=1e-12)
+        np.testing.assert_allclose(big.region_mass, 1e5 * base.region_mass, rtol=1e-12)
+
+    def test_at_most_twelve_evaluations_on_case_study_specs(self):
+        specs = (
+            [fc.four_region_spec(a) for a in np.arange(1.0, 20.001, 0.25)]
+            + [fc.two_region_spec(a) for a in np.arange(1.0, 50.001, 0.25)]
+            + [_fleet_spec(b) for b in np.arange(200.0, 4000.001, 20.0)]
+        )
+        assert max(_evaluations(spec) for spec in specs) <= 12
+
+    def test_evaluations_bounded_on_random_specs(self):
+        rng = np.random.default_rng(16)
+        counts = [_evaluations(random_spec(rng, m=int(rng.integers(1, 9)))) for _ in range(2000)]
+        assert max(counts) <= 50
 
 
 class TestInteriorEquilibrium:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import fleetcontest as fc
-from fleetcontest.verify import GRID_MAX_CELLS, duals_from_gradients
+from fleetcontest import verify
+from fleetcontest.verify import GRID_MAX_CELLS, _result, duals_from_gradients
 from helpers import random_feasible_point, random_spec
 
 
@@ -265,3 +266,48 @@ class TestIteratedBestResponse:
             fc.iterated_best_response(spec, damping=1.5)
         with pytest.raises(fc.ValidationError):
             fc.iterated_best_response(spec, max_iters=0)
+
+
+def _spec(regions, fleet_a, fleet_b):
+    return fc.GameSpec(tuple(fc.RegionParams(*r) for r in regions), fleet_a, fleet_b)
+
+
+class TestLazyNeResidual:
+    @pytest.mark.parametrize("location, spec", [
+        ("interior", fc.two_region_spec(1.0)),
+        ("A1", _spec(((132000.0, 388.0, 320.0), (150000.0, 64.0, 420.0)), 300.0, 1000.0)),
+        ("A2", _spec(((183000.0, 15.0, 130.0), (10000.0, 10.0, 130.0)), 1000.0, 2900.0)),
+        ("B1", _spec(((113000.0, 466.0, 230.0), (112000.0, 20.0, 320.0)), 2800.0, 500.0)),
+        ("B2", _spec(((171000.0, 169.0, 70.0), (11000.0, 159.0, 320.0)), 4000.0, 1600.0)),
+        ("boundary", _spec(
+            ((35000.0, 5.0, 50.0), (5000.0, 400.0, 100.0), (100000.0, 10.0, 120.0)),
+            1000.0, 2000.0)),
+    ])
+    def test_equals_the_eager_residual(self, location, spec):
+        result = fc.solve_spec(spec)
+        assert result.location == location
+        assert result.ne_residual == fc.ne_residual(spec, result.strategy)
+
+    def test_computed_on_first_read_only(self, monkeypatch):
+        calls = []
+        eager = verify.ne_residual
+
+        def counted(spec, joint):
+            calls.append(joint)
+            return eager(spec, joint)
+
+        monkeypatch.setattr(verify, "ne_residual", counted)
+        spec = fc.two_region_spec(1.0)
+        result = fc.solve_two_region(spec)
+        assert calls == []
+        first = result.ne_residual
+        assert result.ne_residual == first
+        assert len(calls) == 1
+        assert first == eager(spec, result.strategy)
+
+    def test_result_rejects_an_infeasible_strategy(self):
+        spec = fc.two_region_spec(1.0)
+        duals = fc.interior_equilibrium(spec).duals
+        joint = fc.joint_from_arrays([1.0, 2.0], [3.0, 4.0])
+        with pytest.raises(fc.ValidationError):
+            _result(spec, joint, "interior", duals)
