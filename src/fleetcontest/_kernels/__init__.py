@@ -1,20 +1,11 @@
-"""Hot numeric kernels with a compiled core and a pure-numpy fallback.
+"""Hot numeric kernels.
 
-The compiled module is optional; when it failed to build or is absent
-the numpy implementation takes over with the same contract. BACKEND
-names the implementation actually in use.
+BACKEND names the implementation. There is one, in numpy; the constant
+stays because benchmark run records report it.
 """
 
-from . import _grid_py
+from ._grid_py import two_region_scan
 
-try:
-    from . import _grid as _impl
-
-    BACKEND = "compiled"
-except ImportError:
-    _impl = _grid_py
-    BACKEND = "python"
-
-two_region_scan = _impl.two_region_scan
+BACKEND = "python"
 
 __all__ = ["BACKEND", "two_region_scan"]

@@ -229,12 +229,17 @@ def grid_equilibrium(spec: GameSpec, step: float) -> GridOracleResult:
     step = float(step)
     if not math.isfinite(step) or step <= 0.0:
         raise ValidationError(f"step must be > 0, got {step!r}")
-    n_a = max(1, round(spec.fleet_a / step))
-    n_b = max(1, round(spec.fleet_b / step))
-    if n_a > GRID_MAX_CELLS or n_b > GRID_MAX_CELLS:
+    cells_a = spec.fleet_a / step
+    cells_b = spec.fleet_b / step
+    # The same test as round(cells) > GRID_MAX_CELLS, but safe for an
+    # infinite quotient, which round() cannot convert.
+    if max(cells_a, cells_b) > GRID_MAX_CELLS + 0.5:
         raise GridSizeError(
-            f"grid of {n_a} x {n_b} cells exceeds the per-player cap {GRID_MAX_CELLS}"
+            f"grid of {cells_a:.6g} x {cells_b:.6g} cells exceeds the per-player cap "
+            f"{GRID_MAX_CELLS}"
         )
+    n_a = max(1, round(cells_a))
+    n_b = max(1, round(cells_b))
     if (n_a + 1) * (n_b + 1) > GRID_MAX_POINTS:
         raise GridSizeError(
             f"joint grid of {(n_a + 1) * (n_b + 1)} points exceeds the cap {GRID_MAX_POINTS}"

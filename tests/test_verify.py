@@ -187,6 +187,12 @@ class TestGridEquilibrium:
             fc.grid_equilibrium(spec, step=0.05)  # joint point cap
         assert GRID_MAX_CELLS == 100_000
 
+    @pytest.mark.parametrize("step", [1e-310, 5e-324])
+    def test_subnormal_step_hits_the_cell_cap(self, step):
+        # fleet / step overflows to infinity, which round() cannot convert.
+        with pytest.raises(fc.GridSizeError):
+            fc.grid_equilibrium(fc.two_region_spec(1.0), step=step)
+
     def test_step_and_shape_validation(self):
         spec = fc.two_region_spec(1.0)
         for bad in (0.0, -1.0, float("nan"), float("inf")):
