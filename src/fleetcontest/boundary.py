@@ -1,4 +1,4 @@
-"""Two-region solver covering boundary equilibria.
+"""The paper's two-region boundary check, kept as an oracle.
 
 When the interior candidate fails, a two-region equilibrium must sit in
 one of four families, each pinning one player entirely into one region
@@ -15,6 +15,10 @@ root. A family is an equilibrium exactly when the pinned player's
 multiplier on its empty region comes out nonnegative; that check is the
 certification below. B families reduce to A families with the fleet
 sizes swapped.
+
+Solving does not enumerate the families: solve_two_region is the shared
+solve_spec behind a region-count check, and the enumeration here is the
+independent route the tests and the acceptance gate compare it with.
 """
 
 from dataclasses import dataclass
@@ -22,13 +26,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InconsistencyError, NumericalError, ShapeError, ValidationError
+from .errors import NumericalError, ShapeError, ValidationError
+from .experiments import solve_spec
 from .game import GameSpec, JointStrategy, joint_from_arrays, opponent, raw_utility_gradient
-from .interior import interior_equilibrium
-from .result import EquilibriumResult
-from .verify import _result
-
-FAMILIES = ("A1", "A2", "B1", "B2")
+from .result import FAMILIES, EquilibriumResult
 
 #: Certification accepts nu down to -CERT_RTOL * (1 + the summed |gradient| of the
 #: pinned player).
@@ -246,34 +247,11 @@ def _distinct_certified(spec: GameSpec, candidates) -> list[BoundaryCandidate]:
 
 
 def solve_two_region(spec: GameSpec) -> EquilibriumResult:
-    """The unique equilibrium of a two-region game.
+    """The unique equilibrium of a two-region game, by the shared solve_spec.
 
-    Tries the interior candidate first. Otherwise enumerates the four
-    boundary families and returns the single certified strategy; corner
-    points certified by two coinciding families count once. A strictly
-    non-interior candidate with zero or several distinct certified
-    strategies raises InconsistencyError. A boundary-suspect interior
-    candidate (components positive but below threshold) competes with
-    the certified candidates on the lower equilibrium residual.
+    Raises ShapeError for any other region count. The boundary families
+    above are the oracle this solve is checked against, not part of it.
     """
     if spec.m != 2:
         raise ShapeError(f"solve_two_region needs exactly two regions, spec has {spec.m}")
-    outcome = interior_equilibrium(spec)
-    interior = None
-    if outcome.strategy is not None:
-        interior = _result(spec, outcome.strategy, "interior", outcome.duals, outcome.trace)
-        if outcome.is_interior:
-            return interior
-
-    distinct = _distinct_certified(spec, enumerate_candidates(spec))
-    if interior is None:
-        if len(distinct) != 1:
-            raise InconsistencyError(
-                f"interior candidate is outside the simplex but {len(distinct)} distinct "
-                "certified boundary candidates exist (expected exactly 1)"
-            )
-        return _result(spec, distinct[0].strategy, distinct[0].family)
-
-    # Boundary-suspect interior point: keep whichever candidate verifies best.
-    results = [interior] + [_result(spec, cand.strategy, cand.family) for cand in distinct]
-    return min(results, key=lambda result: result.ne_residual)
+    return solve_spec(spec)

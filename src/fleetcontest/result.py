@@ -6,9 +6,13 @@ from functools import cached_property
 from .game import DualCertificate, GameSpec, JointStrategy
 from .interior import InteriorSolveTrace
 
-#: Location tags: the interior, one of the four two-region boundary
-#: families, or a generic boundary point found by iteration.
-LOCATIONS = ("interior", "A1", "A2", "B1", "B2", "boundary")
+#: The four two-region boundary families, each naming the player pinned
+#: into one region and the region it leaves empty (A1: a leaves region 1).
+FAMILIES = ("A1", "A2", "B1", "B2")
+
+#: Location tags: the interior, one of the two-region boundary families,
+#: or a boundary point of a game with another region count.
+LOCATIONS = ("interior", *FAMILIES, "boundary")
 
 
 @dataclass(frozen=True)
@@ -17,8 +21,10 @@ class EquilibriumResult:
 
     ne_residual is the largest unilateral payoff improvement either
     player could still gain; it is computed on first read and kept.
-    trace is present for interior solves; converged is False only when an
-    iterative fallback hit its cap.
+    trace is present for interior solves. iterations counts balance
+    evaluations of the interior root find, kernel evaluations of the
+    price solve, or rounds of the iterated_best_response oracle;
+    converged is False only when that oracle hit its cap.
     """
 
     strategy: JointStrategy

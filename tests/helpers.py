@@ -32,3 +32,14 @@ def random_feasible_point(rng, spec):
     x_a = rng.dirichlet(np.ones(spec.m)) * spec.fleet_a
     x_b = rng.dirichlet(np.ones(spec.m)) * spec.fleet_b
     return fc.joint_from_arrays(x_a, x_b)
+
+
+def relative_kkt(spec, result):
+    """kkt_residual of a result over the largest |payoff gradient| at it."""
+    scale = max(
+        float(np.abs(fc.raw_utility_gradient(
+            spec, result.strategy.of(player).values,
+            result.strategy.of(fc.opponent(player)).values)).max())
+        for player in fc.PLAYERS
+    )
+    return fc.kkt_residual(spec, result.strategy, result.duals) / scale

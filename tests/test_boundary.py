@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fleetcontest as fc
+from fleetcontest import verify
 from fleetcontest.boundary import (
     _distinct_certified,
     _endpoint_slopes,
@@ -15,7 +16,7 @@ from fleetcontest.boundary import (
     boundary_candidate,
     enumerate_candidates,
 )
-from helpers import random_spec
+from helpers import random_spec, relative_kkt
 
 
 def quad_spec():
@@ -309,24 +310,52 @@ class TestSolveTwoRegion:
         u_b = fc.utility(spec, "b", result.strategy)
         assert result.ne_residual <= 1e-6 * (abs(u_a) + abs(u_b) + 1.0)
 
-    def test_boundary_suspect_keeps_the_lowest_residual(self):
+    def test_boundary_suspect_solves_to_a2_without_reading_residuals(self, monkeypatch):
         """Near the A2 transition a's region-2 share is 1e-11 of its fleet.
 
         The interior candidate is positive but below the support threshold,
-        and the A2 family certifies too, so the two compete on ne_residual.
+        so the price solve takes over; it needs no ne_residual to decide.
         """
+        calls = []
+        eager = verify.ne_residual
+
+        def counted(spec, joint):
+            calls.append(joint)
+            return eager(spec, joint)
+
+        monkeypatch.setattr(verify, "ne_residual", counted)
         spec = fc.two_region_spec(39.86759748053348)
         outcome = fc.interior_equilibrium(spec)
         assert outcome.strategy is not None and outcome.not_interior is not None
-        distinct = _distinct_certified(spec, enumerate_candidates(spec))
-        assert [cand.family for cand in distinct] == ["A2"]
-        contenders = [("interior", outcome.strategy)] + [
-            (cand.family, cand.strategy) for cand in distinct]
-        residuals = [fc.ne_residual(spec, joint) for _, joint in contenders]
-        best = min(range(len(contenders)), key=residuals.__getitem__)
         result = fc.solve_two_region(spec)
-        assert result.location == contenders[best][0]
-        assert result.ne_residual == residuals[best]
+        assert calls == []
+        assert result.location == "A2"
+        assert relative_kkt(spec, result) <= 1e-12
+
+    @pytest.mark.parametrize("samples, seed", [(100, 1743), (1000, 42)])
+    def test_matches_the_family_oracle(self, samples, seed):
+        """The lone certified family, or the interior outcome, is the solve's result.
+
+        Seed 1743 draws criterion 5 and 6's samples, seed 42 the box specs
+        of test_exactly_one_equilibrium_description.
+        """
+        rng = np.random.default_rng(seed)
+        boundary = 0
+        for _ in range(samples):
+            spec = random_spec(rng)
+            outcome = fc.interior_equilibrium(spec)
+            if outcome.is_interior:
+                tag, expected = "interior", outcome.strategy
+            else:
+                (lone,) = _distinct_certified(spec, enumerate_candidates(spec))
+                tag, expected = lone.family, lone.strategy
+                boundary += 1
+            result = fc.solve_two_region(spec)
+            assert result.location == tag
+            for player in fc.PLAYERS:
+                gap = np.abs(result.strategy.of(player).values - expected.of(player).values)
+                assert gap.max() <= 1e-12 * spec.fleet_of(player)
+        assert boundary > 0
 
     def test_exactly_one_equilibrium_description(self):
         """Interior validity and a lone certified family are mutually exclusive."""

@@ -99,6 +99,12 @@ class TestSweep:
         assert code == 1
         assert "points" in capsys.readouterr().err
 
+    def test_point_count_is_capped(self, capsys):
+        code = cli_main(["sweep", "--kind", "two", "--from", "1", "--to", "3",
+                         "--points", "1000000000"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_kind_is_checked_by_the_parser(self, capsys):
         code = cli_main(["sweep", "--kind", "five", "--from", "1", "--to", "3",
                          "--points", "2"])
@@ -124,6 +130,13 @@ class TestDetectors:
     def test_bad_window_exits_one(self, capsys):
         assert cli_main(["alpha-crit", "--lo", "0", "--hi", "5", "--step", "1"]) == 1
         capsys.readouterr()
+
+
+    @pytest.mark.parametrize("command", ["alpha-crit", "fleet-opt"])
+    @pytest.mark.parametrize("step", ["nan", "1e-9"])
+    def test_unusable_step_exits_one(self, command, step, capsys):
+        assert cli_main([command, "--step", step]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestTable1:

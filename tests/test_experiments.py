@@ -5,12 +5,26 @@ import pytest
 
 import fleetcontest as fc
 from fleetcontest.experiments import _grid
+from fleetcontest.verify import GRID_MAX_CELLS
+from helpers import random_spec, relative_kkt
 
 
 # Charging-price scale where the two-region equilibrium collapses into
 # region 1, solved offline to high precision from the corner onset
 # condition; detectors must land within their own bisection width of it.
 COLLAPSE_SCALE = 40.599375650364204
+
+
+def mislabel_spec():
+    """Seven regions, unequal fleets; a leaves regions 2 and 4 empty."""
+    regions = (
+        (79248.56, 50.38444, 64.81672), (26437.64, 53.81626, 201.4434),
+        (15818.51, 6.124569, 66.74063), (13729.22, 22.05556, 315.1041),
+        (38838.46, 6.802587, 153.9853), (42590.54, 27.44353, 263.6790),
+        (76819.68, 45.11879, 223.6299),
+    )
+    return fc.GameSpec(tuple(fc.RegionParams(*r) for r in regions),
+                       fleet_a=380.8565, fleet_b=2378.028)
 
 
 class TestScenarioBuilders:
@@ -69,14 +83,7 @@ class TestSolveSpec:
 
     def test_fallback_labels_its_stalled_components_empty(self):
         """Seven regions whose fallback stalls a's empty regions 2 and 4 near 4e-7."""
-        regions = (
-            (79248.56, 50.38444, 64.81672), (26437.64, 53.81626, 201.4434),
-            (15818.51, 6.124569, 66.74063), (13729.22, 22.05556, 315.1041),
-            (38838.46, 6.802587, 153.9853), (42590.54, 27.44353, 263.6790),
-            (76819.68, 45.11879, 223.6299),
-        )
-        spec = fc.GameSpec(tuple(fc.RegionParams(*r) for r in regions),
-                           fleet_a=380.8565, fleet_b=2378.028)
+        spec = mislabel_spec()
         result = fc.solve_spec(spec)
         assert result.location == "boundary"
         for player in fc.PLAYERS:
@@ -87,6 +94,130 @@ class TestSolveSpec:
         empty = np.zeros(spec.m)
         grad_scale = float(np.abs(fc.raw_utility_gradient(spec, empty, empty)).max())
         assert fc.kkt_residual(spec, result.strategy, result.duals) <= 1e-8 * grad_scale
+
+
+def _spec(bm, bc, eps, fleet_a, fleet_b):
+    regions = tuple(fc.RegionParams(float(m), float(c), float(e)) for m, c, e in zip(bm, bc, eps))
+    return fc.GameSpec(regions, float(fleet_a), float(fleet_b))
+
+
+def symmetric_boundary_game(rng):
+    """Equal fleets, equal allocations, and the first regions left empty.
+
+    Charging costs make every occupied gradient one level; an empty
+    region's cost sits a seeded margin above what entry would earn there.
+    """
+    m = int(rng.integers(3, 9))
+    empty = int(rng.integers(1, m // 2 + 1))
+    bm = rng.uniform(1e4, 8e4, m)
+    eps = rng.uniform(50.0, 320.0, m)
+    x = np.zeros(m)
+    x[empty:] = rng.uniform(50.0, 500.0, m - empty)
+    benefit = bm * (x + eps) / (2.0 * x + eps) ** 2
+    lam = rng.uniform(5.0, 30.0) - benefit[empty:].min()
+    bc = benefit + lam
+    bc[:empty] = np.maximum(bm / eps + lam, 0.0)[:empty] + rng.uniform(0.05, 0.3, empty) * (bm / eps)[:empty]
+    order = rng.permutation(m)
+    return _spec(bm[order], bc[order], eps[order], x.sum(), x.sum()), x[order], x[order]
+
+
+def asymmetric_boundary_game(rng):
+    """Unequal fleets; the smaller player leaves the first regions empty.
+
+    Shared regions hold more of the larger player, whose level is higher
+    by d. Of the empty regions the first `both` are left by both
+    players; in the rest the larger player holds y below the smaller
+    root of beta_m y / (y + eps)**2 = c < d, so entry does not pay for
+    the smaller one.
+    """
+    m = int(rng.integers(3, 9))
+    empty = int(rng.integers(1, m // 2 + 1))
+    both = int(rng.integers(0, empty + 1))
+    bm = rng.uniform(1e4, 8e4, m)
+    eps = rng.uniform(50.0, 320.0, m)
+    split = rng.uniform(100.0, 1000.0, m)
+    mass = split + eps
+    d = rng.uniform(0.3, 1.0) * float(np.min((0.8 * split * bm / mass**2)[empty:]))
+    diff = d * mass**2 / bm
+    large, small = (split + diff) / 2.0, (split - diff) / 2.0
+    c = d * rng.uniform(0.3, 0.9, m)
+    half = bm - 2.0 * c * eps
+    disc = half * half - 4.0 * c * c * eps * eps
+    y = np.where(disc > 0.0,
+                 (half - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * c) * rng.uniform(0.5, 0.95, m),
+                 rng.uniform(50.0, 500.0, m))
+    small[:empty] = 0.0
+    large[:empty] = y[:empty]
+    large[:both] = 0.0
+    benefit = bm * (small + eps) / (large + small + eps) ** 2
+    lam = rng.uniform(5.0, 30.0) - benefit[both:].min()
+    bc = benefit + lam
+    bc[:both] = (np.maximum(bm / eps + lam, 0.0) + rng.uniform(0.05, 0.3, m) * bm / eps)[:both]
+    order = rng.permutation(m)
+    x_a, x_b = (large, small) if rng.random() < 0.5 else (small, large)
+    return _spec(bm[order], bc[order], eps[order], x_a.sum(), x_b.sum()), x_a[order], x_b[order]
+
+
+class TestSolveSpecAnyRegionCount:
+    def test_boundary_specs_are_exact_kkt_points(self):
+        """About 300 box boundary specs, m = 3..8; the tag follows the support."""
+        rng = np.random.default_rng(12345)
+        solved = 0
+        while solved < 300:
+            spec = random_spec(rng, int(rng.integers(3, 9)))
+            if fc.interior_equilibrium(spec).is_interior:
+                continue
+            result = fc.solve_spec(spec)
+            assert relative_kkt(spec, result) <= 1e-12
+            empty = any(np.any(result.strategy.of(player).values <= 1e-9 * spec.fleet_of(player))
+                        for player in fc.PLAYERS)
+            assert (result.location == "boundary") == empty
+            solved += 1
+
+    @pytest.mark.parametrize("build", [symmetric_boundary_game, asymmetric_boundary_game])
+    def test_constructed_equilibria(self, build):
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            spec, x_a, x_b = build(rng)
+            result = fc.solve_spec(spec)
+            assert result.location == "boundary"
+            for player, expected in (("a", x_a), ("b", x_b)):
+                gap = np.abs(result.strategy.of(player).values - expected)
+                assert gap.max() <= 1e-12 * spec.fleet_of(player)
+
+    def test_exact_on_fixed_boundary_specs(self):
+        specs = [mislabel_spec()] + [fc.two_region_spec(alpha) for alpha in (39.9, 41.0, 45.0, 50.0)]
+        for spec in specs:
+            assert relative_kkt(spec, fc.solve_spec(spec)) <= 1e-12
+
+    def test_interior_point_whose_closed_form_misses_a_fleet_sum(self):
+        """The closed form misses b's fleet by 6.5e-9 of it; the price solve does not."""
+        spec = _spec([108.94827768967991, 676402.6217152451],
+                     [407.9835639328686, 1411.9000409152627],
+                     [399.82546914752044, 14.82547155550008],
+                     129979.73918412217, 1634.3659973422364)
+        outcome = fc.interior_equilibrium(spec)
+        assert outcome.is_interior
+        assert abs(outcome.strategy.alloc_b.total / spec.fleet_b - 1.0) > 1e-11
+        result = fc.solve_spec(spec)
+        assert result.location == "interior"
+        assert relative_kkt(spec, result) <= 1e-12
+        for player in fc.PLAYERS:
+            gap = np.abs(result.strategy.of(player).values - outcome.strategy.of(player).values)
+            assert gap.max() <= 1e-7 * spec.fleet_of(player)
+
+    def test_wide_parameter_range(self):
+        """Parameters log-uniform over 4.5 decades around the box, m = 2..8."""
+        rng = np.random.default_rng(7)
+
+        def draw(centre, size):
+            return centre * 10.0 ** rng.uniform(-2.25, 2.25, size)
+
+        for _ in range(300):
+            m = int(rng.integers(2, 9))
+            spec = _spec(draw(1e4, m), draw(100.0, m) * (rng.random(m) < 0.9), draw(100.0, m),
+                         draw(1000.0, 1)[0], draw(1000.0, 1)[0])
+            assert relative_kkt(spec, fc.solve_spec(spec)) <= 1e-8
 
 
 class TestAlphaSweep:
@@ -166,6 +297,22 @@ class TestDetectAlphaCrit:
             fc.detect_alpha_crit(10.0, 5.0, 0.1)
         with pytest.raises(fc.ValidationError):
             fc.detect_alpha_crit(1.0, 50.0, 0.0)
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(fc.ValidationError, match="step"):
+            fc.detect_alpha_crit(1.0, 50.0, step)
+        with pytest.raises(fc.ValidationError, match="step"):
+            fc.detect_optimal_fleet(200.0, 4000.0, step)
+
+    def test_scan_size_is_capped(self):
+        with pytest.raises(fc.GridSizeError):
+            fc.detect_alpha_crit(1.0, 50.0, 1e-9)
+        with pytest.raises(fc.GridSizeError):
+            fc.detect_optimal_fleet(200.0, 4000.0, 1e-300)
+        assert len(_grid(0.0, float(GRID_MAX_CELLS), 1.0)) == GRID_MAX_CELLS + 1
+        with pytest.raises(fc.GridSizeError):
+            _grid(0.0, float(GRID_MAX_CELLS + 1), 1.0)
 
     def test_grid_includes_both_endpoints(self):
         points = _grid(1.0, 2.0, 0.4)

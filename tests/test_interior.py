@@ -278,3 +278,74 @@ class TestInteriorEquilibrium:
         rebuilt = fc.reconstruct_duals(spec, out.trace)
         assert rebuilt.lambda_a == out.duals.lambda_a
         assert rebuilt.lambda_b == out.duals.lambda_b
+
+
+class TestContests:
+    def test_each_region_is_a_one_region_equilibrium(self):
+        """At fixed prices every active holding equalizes its own marginal
+        payoff with its price, and no inactive player gains from entering."""
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            m = int(rng.integers(1, 9))
+            bm = 10.0 ** rng.uniform(1.0, 6.0, m)
+            eps = 10.0 ** rng.uniform(0.0, 3.0, m)
+            cost = np.concatenate([[0.0], (bm / eps * 10.0 ** rng.uniform(-4.0, 1.0, m))[1:]])
+            mu_a, mu_b = (float(bm[0] / eps[0]) * 10.0 ** rng.uniform(-4.0, 1.0, 2)).tolist()
+            x, _ = interior._contests(bm, eps, cost, mu_a, mu_b)
+            price = np.add.outer((mu_a, mu_b), cost)
+            total = x[0] + x[1] + eps
+            gain = bm * (x[::-1] + eps) / total**2
+            assert np.all(x >= 0.0)
+            active = x > 0.0
+            assert np.all(np.abs(gain - price)[active] <= 1e-12 * price[active])
+            assert np.all((gain - price)[~active] <= 1e-12 * price[~active])
+
+    def test_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(32)
+        checked = 0
+        for _ in range(200):
+            spec = random_spec(rng, int(rng.integers(1, 9)))
+            cost = spec.beta_c - spec.beta_c.min()
+            levels = 10.0 ** rng.uniform(-1.0, 2.0, 2)
+            x, parts = interior._contests(spec.beta_m, spec.eps, cost, *levels)
+            jac = np.reshape(interior._contest_jacobian(x, spec.eps, parts), (2, 2))
+            for k in range(2):
+                h = 1e-6 * levels[k]
+                up, down = levels.copy(), levels.copy()
+                up[k] += h
+                down[k] -= h
+                x_up, parts_up = interior._contests(spec.beta_m, spec.eps, cost, *up)
+                x_down, parts_down = interior._contests(spec.beta_m, spec.eps, cost, *down)
+                if not (np.array_equal(parts_up[-1], parts[-1])
+                        and np.array_equal(parts_down[-1], parts[-1])):
+                    continue  # A support change inside the stencil.
+                fd = (x_up.sum(axis=1) - x_down.sum(axis=1)) / (2.0 * h)
+                scale = np.abs(jac).max()
+                assert np.abs(fd - jac[:, k]).max() <= 1e-6 * scale
+                checked += 1
+        assert checked >= 300
+
+
+class TestPriceSolve:
+    def test_evaluations_bounded_on_box_boundary_specs(self):
+        rng = np.random.default_rng(33)
+        counts = []
+        while len(counts) < 200:
+            spec = random_spec(rng, int(rng.integers(2, 9)))
+            outcome = fc.interior_equilibrium(spec)
+            if outcome.is_interior:
+                continue
+            _, _, evaluations = interior._solve_prices(
+                spec, outcome.trace.lambda_a, outcome.trace.lambda_b)
+            counts.append(evaluations)
+        assert max(counts) <= 20
+
+    def test_start_far_from_the_levels(self):
+        """Multipliers far off in either direction still reach the equilibrium."""
+        spec = fc.two_region_spec(45.0)
+        expected = fc.solve_spec(spec)
+        for lambda_a, lambda_b in ((1e6, 1e6), (-1e6, -1e6), (1e6, -1e6), (0.0, 0.0)):
+            x, duals, _ = interior._solve_prices(spec, lambda_a, lambda_b)
+            np.testing.assert_allclose(x[0], expected.strategy.alloc_a.values, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(x[1], expected.strategy.alloc_b.values, rtol=0, atol=1e-9)
+            assert duals.lambda_a == pytest.approx(expected.duals.lambda_a, rel=1e-12)
