@@ -42,6 +42,6 @@ class NumericalError(FleetContestError):
 class InconsistencyError(NumericalError):
     """Independent cross-checks disagree.
 
-    Raised instead of silently picking a side, for example when neither an
-    interior point nor exactly one certified boundary candidate exists.
+    Raised instead of silently picking a side: concavity_certificate raises
+    it when its two routes to the Schur complement disagree.
     """

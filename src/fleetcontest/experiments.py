@@ -3,13 +3,11 @@
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import FleetContestError, GridSizeError, ValidationError
+from .errors import FleetContestError, ValidationError
 from .game import SUPPORT_RTOL, GameSpec, JointStrategy, RegionParams, joint_from_arrays, utility
 from .interior import _solve_prices, interior_equilibrium
-from .result import FAMILIES, EquilibriumResult
-from .verify import GRID_MAX_CELLS, _result
+from .result import EquilibriumResult, location_tag
+from .verify import _result
 
 
 def four_region_spec(alpha: float) -> GameSpec:
@@ -89,21 +87,6 @@ def _failed(parameter: float, exc: FleetContestError) -> SweepRecord:
     )
 
 
-def _location(spec: GameSpec, x) -> str:
-    """Location tag of a solved 2 x m allocation under the SUPPORT_RTOL rule.
-
-    "interior" when no component is empty; for two regions the first of
-    A1, A2, B1, B2 whose pinned player's named region is empty;
-    "boundary" otherwise.
-    """
-    empty = x <= SUPPORT_RTOL * np.array([[spec.fleet_a], [spec.fleet_b]])
-    if not empty.any():
-        return "interior"
-    if spec.m == 2:
-        return FAMILIES[int(np.argmax(empty.ravel()))]
-    return "boundary"
-
-
 def solve_spec(spec: GameSpec) -> EquilibriumResult:
     """The unique equilibrium of any spec, for any number of regions.
 
@@ -117,10 +100,10 @@ def solve_spec(spec: GameSpec) -> EquilibriumResult:
         try:
             return _result(spec, outcome.strategy, "interior", outcome.duals, outcome.trace)
         except ValidationError:
-            pass  # A lost fleet sum; the price solve works in shifted prices.
+            pass  # A fleet sum lost to rounding; the price solve retries.
     x, duals, evaluations = _solve_prices(spec, outcome.trace.lambda_a, outcome.trace.lambda_b)
     return _result(
-        spec, joint_from_arrays(x[0], x[1]), _location(spec, x), duals, iterations=evaluations
+        spec, joint_from_arrays(x[0], x[1]), location_tag(spec, x), duals, iterations=evaluations
     )
 
 
@@ -147,63 +130,38 @@ def alpha_sweep(kind: str, alphas) -> list[SweepRecord]:
     return records
 
 
-def _grid(lo: float, hi: float, step: float) -> list[float]:
-    """lo, lo + step, ... up to hi, with hi appended when a step misses it.
-
-    Raises ValidationError for a step that is not finite and positive,
-    and GridSizeError for more than GRID_MAX_CELLS steps.
-    """
+def _check_step(step: float) -> None:
+    """Raises ValidationError for a step that is not finite and positive."""
     if not (math.isfinite(step) and step > 0.0):
         raise ValidationError(f"step must be finite and > 0, got {step!r}")
-    steps = (hi - lo) / step + 1e-12
-    if steps > GRID_MAX_CELLS:
-        raise GridSizeError(f"a scan of {steps:.6g} steps exceeds the cap {GRID_MAX_CELLS}")
-    n = int(math.floor(steps))
-    points = [lo + k * step for k in range(n + 1)]
-    if points[-1] < hi - 1e-12 * max(1.0, abs(hi)):
-        points.append(hi)
-    return points
-
-
-def _concentrated_in_region1(alpha: float) -> bool:
-    """True when the solved equilibrium puts both entire fleets in region 1."""
-    spec = two_region_spec(alpha)
-    result = solve_spec(spec)
-    x_a2 = result.strategy.alloc_a.values[1]
-    x_b2 = result.strategy.alloc_b.values[1]
-    return x_a2 <= SUPPORT_RTOL * spec.fleet_a and x_b2 <= SUPPORT_RTOL * spec.fleet_b
 
 
 def detect_alpha_crit(lo: float = 1.0, hi: float = 50.0, step: float = 0.1) -> float | None:
     """Charging-price scale where the equilibrium collapses into region 1.
 
     Beyond the returned value both companies send their whole fleets to
-    the cheap region. Scans [lo, hi] at the given step for the first
-    fully concentrated equilibrium, then bisects between the last split
-    and first concentrated point down to step/100. Returns None when no
-    swept point is concentrated.
+    the cheap region. One solve at hi decides: if a fleet still uses
+    region 2 there, nothing in [lo, hi] collapses and the result is None.
+    Otherwise the collapsed allocation and both fleet-sum multipliers
+    stay fixed as alpha falls, while each player's region-2 multiplier
+    beta_c2(alpha) - lambda - beta_m2 / eps2 falls in proportion to
+    beta_c2, which is linear in alpha; the collapse ends where the
+    smaller one reaches zero, clipped to lo. step is checked to be
+    finite and positive but sets no scan; it is kept for callers.
     """
     lo, hi, step = float(lo), float(hi), float(step)
     if not 1.0 <= lo < hi <= 50.0:
         raise ValidationError(f"need 1 <= lo < hi <= 50, got lo={lo!r}, hi={hi!r}")
-    points = _grid(lo, hi, step)
-    first_concentrated = None
-    for index, alpha in enumerate(points):
-        if _concentrated_in_region1(alpha):
-            first_concentrated = index
-            break
-    if first_concentrated is None:
+    _check_step(step)
+    spec = two_region_spec(hi)
+    result = solve_spec(spec)
+    x_a2 = result.strategy.alloc_a.values[1]
+    x_b2 = result.strategy.alloc_b.values[1]
+    if x_a2 > SUPPORT_RTOL * spec.fleet_a or x_b2 > SUPPORT_RTOL * spec.fleet_b:
         return None
-    if first_concentrated == 0:
-        return points[0]
-    split, concentrated = points[first_concentrated - 1], points[first_concentrated]
-    while concentrated - split > step / 100.0:
-        mid = 0.5 * (split + concentrated)
-        if _concentrated_in_region1(mid):
-            concentrated = mid
-        else:
-            split = mid
-    return 0.5 * (split + concentrated)
+    slope = float(spec.beta_c[1]) / hi
+    margin = min(float(result.duals.nu_a[1]), float(result.duals.nu_b[1]))
+    return max(lo, hi - margin / slope)
 
 
 _FLEET_RANGE = (200.0, 4000.0)
@@ -235,40 +193,34 @@ def fleet_sweep(fleet_b_values) -> list[SweepRecord]:
 def detect_optimal_fleet(lo: float = 200.0, hi: float = 4000.0, step: float = 1.0) -> float:
     """Fleet size for b maximizing b's equilibrium payoff against a fixed rival.
 
-    Scans [lo, hi] at the given step, then refines around the best grid
-    point by golden-section search.
+    b's payoff is unimodal in its fleet over the whole admissible range,
+    so a golden-section search over [lo, hi] narrows the window to 1e-3
+    and returns its midpoint. step is checked to be finite and positive
+    but sets no scan; it is kept for callers.
     """
     lo, hi, step = float(lo), float(hi), float(step)
     if not _FLEET_RANGE[0] <= lo < hi <= _FLEET_RANGE[1]:
         raise ValidationError(f"need {_FLEET_RANGE[0]} <= lo < hi <= {_FLEET_RANGE[1]}")
+    _check_step(step)
 
     def payoff(fleet_b: float) -> float:
         spec = _fleet_spec(fleet_b)
         return utility(spec, "b", solve_spec(spec).strategy)
 
-    points = _grid(lo, hi, step)
-    records = fleet_sweep(points)
-    scores = [r.u_b if r.u_b is not None else -math.inf for r in records]
-    best = max(range(len(points)), key=scores.__getitem__)
-    left = points[max(best - 1, 0)]
-    right = points[min(best + 1, len(points) - 1)]
-    if left == right:
-        return left
-
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = right - invphi * (right - left)
-    x2 = left + invphi * (right - left)
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
     f1, f2 = payoff(x1), payoff(x2)
-    while right - left > 1e-3:
+    while hi - lo > 1e-3:
         if f1 < f2:
-            left, x1, f1 = x1, x2, f2
-            x2 = left + invphi * (right - left)
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
             f2 = payoff(x2)
         else:
-            right, x2, f2 = x2, x1, f1
-            x1 = right - invphi * (right - left)
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
             f1 = payoff(x1)
-    return 0.5 * (left + right)
+    return 0.5 * (lo + hi)
 
 
 def reference_rows() -> list[SweepRecord]:

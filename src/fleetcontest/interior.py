@@ -298,15 +298,29 @@ class InteriorOutcome:
         return self.not_interior is None
 
 
-def _interior_duals(spec: GameSpec, kappa: np.ndarray) -> DualCertificate:
-    """Fleet-sum multipliers from the region masses; no nonnegativity slack."""
+def _interior_point(
+    spec: GameSpec, kappa: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, DualCertificate]:
+    """Allocations and fleet-sum multipliers from the region masses.
+
+    Charging costs enter relative to the cheapest region's: a constant
+    added to every beta_c moves both multipliers by that constant and
+    leaves the allocations alone, so the shifted multipliers form the
+    allocations and the shift is added back to the reported ones only.
+    No nonnegativity slack.
+    """
+    floor_cost = float(spec.beta_c.min())
+    cost = spec.beta_c - floor_cost
     weights = kappa * kappa / spec.beta_m
     total = float(weights.sum())
-    cost_term = float((spec.beta_c * weights).sum())
+    cost_term = float((cost * weights).sum())
     eps_sum = float(spec.eps.sum())
     lam_a = (cost_term - eps_sum - spec.fleet_b) / total
     lam_b = (cost_term - eps_sum - spec.fleet_a) / total
-    return DualCertificate(lam_a, lam_b, np.zeros(spec.m), np.zeros(spec.m))
+    x_a = weights * (cost - lam_b) - spec.eps
+    x_b = weights * (cost - lam_a) - spec.eps
+    zeros = np.zeros(spec.m)
+    return x_a, x_b, DualCertificate(lam_a + floor_cost, lam_b + floor_cost, zeros, zeros)
 
 
 def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
@@ -318,10 +332,7 @@ def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
     """
     offsets = 2.0 * spec.beta_c
     t, kappa, iterations, residual = _solve_multiplier_sum(spec, offsets)
-    duals = _interior_duals(spec, kappa)
-    weights = kappa * kappa / spec.beta_m
-    x_a = weights * (spec.beta_c - duals.lambda_b) - spec.eps
-    x_b = weights * (spec.beta_c - duals.lambda_a) - spec.eps
+    x_a, x_b, duals = _interior_point(spec, kappa)
     trace = InteriorSolveTrace(
         multiplier_sum=t,
         region_mass=kappa,
@@ -351,7 +362,7 @@ def reconstruct_duals(spec: GameSpec, trace: InteriorSolveTrace) -> DualCertific
     kappa = np.asarray(trace.region_mass, dtype=float)
     if kappa.size != spec.m:
         raise ValidationError("trace region count does not match the spec")
-    return _interior_duals(spec, kappa)
+    return _interior_point(spec, kappa)[2]
 
 
 class _PriceState(NamedTuple):

@@ -3,7 +3,9 @@
 from dataclasses import dataclass
 from functools import cached_property
 
-from .game import DualCertificate, GameSpec, JointStrategy
+import numpy as np
+
+from .game import SUPPORT_RTOL, DualCertificate, GameSpec, JointStrategy
 from .interior import InteriorSolveTrace
 
 #: The four two-region boundary families, each naming the player pinned
@@ -13,6 +15,21 @@ FAMILIES = ("A1", "A2", "B1", "B2")
 #: Location tags: the interior, one of the two-region boundary families,
 #: or a boundary point of a game with another region count.
 LOCATIONS = ("interior", *FAMILIES, "boundary")
+
+
+def location_tag(spec: GameSpec, x) -> str:
+    """Location tag of a 2 x m allocation under the SUPPORT_RTOL rule.
+
+    "interior" when no component is empty; for two regions the first of
+    A1, A2, B1, B2 whose pinned player's named region is empty;
+    "boundary" otherwise.
+    """
+    empty = x <= SUPPORT_RTOL * np.array([[spec.fleet_a], [spec.fleet_b]])
+    if not empty.any():
+        return "interior"
+    if spec.m == 2:
+        return FAMILIES[int(np.argmax(empty.ravel()))]
+    return "boundary"
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .game import (
     raw_utility_gradient,
 )
 from .interior import InteriorSolveTrace
-from .result import EquilibriumResult
+from .result import EquilibriumResult, location_tag
 
 #: Relative (to the player's fleet) tolerance of the best-response fleet sum
 #: before the exact rescale.
@@ -319,7 +319,8 @@ def iterated_best_response(
     max_iters flags converged=False on the result instead of raising.
     Components at or below tol are then set to zero, so that a component
     the iteration could not tell from zero counts as empty, and each
-    allocation is rescaled to its fleet.
+    allocation is rescaled to its fleet. The location tag then follows
+    the support, by the rule solve_spec uses (result.location_tag).
     """
     if not 0.0 < damping <= 1.0:
         raise ValidationError(f"damping must be in (0, 1], got {damping!r}")
@@ -347,15 +348,13 @@ def iterated_best_response(
             converged = True
             break
 
-    interior = True
     for x, fleet in ((x_a, spec.fleet_a), (x_b, spec.fleet_b)):
         x[x <= tol] = 0.0
         x *= fleet / x.sum()
-        interior = interior and bool(np.all(x > SUPPORT_RTOL * fleet))
     return _result(
         spec,
         joint_from_arrays(x_a, x_b),
-        "interior" if interior else "boundary",
+        location_tag(spec, np.vstack((x_a, x_b))),
         converged=converged,
         iterations=iterations,
     )

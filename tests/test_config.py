@@ -124,8 +124,8 @@ class TestEmitCsv:
         out = fc.emit_csv(fc.alpha_sweep("two", [1.0]))
         assert out == (
             "param,x_a_1,x_a_2,x_b_1,x_b_2,u_a,u_b,location,t_lambda\n"
-            "1,222.5621675181248,777.43783248187515,452.96371574535692,"
-            "1547.0362842546433,35591.515545305432,71178.384068094849,"
+            "1,222.56216751812485,777.43783248187538,452.96371574535692,"
+            "1547.0362842546433,35591.515545305439,71178.384068094834,"
             "interior,-30.950029525470512\n"
         )
         u_a = float(out.splitlines()[1].split(",")[5])

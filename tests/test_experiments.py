@@ -4,15 +4,28 @@ import numpy as np
 import pytest
 
 import fleetcontest as fc
-from fleetcontest.experiments import _grid
-from fleetcontest.verify import GRID_MAX_CELLS
+from fleetcontest import experiments
+from fleetcontest.game import FEASIBILITY_RTOL
 from helpers import random_spec, relative_kkt
 
 
 # Charging-price scale where the two-region equilibrium collapses into
 # region 1, solved offline to high precision from the corner onset
-# condition; detectors must land within their own bisection width of it.
+# condition.
 COLLAPSE_SCALE = 40.599375650364204
+
+
+def counted_solves(monkeypatch):
+    """Count the solve_spec calls the detectors make from here on."""
+    calls = []
+    solve = experiments.solve_spec
+
+    def counted(spec):
+        calls.append(spec)
+        return solve(spec)
+
+    monkeypatch.setattr(experiments, "solve_spec", counted)
+    return calls
 
 
 def mislabel_spec():
@@ -191,20 +204,21 @@ class TestSolveSpecAnyRegionCount:
             assert relative_kkt(spec, fc.solve_spec(spec)) <= 1e-12
 
     def test_interior_point_whose_closed_form_misses_a_fleet_sum(self):
-        """The closed form misses b's fleet by 6.5e-9 of it; the price solve does not."""
+        """Unshifted charging costs made the closed form miss b's fleet by
+        6.5e-9 of it here; the shifted closed form meets both fleet sums."""
         spec = _spec([108.94827768967991, 676402.6217152451],
                      [407.9835639328686, 1411.9000409152627],
                      [399.82546914752044, 14.82547155550008],
                      129979.73918412217, 1634.3659973422364)
         outcome = fc.interior_equilibrium(spec)
         assert outcome.is_interior
-        assert abs(outcome.strategy.alloc_b.total / spec.fleet_b - 1.0) > 1e-11
+        for player in fc.PLAYERS:
+            total = outcome.strategy.of(player).total
+            assert abs(total - spec.fleet_of(player)) <= FEASIBILITY_RTOL * spec.fleet_of(player)
         result = fc.solve_spec(spec)
         assert result.location == "interior"
+        assert result.trace is not None
         assert relative_kkt(spec, result) <= 1e-12
-        for player in fc.PLAYERS:
-            gap = np.abs(result.strategy.of(player).values - outcome.strategy.of(player).values)
-            assert gap.max() <= 1e-7 * spec.fleet_of(player)
 
     def test_wide_parameter_range(self):
         """Parameters log-uniform over 4.5 decades around the box, m = 2..8."""
@@ -305,20 +319,22 @@ class TestDetectAlphaCrit:
         with pytest.raises(fc.ValidationError, match="step"):
             fc.detect_optimal_fleet(200.0, 4000.0, step)
 
-    def test_scan_size_is_capped(self):
-        with pytest.raises(fc.GridSizeError):
-            fc.detect_alpha_crit(1.0, 50.0, 1e-9)
-        with pytest.raises(fc.GridSizeError):
-            fc.detect_optimal_fleet(200.0, 4000.0, 1e-300)
-        assert len(_grid(0.0, float(GRID_MAX_CELLS), 1.0)) == GRID_MAX_CELLS + 1
-        with pytest.raises(fc.GridSizeError):
-            _grid(0.0, float(GRID_MAX_CELLS + 1), 1.0)
-
-    def test_grid_includes_both_endpoints(self):
-        points = _grid(1.0, 2.0, 0.4)
-        assert points[0] == 1.0
-        assert points[-1] == 2.0
-        assert len(points) == 4
+    def test_closed_form_from_one_solve(self, monkeypatch):
+        """Both fleets in region 1 is an equilibrium while each player's
+        region-2 multiplier beta_c2 - lambda - beta_m2 / eps2 stays >= 0,
+        with lambda read off region 1's stationarity at the full fleets;
+        the collapse starts where the larger of the two bounds on beta_c2
+        is met."""
+        spec = fc.two_region_spec(50.0)
+        (bm1, bm2), (bc1, bc2), (eps1, eps2) = spec.beta_m, spec.beta_c, spec.eps
+        mass = spec.fleet_a + spec.fleet_b + eps1
+        lambdas = [bc1 - bm1 * (rival + eps1) / mass**2 for rival in (spec.fleet_b, spec.fleet_a)]
+        expected = (max(lambdas) + bm2 / eps2) / (bc2 / 50.0)
+        calls = counted_solves(monkeypatch)
+        value = fc.detect_alpha_crit(1.0, 50.0, 0.1)
+        assert len(calls) == 1
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert value == pytest.approx(COLLAPSE_SCALE, rel=1e-12)
 
 
 class TestFleetSweep:
@@ -339,6 +355,26 @@ class TestDetectOptimalFleet:
     def test_narrow_window_refines_the_peak(self):
         value = fc.detect_optimal_fleet(1700.0, 1800.0, 5.0)
         assert value == pytest.approx(1754.198, abs=0.05)
+
+    def test_golden_search_over_the_full_range(self, monkeypatch):
+        """At most 40 solves, and b pays at least the best of a 0.5-spaced scan."""
+        grid = np.linspace(200.0, 4000.0, 7601)
+        scores = [r.u_b for r in fc.fleet_sweep(grid)]
+        best = int(np.argmax(scores))
+        calls = counted_solves(monkeypatch)
+        value = fc.detect_optimal_fleet(200.0, 4000.0, 1.0)
+        assert len(calls) <= 40
+        assert abs(value - grid[best]) <= 0.5
+        found = fc.fleet_sweep([value])[0].u_b
+        assert found >= scores[best] - 1e-12 * abs(scores[best])
+
+    def test_payoff_is_unimodal_over_the_admissible_range(self):
+        """The golden search relies on one sign change of b's payoff differences."""
+        scores = [r.u_b for r in fc.fleet_sweep(np.arange(200.0, 4001.0, 10.0))]
+        signs = np.sign(np.diff(scores))
+        assert np.all(signs != 0.0)
+        assert np.count_nonzero(np.diff(signs)) == 1
+        assert signs[0] > 0.0
 
     def test_endpoints_pay_less_than_the_peak(self):
         records = {r.parameter: r.u_b for r in fc.fleet_sweep([200.0, 1754.0, 4000.0])}

@@ -95,3 +95,28 @@ def test_scaling_the_currency_leaves_the_allocations(spec, k):
     scaled_a, scaled_b = allocations(scaled)
     assert_close(scaled_a, x_a, spec.fleet_a)
     assert_close(scaled_b, x_b, spec.fleet_b)
+
+
+@CHECKED
+@given(specs(), st.integers(1, 2**20))
+def test_a_common_charging_cost_leaves_the_allocations(spec, c):
+    """The same c added to every beta_c: the same allocations.
+
+    beta_c is rounded to a multiple of 2**-10 first, so that beta_c + c
+    is exact and any difference is the solver's own.
+    """
+    on_grid = fc.GameSpec(
+        tuple(fc.RegionParams(r.beta_m, round(r.beta_c * 1024.0) / 1024.0, r.epsilon)
+              for r in spec.regions),
+        spec.fleet_a,
+        spec.fleet_b,
+    )
+    shifted = fc.GameSpec(
+        tuple(fc.RegionParams(r.beta_m, r.beta_c + c, r.epsilon) for r in on_grid.regions),
+        spec.fleet_a,
+        spec.fleet_b,
+    )
+    x_a, x_b = allocations(on_grid)
+    shifted_a, shifted_b = allocations(shifted)
+    assert_close(shifted_a, x_a, spec.fleet_a)
+    assert_close(shifted_b, x_b, spec.fleet_b)

@@ -259,6 +259,11 @@ class TestIteratedBestResponse:
                 dynamic.strategy.of(player).values,
                 exact.strategy.of(player).values, rtol=0, atol=1e-4)
 
+    def test_tags_a_two_region_boundary_point_like_the_solver(self):
+        spec = fc.two_region_spec(45.0)
+        assert fc.iterated_best_response(spec).location == "A2"
+        assert fc.solve_spec(spec).location == "A2"
+
     def test_iteration_budget_flags_no_convergence(self):
         result = fc.iterated_best_response(fc.two_region_spec(5.0), max_iters=1)
         assert not result.converged
