@@ -1,5 +1,7 @@
 """Scenario builders, sweeps, and the two transition detectors."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -335,6 +337,30 @@ class TestDetectAlphaCrit:
         assert len(calls) == 1
         assert value == pytest.approx(expected, rel=1e-12)
         assert value == pytest.approx(COLLAPSE_SCALE, rel=1e-12)
+
+
+class TestSweepBytes:
+    """The CSV bytes of three dense sweeps, pinned so that a change of solve
+    path that moves any allocation, payoff, t_lambda or tag shows."""
+
+    @staticmethod
+    def digest(records):
+        return hashlib.sha256(fc.emit_csv(records).encode()).hexdigest()
+
+    def test_four_region_sweep(self):
+        records = fc.alpha_sweep("four", np.linspace(1.0, 20.0, 1000))
+        assert self.digest(records) == (
+            "a82e1a857e6614e07b6d041f4e22b9756dc1297ba1729fc60fa481f022006d6c")
+
+    def test_two_region_sweep(self):
+        records = fc.alpha_sweep("two", np.linspace(1.0, 50.0, 1000))
+        assert self.digest(records) == (
+            "17d433a609596735f4581a33e1d6c013be7349b874bbf31312bb5bc5cdb088ba")
+
+    def test_fleet_sweep(self):
+        records = fc.fleet_sweep(np.linspace(200.0, 4000.0, 200))
+        assert self.digest(records) == (
+            "658c046e5f79f6a4cd20efbbe1f7c2d7daa75aa5a7e6f485faa2995898bf2c9d")
 
 
 class TestFleetSweep:
