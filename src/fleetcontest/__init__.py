@@ -40,6 +40,7 @@ from .experiments import (
     fleet_sweep,
     four_region_spec,
     reference_rows,
+    solve_batch,
     solve_spec,
     two_region_spec,
 )

@@ -32,7 +32,9 @@ def _read_config(path: str):
 def _cmd_solve(args) -> int:
     spec = _read_config(args.config)
     result = solve_spec(spec)
-    sys.stdout.write(emit_csv([_record(0.0, spec, result)], m=spec.m))
+    u_a = utility(spec, "a", result.strategy)
+    u_b = utility(spec, "b", result.strategy)
+    sys.stdout.write(emit_csv([_record(0.0, result, u_a, u_b)], m=spec.m))
     print(f"lambda_a = {_fmt(result.duals.lambda_a)}")
     print(f"lambda_b = {_fmt(result.duals.lambda_b)}")
     print("nu_a = " + " ".join(_fmt(v) for v in result.duals.nu_a))

@@ -3,9 +3,21 @@
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import FleetContestError, ValidationError
-from .game import SUPPORT_RTOL, GameSpec, JointStrategy, RegionParams, joint_from_arrays, utility
-from .interior import _solve_prices, interior_equilibrium
+from .game import (
+    SUPPORT_RTOL,
+    GameSpec,
+    JointStrategy,
+    RegionParams,
+    SpecStack,
+    joint_from_arrays,
+    stack_specs,
+    stacked_utilities,
+    utility,
+)
+from .interior import _InteriorCandidates, _solve_prices
 from .result import EquilibriumResult, location_tag
 from .verify import _result
 
@@ -63,12 +75,12 @@ class SweepRecord:
     error: str | None = None
 
 
-def _record(parameter: float, spec: GameSpec, result: EquilibriumResult) -> SweepRecord:
+def _record(parameter: float, result: EquilibriumResult, u_a: float, u_b: float) -> SweepRecord:
     return SweepRecord(
         parameter=parameter,
         strategy=result.strategy,
-        u_a=utility(spec, "a", result.strategy),
-        u_b=utility(spec, "b", result.strategy),
+        u_a=u_a,
+        u_b=u_b,
         location=result.location,
         t_lambda=result.trace.multiplier_sum if result.trace is not None else None,
         error=None,
@@ -87,31 +99,126 @@ def _failed(parameter: float, exc: FleetContestError) -> SweepRecord:
     )
 
 
+def _solve_stack(specs: list, stack: SpecStack) -> list:
+    """solve_batch for specs already stacked as stack."""
+    candidates = _InteriorCandidates(stack)
+    results = []
+    price_rows = []
+    for i, spec in enumerate(specs):
+        results.append(None)
+        try:
+            if candidates.lean[i]:
+                candidates.check(i)  # Not interior; its outcome would only be dropped.
+            else:
+                outcome = candidates.outcome(i)
+                if outcome.is_interior:
+                    try:
+                        results[i] = _result(
+                            spec, outcome.strategy, "interior", outcome.duals, outcome.trace
+                        )
+                        continue
+                    except ValidationError:
+                        pass  # A fleet sum lost to rounding; the price solve retries.
+            price_rows.append(i)
+        except FleetContestError as exc:
+            results[i] = exc
+    if price_rows:
+        starts = [(candidates.lambda_a[i], candidates.lambda_b[i]) for i in price_rows]
+        if len(price_rows) < len(specs):
+            stack = stack.take(price_rows)
+        for i, entry in zip(price_rows, _solve_prices(stack, starts)):
+            if isinstance(entry, FleetContestError):
+                results[i] = entry
+                continue
+            x, duals, evaluations = entry
+            spec = specs[i]
+            try:
+                results[i] = _result(spec, joint_from_arrays(x[0], x[1]), location_tag(spec, x),
+                                     duals, iterations=evaluations)
+            except FleetContestError as exc:
+                results[i] = exc
+    return results
+
+
+def solve_batch(specs) -> list:
+    """The unique equilibria of specs that share one region count.
+
+    Entry i is the EquilibriumResult of specs[i], or the FleetContestError
+    its solve raised: one spec's failure leaves the others' solves alone.
+    Every spec takes solve_spec's path, the interior closed form first
+    and Newton on the two water levels where its candidate leaves the
+    interior or misses a fleet sum, but each stage runs on all specs at
+    once, and an entry is bit for bit what the spec solved alone gives.
+    An empty batch gives []; specs with different region counts raise
+    ShapeError.
+    """
+    specs = list(specs)
+    if not specs:
+        return []
+    return _solve_stack(specs, stack_specs(specs))
+
+
 def solve_spec(spec: GameSpec) -> EquilibriumResult:
     """The unique equilibrium of any spec, for any number of regions.
 
-    The interior closed form comes first. When its candidate leaves the
-    interior, or misses a fleet sum, Newton on the two water levels
-    (interior._solve_prices) finds the equilibrium from the candidate's
-    multipliers; the location tag then follows from the support.
+    The batch of one: the interior closed form comes first. When its
+    candidate leaves the interior, or misses a fleet sum, Newton on the
+    two water levels (interior._solve_prices) finds the equilibrium from
+    the candidate's multipliers; the location tag then follows from the
+    support.
     """
-    outcome = interior_equilibrium(spec)
-    if outcome.is_interior:
+    (result,) = solve_batch([spec])
+    if isinstance(result, FleetContestError):
+        raise result
+    return result
+
+
+def _sweep(build, parameters) -> list[SweepRecord]:
+    """The records of the specs build makes from parameters, in their order.
+
+    The specs are solved as one batch, and both payoffs come from one
+    stacked evaluation after one stacked feasibility check. A spec that
+    cannot be built or solved gives a record with its error message.
+    """
+    parameters = [float(p) for p in parameters]
+    records = [None] * len(parameters)
+    specs, built = [], []
+    for k, parameter in enumerate(parameters):
         try:
-            return _result(spec, outcome.strategy, "interior", outcome.duals, outcome.trace)
-        except ValidationError:
-            pass  # A fleet sum lost to rounding; the price solve retries.
-    x, duals, evaluations = _solve_prices(spec, outcome.trace.lambda_a, outcome.trace.lambda_b)
-    return _result(
-        spec, joint_from_arrays(x[0], x[1]), location_tag(spec, x), duals, iterations=evaluations
-    )
+            specs.append(build(parameter))
+            built.append(k)
+        except FleetContestError as exc:
+            records[k] = _failed(parameter, exc)
+    if not specs:
+        return records
+    stack = stack_specs(specs)
+    results = _solve_stack(specs, stack)
+    solved = [i for i, result in enumerate(results) if isinstance(result, EquilibriumResult)]
+    payoffs = {}
+    if solved:
+        x = np.array([(results[i].strategy.alloc_a.values, results[i].strategy.alloc_b.values)
+                      for i in solved])
+        values, infeasible = stacked_utilities(stack.take(solved), x)
+        payoffs = dict(zip(solved, zip(values.tolist(), infeasible.tolist())))
+    for i, (k, result) in enumerate(zip(built, results)):
+        if i in payoffs:
+            (u_a, u_b), (bad_a, bad_b) = payoffs[i]
+            if bad_a or bad_b:
+                owner = "a" if bad_a else "b"
+                result = ValidationError(f"allocation of player {owner!r} is infeasible")
+        if isinstance(result, FleetContestError):
+            records[k] = _failed(parameters[k], result)
+            continue
+        records[k] = _record(parameters[k], result, u_a, u_b)
+    return records
 
 
 def alpha_sweep(kind: str, alphas) -> list[SweepRecord]:
     """Solve the scenario of the given kind over a sequence of alphas.
 
-    kind is "four" or "two". Solver failures never abort the sweep; the
-    affected record carries the error message instead.
+    kind is "four" or "two". The points are solved as one batch. Failures
+    never abort the sweep: an alpha outside the scenario's range, or a
+    solve that fails, gives a record that carries the error message.
     """
     if kind == "four":
         build = four_region_spec
@@ -119,15 +226,7 @@ def alpha_sweep(kind: str, alphas) -> list[SweepRecord]:
         build = two_region_spec
     else:
         raise ValidationError(f"kind must be 'four' or 'two', got {kind!r}")
-    records = []
-    for alpha in alphas:
-        alpha = float(alpha)
-        try:
-            spec = build(alpha)
-            records.append(_record(alpha, spec, solve_spec(spec)))
-        except FleetContestError as exc:
-            records.append(_failed(alpha, exc))
-    return records
+    return _sweep(build, alphas)
 
 
 def _check_step(step: float) -> None:
@@ -173,21 +272,20 @@ def _fleet_spec(fleet_b: float) -> GameSpec:
 
 
 def fleet_sweep(fleet_b_values) -> list[SweepRecord]:
-    """Solve the fixed two-region scenario over a sequence of b-fleet sizes."""
+    """Solve the fixed two-region scenario over a sequence of b-fleet sizes.
+
+    The points are solved as one batch, and a failed solve gives a record
+    that carries the error message. Unlike alpha_sweep's per-point
+    errors, a value outside [200, 4000], or NaN, raises ValidationError
+    before any point is solved.
+    """
     values = [float(v) for v in fleet_b_values]
     for value in values:
         if not _FLEET_RANGE[0] <= value <= _FLEET_RANGE[1]:
             raise ValidationError(
                 f"fleet_b values must be within {_FLEET_RANGE}, got {value!r}"
             )
-    records = []
-    for value in values:
-        try:
-            spec = _fleet_spec(value)
-            records.append(_record(value, spec, solve_spec(spec)))
-        except FleetContestError as exc:
-            records.append(_failed(value, exc))
-    return records
+    return _sweep(_fleet_spec, values)
 
 
 def detect_optimal_fleet(lo: float = 200.0, hi: float = 4000.0, step: float = 1.0) -> float:

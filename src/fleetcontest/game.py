@@ -11,10 +11,11 @@ own / (own + rival + epsilon) of the market volume minus charging costs.
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ShapeError, ValidationError
 
 PLAYERS = ("a", "b")
 
@@ -170,7 +171,7 @@ class Allocation:
         values = np.array(self.values, dtype=float).reshape(-1)
         if values.size == 0:
             raise ValidationError("allocation must have at least one component")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValidationError("allocation components must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -228,9 +229,9 @@ class DualCertificate:
         object.__setattr__(self, "lambda_b", _check_finite("lambda_b", self.lambda_b))
         for name in ("nu_a", "nu_b"):
             nu = np.array(getattr(self, name), dtype=float).reshape(-1)
-            if not np.all(np.isfinite(nu)):
+            if not np.isfinite(nu).all():
                 raise ValidationError(f"{name} must be finite")
-            if np.any(nu < 0):
+            if (nu < 0).any():
                 raise ValidationError(f"{name} must be componentwise >= 0")
             nu.setflags(write=False)
             object.__setattr__(self, name, nu)
@@ -242,6 +243,36 @@ class DualCertificate:
         return self.lambda_a if player == "a" else self.lambda_b
 
 
+class SpecStack(NamedTuple):
+    """The parameters of N specs with one region count, one row per spec.
+
+    beta_m, beta_c and eps are N x m, fleets is N x 2 (fleet_a, fleet_b).
+    Every array is C-contiguous, so a sum over a row adds in the same
+    order as the sum over the spec's own vector and gives the same bits.
+    """
+
+    beta_m: np.ndarray
+    beta_c: np.ndarray
+    eps: np.ndarray
+    fleets: np.ndarray
+
+    def take(self, rows) -> "SpecStack":
+        """The stack of the given rows, in their order."""
+        return SpecStack(*(field[rows] for field in self))
+
+
+def stack_specs(specs) -> SpecStack:
+    """Stack a nonempty sequence of specs; ShapeError when region counts differ."""
+    m = specs[0].m
+    for spec in specs:
+        if spec.m != m:
+            raise ShapeError(f"a batch needs one region count, got {m} and {spec.m}")
+    params = np.array([[(r.beta_m, r.beta_c, r.epsilon) for r in spec.regions] for spec in specs])
+    beta_m, beta_c, eps = params.transpose(2, 0, 1).copy()
+    fleets = np.array([(spec.fleet_a, spec.fleet_b) for spec in specs])
+    return SpecStack(beta_m, beta_c, eps, fleets)
+
+
 def is_feasible(spec: GameSpec, alloc: Allocation) -> bool:
     """True when alloc is nonnegative and sums to its owner's fleet.
 
@@ -251,7 +282,7 @@ def is_feasible(spec: GameSpec, alloc: Allocation) -> bool:
         raise ValidationError(
             f"allocation covers {alloc.values.size} regions, spec has {spec.m}"
         )
-    if np.any(alloc.values < 0):
+    if (alloc.values < 0).any():
         return False
     fleet = spec.fleet_of(alloc.owner)
     return abs(alloc.values.sum() - fleet) <= FEASIBILITY_RTOL * fleet
@@ -314,6 +345,23 @@ def utility(spec: GameSpec, player: str, joint: JointStrategy) -> float:
     own = joint.of(player).values
     rival = joint.of(opponent(player)).values
     return raw_utility(spec, own, rival)
+
+
+def stacked_utilities(stack: SpecStack, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both players' payoffs at N joint strategies of the N stacked specs.
+
+    x is N x 2 x m, player a's allocations in x[:, 0]. Returns the N x 2
+    payoffs and an N x 2 mask of the allocations is_feasible rejects;
+    a row with a rejected allocation has no payoff utility would give.
+    Each payoff is raw_utility's sum, row by row, to the same bits.
+    """
+    fleets = stack.fleets
+    feasible = ~(x < 0).any(axis=2) & (
+        np.abs(x.sum(axis=2) - fleets) <= FEASIBILITY_RTOL * fleets
+    )
+    margin = stack.beta_m / (x[:, 0] + x[:, 1] + stack.eps) - stack.beta_c
+    payoffs = (x * margin[:, None]).sum(axis=2)
+    return payoffs, ~feasible
 
 
 def utility_gradient(spec: GameSpec, player: str, joint: JointStrategy) -> np.ndarray:

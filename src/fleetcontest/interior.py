@@ -29,7 +29,9 @@ from .game import (
     DualCertificate,
     GameSpec,
     JointStrategy,
+    SpecStack,
     joint_from_arrays,
+    stack_specs,
 )
 
 #: Relative tolerance of the scalar-equation residual at the returned root,
@@ -54,97 +56,121 @@ def _offsets_array(spec: GameSpec, offsets) -> np.ndarray:
     out = np.asarray(offsets, dtype=float).reshape(-1)
     if out.size != spec.m:
         raise ValidationError(f"expected {spec.m} offsets, got {out.size}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValidationError("offsets must be finite")
     return out
 
 
-def _checked_gaps(spec: GameSpec, offsets, t: float) -> tuple[np.ndarray, float]:
-    """Validated gaps offsets - t, and t as a float."""
+def _checked_gaps(spec: GameSpec, offsets, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Validated gaps offsets - t and their discriminants.
+
+    Raises DomainError at a pole and beyond the domain edge; discriminants
+    in [-_DISC_CLAMP_RTOL * beta_m**2, 0] are on the edge.
+    """
     offsets = _offsets_array(spec, offsets)
     t = float(t)
     if not math.isfinite(t):
         raise ValidationError("t must be finite")
     gaps = offsets - t
-    if np.any(gaps == 0.0):
+    if (gaps == 0.0).any():
         raise DomainError(f"t={t!r} sits on a pole of the mass balance")
-    return gaps, t
-
-
-def _balance(spec: GameSpec, gaps: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-    """Region masses at gaps = offsets - t, and the t-derivative of their sum.
-
-    The unchecked kernel behind mass_balance, mass_balance_derivative and
-    the root find; one square root serves both outputs. t only names the
-    point in errors. The derivative is inf where a discriminant is zero.
-    """
     bm = spec.beta_m
     disc = bm * bm + 4.0 * bm * spec.eps * gaps
-    if disc.min() > 0.0:
-        root = np.sqrt(disc)
-        terms = bm * (root + bm + 2.0 * spec.eps * gaps) / (2.0 * gaps * gaps * root)
-        slope = float(terms.sum())
-    else:
-        bad = disc < -_DISC_CLAMP_RTOL * bm * bm
-        if np.any(bad):
-            raise DomainError(
-                f"t={t!r} is beyond the domain edge in regions {np.nonzero(bad)[0].tolist()}"
-            )
-        root = np.sqrt(np.maximum(disc, 0.0))
-        slope = math.inf
-    return (bm + root) / (2.0 * gaps), slope
+    bad = disc < -_DISC_CLAMP_RTOL * bm * bm
+    if bad.any():
+        raise DomainError(
+            f"t={t!r} is beyond the domain edge in regions {np.nonzero(bad)[0].tolist()}"
+        )
+    return gaps, disc
 
 
-def _contests(
-    bm: np.ndarray, eps: np.ndarray, cost: np.ndarray, mu_a: float, mu_b: float
-) -> tuple[np.ndarray, tuple]:
-    """Each region's one-region equilibrium at water levels mu_a and mu_b.
+def _balance_terms(bm: np.ndarray, eps: np.ndarray) -> tuple:
+    """The parts of _balance that do not move with t: beta_m, beta_m**2,
+    4 beta_m eps and 2 eps, formed once per root find."""
+    return bm, bm * bm, 4.0 * bm * eps, 2.0 * eps
 
-    cost holds the shifted charging costs beta_c - min(beta_c), so row
-    0 of the per-vehicle prices is cost + mu_a (player a) and row 1 is
-    cost + mu_b; both are positive when the levels are. With both
+
+def _balance(terms: tuple, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Region masses at the given gaps = offsets - t, and the t-derivative
+    of their sum, for each row of a stack.
+
+    The unchecked kernel of the root find and the public mass balance;
+    one square root serves both outputs. terms comes from _balance_terms.
+    Every discriminant must be positive, as it is for positive gaps.
+    """
+    bm, bm_squared, disc_slope, two_eps = terms
+    root = np.sqrt(bm_squared + disc_slope * gaps)
+    two_gaps = 2.0 * gaps
+    slopes = bm * (root + bm + two_eps * gaps) / (two_gaps * gaps * root)
+    return (bm + root) / two_gaps, slopes.sum(axis=-1)
+
+
+class _ContestTerms(NamedTuple):
+    """The parts of _contests that do not move with the water levels, each
+    N x 1 x m: beta_m, eps, the shifted costs, 4 eps and beta_m eps."""
+
+    bm: np.ndarray
+    eps: np.ndarray
+    cost: np.ndarray
+    four_eps: np.ndarray
+    bm_eps: np.ndarray
+
+    @classmethod
+    def of(cls, bm: np.ndarray, eps: np.ndarray, cost: np.ndarray) -> "_ContestTerms":
+        """The terms of N x m beta_m, eps and shifted costs."""
+        bm, eps = bm[:, None], eps[:, None]
+        return cls(bm, eps, cost[:, None], 4.0 * eps, bm * eps)
+
+
+def _contests(terms: _ContestTerms, mu: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Each region's one-region equilibrium at the water levels of each row.
+
+    mu is N x 2 x 1 (mu_a, mu_b). The costs in terms are beta_c -
+    min(beta_c), so the per-vehicle prices are cost + mu_a (player a)
+    and cost + mu_b; both are positive when the levels are. With both
     players active the region mass T solves s T**2 = beta_m (T + eps)
     for the summed price s, and each player holds the rival's price
     times T**2 / beta_m, less eps. A player that formula leaves at or
     below zero stays out, and its rival alone holds
     sqrt(beta_m eps / p) - eps, or nothing. Returns the allocations as
-    a 2 x m array and the parts _contest_jacobian needs.
+    an N x 2 x m array and the parts _contest_jacobian needs.
     """
-    price = np.add.outer((mu_a, mu_b), cost)
-    s = price[0] + price[1]
-    root = np.sqrt(bm * (bm + 4.0 * eps * s))
+    bm, eps = terms.bm, terms.eps
+    price = mu + terms.cost
+    s = price[:, :1] + price[:, 1:]
+    root = np.sqrt(bm * (bm + terms.four_eps * s))
     t = (bm + root) / (s + s)
     w = t * t / bm
-    x = price[::-1] * w - eps
+    x = price[:, ::-1] * w - eps
     active = x > 0.0
     if not active.all():
         # A player whose rival is out holds its lone amount. Where both formulas
         # fail, lone entry does not pay either, so the region stays empty.
-        x = np.where(active[::-1], x, np.sqrt(bm * eps / price) - eps)
+        x = np.where(active[:, ::-1], x, np.sqrt(terms.bm_eps / price) - eps)
         active = x > 0.0
         x = np.where(active, x, 0.0)
     return x, (price, root, t, w, active)
 
 
-def _contest_jacobian(x: np.ndarray, eps: np.ndarray, parts) -> tuple[float, ...]:
-    """Derivatives of the fleet sums of _contests in (mu_a, mu_b).
+def _contest_jacobian(x: np.ndarray, terms: _ContestTerms, parts) -> list:
+    """Derivatives of the fleet sums of _contests in (mu_a, mu_b), per row.
 
-    Returns (dS_a/dmu_a, dS_a/dmu_b, dS_b/dmu_a, dS_b/dmu_b). Where both
-    players are active, dT/ds = -T**2 / root moves both holdings; a lone
-    player's holding moves with its own price as -(x + eps) / (2 p).
+    Returns (dS_a/dmu_a, dS_a/dmu_b, dS_b/dmu_a, dS_b/dmu_b) for each
+    row. Where both players are active, dT/ds = -T**2 / root moves both
+    holdings; a lone player's holding moves with its own price as
+    -(x + eps) / (2 p).
     """
     price, root, t, w, active = parts
-    u = 2.0 * w * t / root
-    lone_a = lone_b = 0.0
-    both = active[0] & active[1]
-    if not both.all():
-        u = np.where(both, u, 0.0)
-        w = np.where(both, w, 0.0)
-        lone = np.where(active & ~active[::-1], (x + eps) / (price + price), 0.0)
-        lone_a, lone_b = lone.sum(axis=1).tolist()
-    up_a, up_b = (price * u).sum(axis=1).tolist()
-    w_sum = float(w.sum())
-    return -up_b - lone_a, w_sum - up_b, w_sum - up_a, -up_a - lone_b
+    both = active[:, :1] & active[:, 1:]
+    up = (price * np.where(both, 2.0 * w * t / root, 0.0)).sum(axis=2)
+    w_sum = np.where(both, w, 0.0).sum(axis=2)
+    lone = np.where(active & ~active[:, ::-1], (x + terms.eps) / (price + price), 0.0).sum(axis=2)
+    return [
+        (-up_b - lone_a, w_b - up_b, w_b - up_a, -up_a - lone_b)
+        for (up_a, up_b), (lone_a, lone_b), (w_b,) in zip(
+            up.tolist(), lone.tolist(), w_sum.tolist()
+        )
+    ]
 
 
 def mass_balance(spec: GameSpec, offsets, t: float) -> float:
@@ -154,27 +180,31 @@ def mass_balance(spec: GameSpec, offsets, t: float) -> float:
     is the interior equilibrium's multiplier sum. Defined wherever every
     discriminant is nonnegative and t hits no offset exactly.
     """
-    gaps, t = _checked_gaps(spec, offsets, t)
-    kappa, _ = _balance(spec, gaps, t)
+    gaps, disc = _checked_gaps(spec, offsets, t)
+    if disc.min() > 0.0:
+        kappa, _ = _balance(_balance_terms(spec.beta_m, spec.eps), gaps)
+    else:
+        kappa = (spec.beta_m + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * gaps)
     return float(kappa.sum() - (spec.fleet_a + spec.fleet_b + spec.eps.sum()))
 
 
 def mass_balance_derivative(spec: GameSpec, offsets, t: float) -> float:
     """Derivative of mass_balance in t, valid strictly inside the domain."""
-    gaps, t = _checked_gaps(spec, offsets, t)
-    _, slope = _balance(spec, gaps, t)
-    if slope == math.inf:
-        raise DomainError(f"t={t!r} is not strictly inside the domain")
-    return slope
+    gaps, disc = _checked_gaps(spec, offsets, t)
+    if not disc.min() > 0.0:
+        raise DomainError(f"t={float(t)!r} is not strictly inside the domain")
+    return float(_balance(_balance_terms(spec.beta_m, spec.eps), gaps)[1])
 
 
-def _solve_multiplier_sum(
-    spec: GameSpec, offsets: np.ndarray
-) -> tuple[float, np.ndarray, int, float]:
-    """Root of mass_balance left of the smallest offset, the pole.
+def _multiplier_sums(
+    bm: np.ndarray, eps: np.ndarray, offsets: np.ndarray, mass: np.ndarray
+) -> tuple[list, np.ndarray, list, list]:
+    """Root of the mass balance left of each row's smallest offset, the pole.
 
-    Returns (root, region masses at the root, evaluations, residual);
-    evaluations counts every call of the balance kernel.
+    bm, eps and offsets are N x m, mass (fleet_a + fleet_b + sum(eps))
+    has length N. Returns, row by row, the roots, the region masses at
+    the roots (N x m), the evaluations and the residuals; a row's
+    evaluations count the balance kernel calls it took part in.
 
     The search runs in the pole gap g = pole - t > 0, where the total
     region mass falls from +inf to 0. Region gaps are formed as
@@ -185,46 +215,58 @@ def _solve_multiplier_sum(
     beta_m / g + sqrt(beta_m eps / g) gives a quadratic in 1 / sqrt(g)
     whose root is at or right of it. From the left end, Newton steps on
     log(total mass) against log(g) shrink the bracket, and a step that
-    would leave it becomes a bisection of log(g). The iteration stops when
-    the balance is exactly zero or no double is left to try, so the root
+    would leave it becomes a bisection of log(g). A row stops when its
+    balance is exactly zero or no double is left to try, so the root
     does not depend on a stopping tolerance.
+
+    One kernel call evaluates every row at once; a stopped row keeps its
+    gap, so later calls give it the same masses again. The step and
+    bracket decisions are made per row in math, whose log1p and expm1
+    can differ from numpy's in the last bit, so a row's root does not
+    depend on the rows beside it.
     """
-    bm, eps = spec.beta_m, spec.eps
-    pole_region = int(np.argmin(offsets))
-    pole = float(offsets[pole_region])
-    shifts = offsets - pole
-    mass = float(spec.fleet_a + spec.fleet_b + eps.sum())
-    low = float(bm[pole_region] * (mass + eps[pole_region])) / (mass * mass)
-    b, c = float(bm.sum()), float(np.sqrt(bm * eps).sum())
-    high = ((c + math.sqrt(c * c + 4.0 * b * mass)) / (2.0 * mass)) ** 2
-
-    g = low
-    evaluations = 0
-    while True:
-        kappa, slope = _balance(spec, shifts + g, pole - g)
-        evaluations += 1
-        total = float(kappa.sum())
-        residual = total - mass
-        if residual == 0.0 or evaluations == _MAX_EVALUATIONS:
-            break
-        if residual > 0.0:
-            low = g
-        else:
-            high = g
-        step = math.log1p(residual / mass) * total / (g * slope)
-        if math.log(low / g) < step < math.log(high / g):
-            g_next = g + g * math.expm1(step)
-        else:
-            g_next = math.sqrt(low) * math.sqrt(high)
-        if not low < g_next < high:
-            break
-        g = g_next
-
-    if not abs(residual) <= BALANCE_RTOL * mass:
-        raise NumericalError(
-            f"root residual {residual!r} exceeds tolerance {BALANCE_RTOL * mass!r}"
-        )
-    return pole - g, kappa, evaluations, residual
+    pole_region = offsets.argmin(axis=1)
+    pole = offsets.min(axis=1)
+    shifts = offsets - pole[:, None]
+    masses = mass.tolist()
+    b, c = bm.sum(axis=1).tolist(), np.sqrt(bm * eps).sum(axis=1).tolist()
+    lows, highs = [], []
+    for bm_i, eps_i, j, mass_i, b_i, c_i in zip(
+        bm.tolist(), eps.tolist(), pole_region.tolist(), masses, b, c
+    ):
+        lows.append(bm_i[j] * (mass_i + eps_i[j]) / (mass_i * mass_i))
+        highs.append(((c_i + math.sqrt(c_i * c_i + 4.0 * b_i * mass_i)) / (2.0 * mass_i)) ** 2)
+    gs = lows[:]
+    g = np.array(gs)[:, None]  # The gaps of gs as the kernel's column.
+    evaluations = [0] * len(lows)
+    residuals = [0.0] * len(lows)
+    live = range(len(lows))
+    terms = _balance_terms(bm, eps)
+    while live:
+        kappa, slopes = _balance(terms, shifts + g)
+        totals, slopes = kappa.sum(axis=1).tolist(), slopes.tolist()
+        going = []
+        for i in live:
+            evaluations[i] += 1
+            g_i, low, high, mass_i, total = gs[i], lows[i], highs[i], masses[i], totals[i]
+            residual = residuals[i] = total - mass_i
+            if residual == 0.0 or evaluations[i] == _MAX_EVALUATIONS:
+                continue
+            if residual > 0.0:
+                low = lows[i] = g_i
+            else:
+                high = highs[i] = g_i
+            step = math.log1p(residual / mass_i) * total / (g_i * slopes[i])
+            if math.log(low / g_i) < step < math.log(high / g_i):
+                g_next = g_i + g_i * math.expm1(step)
+            else:
+                g_next = math.sqrt(low) * math.sqrt(high)
+            if low < g_next < high:
+                gs[i] = g[i, 0] = g_next
+                going.append(i)
+        live = going
+    roots = [p - g_i for p, g_i in zip(pole.tolist(), gs)]
+    return roots, kappa, evaluations, residuals
 
 
 def solve_multiplier_sum(spec: GameSpec, offsets=None) -> float:
@@ -236,8 +278,20 @@ def solve_multiplier_sum(spec: GameSpec, offsets=None) -> float:
         arr = 2.0 * spec.beta_c
     else:
         arr = _offsets_array(spec, offsets)
-    root, _, _, _ = _solve_multiplier_sum(spec, arr)
-    return root
+    mass = spec.fleet_a + spec.fleet_b + float(spec.eps.sum())
+    roots, _, _, residuals = _multiplier_sums(
+        spec.beta_m[None], spec.eps[None], arr[None], np.array([mass])
+    )
+    _check_root(residuals[0], mass)
+    return roots[0]
+
+
+def _check_root(residual: float, mass: float) -> None:
+    """Raise NumericalError for a root whose residual misses BALANCE_RTOL * mass."""
+    if not abs(residual) <= BALANCE_RTOL * mass:
+        raise NumericalError(
+            f"root residual {residual!r} exceeds tolerance {BALANCE_RTOL * mass!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -299,28 +353,91 @@ class InteriorOutcome:
 
 
 def _interior_point(
-    spec: GameSpec, kappa: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, DualCertificate]:
-    """Allocations and fleet-sum multipliers from the region masses.
+    stack: SpecStack, kappa: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Allocations and fleet-sum multipliers from the region masses, per row.
 
     Charging costs enter relative to the cheapest region's: a constant
     added to every beta_c moves both multipliers by that constant and
     leaves the allocations alone, so the shifted multipliers form the
     allocations and the shift is added back to the reported ones only.
-    No nonnegativity slack.
+    Returns x_a and x_b (N x m) and the reported lambda_a and lambda_b.
     """
-    floor_cost = float(spec.beta_c.min())
-    cost = spec.beta_c - floor_cost
-    weights = kappa * kappa / spec.beta_m
-    total = float(weights.sum())
-    cost_term = float((cost * weights).sum())
-    eps_sum = float(spec.eps.sum())
-    lam_a = (cost_term - eps_sum - spec.fleet_b) / total
-    lam_b = (cost_term - eps_sum - spec.fleet_a) / total
-    x_a = weights * (cost - lam_b) - spec.eps
-    x_b = weights * (cost - lam_a) - spec.eps
-    zeros = np.zeros(spec.m)
-    return x_a, x_b, DualCertificate(lam_a + floor_cost, lam_b + floor_cost, zeros, zeros)
+    bm, bc, eps, fleets = stack
+    floor_cost = bc.min(axis=1)
+    cost = bc - floor_cost[:, None]
+    weights = kappa * kappa / bm
+    total = weights.sum(axis=1)
+    base = (cost * weights).sum(axis=1) - eps.sum(axis=1)
+    lam_a = (base - fleets[:, 1]) / total
+    lam_b = (base - fleets[:, 0]) / total
+    x_a = weights * (cost - lam_b[:, None]) - eps
+    x_b = weights * (cost - lam_a[:, None]) - eps
+    return x_a, x_b, lam_a + floor_cost, lam_b + floor_cost
+
+
+class _InteriorCandidates:
+    """The closed-form interior candidates of a stack of specs.
+
+    One root find and one closed form serve every row. outcome(i) builds
+    row i's InteriorOutcome, or raises what interior_equilibrium raises
+    for that spec alone. items[i] lists row i's components at or below
+    the support threshold, as NotInterior holds them. lean[i] marks a
+    row whose candidate is not safely interior and whose outcome would
+    build without error; a solve that goes on to the price Newton needs
+    only its multipliers, lambda_a[i] and lambda_b[i], and check(i).
+    """
+
+    def __init__(self, stack: SpecStack):
+        bm, bc, eps, fleets = stack
+        mass = fleets[:, 0] + fleets[:, 1] + eps.sum(axis=1)
+        self.roots, self.kappa, self.evaluations, self.residuals = _multiplier_sums(
+            bm, eps, 2.0 * bc, mass
+        )
+        self.x_a, self.x_b, lam_a, lam_b = _interior_point(stack, self.kappa)
+        self.masses, self.lambda_a, self.lambda_b = mass.tolist(), lam_a.tolist(), lam_b.tolist()
+        self.items, self.lean = [], []
+        rows = zip(self.x_a.tolist(), self.x_b.tolist(), fleets.tolist(), self.lambda_a,
+                   self.lambda_b)
+        for xs_a, xs_b, (fleet_a, fleet_b), lambda_a, lambda_b in rows:
+            # A plain loop: the generator expression it replaces raised the peak
+            # RSS of a process by 0.6 MB over 40000 solves (Python 3.11), while
+            # tracemalloc showed no object left behind.
+            items = []
+            outside = unbuildable = False
+            for player, vec, fleet in (("a", xs_a, fleet_a), ("b", xs_b, fleet_b)):
+                for j, value in enumerate(vec):
+                    if value <= SUPPORT_RTOL * fleet:
+                        items.append((player, j, value))
+                        outside = outside or value <= 0.0
+                    elif not value < math.inf:
+                        unbuildable = True  # joint_from_arrays rejects it
+            finite = math.isfinite(lambda_a) and math.isfinite(lambda_b)
+            self.items.append(items)
+            self.lean.append(bool(items) and finite and (outside or not unbuildable))
+
+    def check(self, i: int) -> None:
+        """Raise the NumericalError of a row whose root missed its tolerance."""
+        _check_root(self.residuals[i], self.masses[i])
+
+    def outcome(self, i: int) -> InteriorOutcome:
+        """Row i's InteriorOutcome."""
+        self.check(i)
+        zeros = np.zeros(self.kappa.shape[1])
+        duals = DualCertificate(self.lambda_a[i], self.lambda_b[i], zeros, zeros)
+        trace = InteriorSolveTrace(
+            multiplier_sum=self.roots[i],
+            region_mass=self.kappa[i],
+            lambda_a=duals.lambda_a,
+            lambda_b=duals.lambda_b,
+            balance_residual=self.residuals[i],
+            iterations=self.evaluations[i],
+        )
+        marker = NotInterior(items=tuple(self.items[i])) if self.items[i] else None
+        if marker is not None and marker.strictly_outside:
+            return InteriorOutcome(strategy=None, duals=None, trace=trace, not_interior=marker)
+        strategy = joint_from_arrays(self.x_a[i], self.x_b[i])
+        return InteriorOutcome(strategy=strategy, duals=duals, trace=trace, not_interior=marker)
 
 
 def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
@@ -330,31 +447,7 @@ def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
     the joint strategy and multipliers, and classifies the candidate as
     interior, boundary-suspect, or not interior.
     """
-    offsets = 2.0 * spec.beta_c
-    t, kappa, iterations, residual = _solve_multiplier_sum(spec, offsets)
-    x_a, x_b, duals = _interior_point(spec, kappa)
-    trace = InteriorSolveTrace(
-        multiplier_sum=t,
-        region_mass=kappa,
-        lambda_a=duals.lambda_a,
-        lambda_b=duals.lambda_b,
-        balance_residual=residual,
-        iterations=iterations,
-    )
-
-    # A plain loop: the generator expression it replaces raised the peak RSS
-    # of a process by 0.6 MB over 40000 solves (Python 3.11), while tracemalloc
-    # showed no object left behind.
-    items = []
-    for player, vec, fleet in (("a", x_a, spec.fleet_a), ("b", x_b, spec.fleet_b)):
-        for j, value in enumerate(vec.tolist()):
-            if value <= SUPPORT_RTOL * fleet:
-                items.append((player, j, value))
-    marker = NotInterior(items=tuple(items)) if items else None
-    if marker is not None and marker.strictly_outside:
-        return InteriorOutcome(strategy=None, duals=None, trace=trace, not_interior=marker)
-    strategy = joint_from_arrays(x_a, x_b)
-    return InteriorOutcome(strategy=strategy, duals=duals, trace=trace, not_interior=marker)
+    return _InteriorCandidates(stack_specs([spec])).outcome(0)
 
 
 def reconstruct_duals(spec: GameSpec, trace: InteriorSolveTrace) -> DualCertificate:
@@ -362,27 +455,16 @@ def reconstruct_duals(spec: GameSpec, trace: InteriorSolveTrace) -> DualCertific
     kappa = np.asarray(trace.region_mass, dtype=float)
     if kappa.size != spec.m:
         raise ValidationError("trace region count does not match the spec")
-    return _interior_point(spec, kappa)[2]
+    _, _, lam_a, lam_b = _interior_point(stack_specs([spec]), kappa[None])
+    zeros = np.zeros(spec.m)
+    return DualCertificate(float(lam_a[0]), float(lam_b[0]), zeros, zeros)
 
 
-class _PriceState(NamedTuple):
-    """One evaluation of the two-price system."""
-
-    mu_a: float
-    mu_b: float
-    x: np.ndarray
-    parts: tuple
-    err_a: float
-    err_b: float
-    merit: float
-
-
-def _solve_prices(
-    spec: GameSpec, lambda_a: float, lambda_b: float
-) -> tuple[np.ndarray, DualCertificate, int]:
+def _solve_prices(stack: SpecStack, lambdas) -> list:
     """The equilibrium for any support, by Newton on the two water levels.
 
-    Fixing mu_a = -lambda_a and mu_b = -lambda_b splits the game into
+    lambdas holds a start (lambda_a, lambda_b) per stacked spec. Fixing
+    mu_a = -lambda_a and mu_b = -lambda_b splits the game into
     independent one-region contests (_contests); the equilibrium levels
     are the unique root of the two fleet-sum equations (diagonal strict
     concavity). Levels are kept relative to the cheapest region's cost,
@@ -391,75 +473,136 @@ def _solve_prices(
     no equilibrium level lies below: the cheapest region's price when
     it holds both fleets. Newton steps move the levels multiplicatively,
     so they stay positive, and are halved until the squared relative
-    fleet-sum error falls. The iteration stops once both fleet sums are
-    met to the rounding of an m-term sum, or when no double is left to
-    try.
+    fleet-sum error falls. A row stops once both fleet sums are met to
+    the rounding of an m-term sum, or when no double is left to try.
 
-    Returns the allocations as a 2 x m array, the multipliers, and the
-    number of kernel evaluations. Inactive components are exactly 0, and
-    a player active in one region holds exactly its fleet there.
+    One kernel call evaluates every row at once, each at its own trial
+    levels (a stopped row at its final ones); the steps, backtracking
+    and stops are decided per row in math, so a row's result does not
+    depend on the rows beside it.
+
+    An entry of the result is (allocations as a 2 x m array, the
+    multipliers, the row's kernel evaluations), or the NumericalError of
+    a row that missed its fleet sums. Inactive components are exactly 0,
+    and a player active in one region holds exactly its fleet there.
     """
-    bm, eps = spec.beta_m, spec.eps
-    fleet_a, fleet_b = spec.fleet_a, spec.fleet_b
-    cheap = int(spec.beta_c.argmin())
-    floor_cost = float(spec.beta_c[cheap])
-    cost = spec.beta_c - floor_cost
-    lowest = float(bm[cheap] * eps[cheap]) / (fleet_a + fleet_b + float(eps[cheap])) ** 2
+    bm, bc, eps, fleets = stack
+    n, m = bm.shape
+    floor_cost = bc.min(axis=1)
+    terms = _ContestTerms.of(bm, eps, bc - floor_cost[:, None])
+    floors, fleet_rows = floor_cost.tolist(), fleets.tolist()
+    lowest = [
+        bm_i[j] * eps_i[j] / (fleet_a + fleet_b + eps_i[j]) ** 2
+        for bm_i, eps_i, j, (fleet_a, fleet_b) in zip(
+            bm.tolist(), eps.tolist(), bc.argmin(axis=1).tolist(), fleet_rows
+        )
+    ]
+    rounding = 4.0 * m * _ULP
+    rounding *= rounding
 
-    def evaluate(mu_a: float, mu_b: float) -> _PriceState:
-        x, parts = _contests(bm, eps, cost, mu_a, mu_b)
-        sum_a, sum_b = x.sum(axis=1).tolist()
-        err_a, err_b = sum_a / fleet_a - 1.0, sum_b / fleet_b - 1.0
+    def evaluate(levels):
+        x, parts = _contests(terms, np.array(levels)[:, :, None])
+        errors = [
+            (sum_a / fleet_a - 1.0, sum_b / fleet_b - 1.0)
+            for (sum_a, sum_b), (fleet_a, fleet_b) in zip(x.sum(axis=2).tolist(), fleet_rows)
+        ]
+        return x, parts, errors
+
+    def merit(err_a: float, err_b: float) -> float:
         # A player active nowhere would leave the Jacobian singular.
         if err_a == -1.0 or err_b == -1.0:
-            merit = math.inf
-        else:
-            merit = err_a * err_a + err_b * err_b
-        return _PriceState(mu_a, mu_b, x, parts, err_a, err_b, merit)
+            return math.inf
+        return err_a * err_a + err_b * err_b
 
-    state = evaluate(max(floor_cost - lambda_a, lowest), max(floor_cost - lambda_b, lowest))
-    evaluations = 1
-    if state.merit == math.inf:
+    levels = [
+        (max(f - l_a, low), max(f - l_b, low))
+        for f, (l_a, l_b), low in zip(floors, lambdas, lowest)
+    ]
+    x, parts, errors = evaluate(levels)
+    evaluations = [1] * n
+    merits = [merit(*e) for e in errors]
+    if math.inf in merits:
         # At the floor both players are active in the cheapest region.
-        state = evaluate(lowest, lowest)
-        evaluations += 1
-    rounding = 4.0 * spec.m * _ULP
-    while evaluations < _MAX_EVALUATIONS and not state.merit <= rounding * rounding:
-        j_aa, j_ab, j_ba, j_bb = _contest_jacobian(state.x, eps, state.parts)
-        det = j_aa * j_bb - j_ab * j_ba
-        if not det > 0.0:
-            break  # Positive whenever both players are active somewhere, bar rounding.
-        f_a, f_b = state.err_a * fleet_a, state.err_b * fleet_b
-        d_a = (j_ab * f_b - j_bb * f_a) / det
-        d_b = (j_ba * f_a - j_aa * f_b) / det
-        step = min(1.0, _MAX_LOG_STEP / max(abs(d_a) / state.mu_a, abs(d_b) / state.mu_b))
-        accepted = None
-        while accepted is None and evaluations < _MAX_EVALUATIONS:
-            mu_a = state.mu_a * math.exp(step * d_a / state.mu_a)
-            mu_b = state.mu_b * math.exp(step * d_b / state.mu_b)
-            if mu_a == state.mu_a and mu_b == state.mu_b:
-                break
-            trial = evaluate(mu_a, mu_b)
-            evaluations += 1
-            if trial.merit < state.merit:
-                accepted = trial
-            step *= 0.5
-        if accepted is None:
+        for i, mt in enumerate(merits):
+            if mt == math.inf:
+                levels[i] = (lowest[i], lowest[i])
+                evaluations[i] += 1
+        x, parts, errors = evaluate(levels)
+        merits = [merit(*e) for e in errors]
+    # A row's accepted state: its levels, fleet-sum errors and merit, and
+    # the evaluation that holds its allocations. levels[i] is the row's
+    # pending trial, else its state's levels.
+    states = list(zip(levels, errors, merits))
+    held = [(x, parts)] * n
+    fresh = range(n)  # Rows whose state the last evaluation set.
+    moves = {}  # Row -> its Newton direction and the step of its next trial.
+    while True:
+        fresh = [i for i in fresh
+                 if evaluations[i] < _MAX_EVALUATIONS and not states[i][2] <= rounding]
+        if fresh:
+            jac = _contest_jacobian(x, terms, parts)
+        for i in fresh:
+            (mu_a, mu_b), (err_a, err_b), _ = states[i]
+            j_aa, j_ab, j_ba, j_bb = jac[i]
+            det = j_aa * j_bb - j_ab * j_ba
+            if not det > 0.0:
+                continue  # Positive whenever both players are active somewhere, bar rounding.
+            fleet_a, fleet_b = fleet_rows[i]
+            f_a, f_b = err_a * fleet_a, err_b * fleet_b
+            d_a = (j_ab * f_b - j_bb * f_a) / det
+            d_b = (j_ba * f_a - j_aa * f_b) / det
+            step = min(1.0, _MAX_LOG_STEP / max(abs(d_a) / mu_a, abs(d_b) / mu_b))
+            moves[i] = (d_a, d_b, step)
+        for i, (d_a, d_b, step) in list(moves.items()):
+            mu_a, mu_b = states[i][0]
+            trial = (mu_a * math.exp(step * d_a / mu_a), mu_b * math.exp(step * d_b / mu_b))
+            if trial[0] == mu_a and trial[1] == mu_b:
+                levels[i] = states[i][0]
+                del moves[i]
+            else:
+                levels[i] = trial
+        if not moves:
             break
-        state = accepted
+        x, parts, errors = evaluate(levels)
+        fresh = []
+        for i, (d_a, d_b, step) in list(moves.items()):
+            evaluations[i] += 1
+            mt = merit(*errors[i])
+            if mt < states[i][2]:
+                states[i] = (levels[i], errors[i], mt)
+                held[i] = (x, parts)
+                fresh.append(i)
+                del moves[i]
+            elif evaluations[i] < _MAX_EVALUATIONS:
+                moves[i] = (d_a, d_b, step * 0.5)
+            else:
+                levels[i] = states[i][0]
+                del moves[i]
 
-    fleet_error = max(abs(state.err_a), abs(state.err_b))
-    if not fleet_error <= BALANCE_RTOL:
-        raise NumericalError(
-            f"price solve fleet-sum error {fleet_error!r} exceeds tolerance {BALANCE_RTOL!r}"
-        )
-    x = state.x
-    price, _, _, _, active = state.parts
-    for row, (flags, fleet) in enumerate(zip(active.tolist(), (fleet_a, fleet_b))):
-        if flags.count(True) == 1:
-            x[row, flags.index(True)] = fleet
+    if all(h is held[0] for h in held):
+        x, (price, _, _, _, active) = held[0]
+    else:
+        x = np.array([h[0][i] for i, h in enumerate(held)])
+        price = np.array([h[1][0][i] for i, h in enumerate(held)])
+        active = np.array([h[1][4][i] for i, h in enumerate(held)])
+    # A player active in one region holds its whole fleet there.
+    for i, (flags_i, fleets_i) in enumerate(zip(active.tolist(), fleet_rows)):
+        for player, (flags, fleet) in enumerate(zip(flags_i, fleets_i)):
+            if flags.count(True) == 1:
+                x[i, player, flags.index(True)] = fleet
     # An inactive player's multiplier is its price less its marginal payoff.
-    total = x[0] + x[1] + eps
-    nu = np.where(active, 0.0, np.maximum(price - bm * (x[::-1] + eps) / (total * total), 0.0))
-    duals = DualCertificate(floor_cost - state.mu_a, floor_cost - state.mu_b, nu[0], nu[1])
-    return x, duals, evaluations
+    total = x[:, :1] + x[:, 1:] + terms.eps
+    gain = terms.bm * (x[:, ::-1] + terms.eps) / (total * total)
+    nu = np.where(active, 0.0, np.maximum(price - gain, 0.0))
+    out = []
+    for i in range(n):
+        (mu_a, mu_b), (err_a, err_b), _ = states[i]
+        fleet_error = max(abs(err_a), abs(err_b))
+        if not fleet_error <= BALANCE_RTOL:
+            out.append(NumericalError(
+                f"price solve fleet-sum error {fleet_error!r} exceeds tolerance {BALANCE_RTOL!r}"
+            ))
+            continue
+        duals = DualCertificate(floors[i] - mu_a, floors[i] - mu_b, nu[i, 0], nu[i, 1])
+        out.append((x[i], duals, evaluations[i]))
+    return out

@@ -43,3 +43,34 @@ def relative_kkt(spec, result):
         for player in fc.PLAYERS
     )
     return fc.kkt_residual(spec, result.strategy, result.duals) / scale
+
+
+def fingerprint(result):
+    """The bytes of everything a solve returns, for bit-for-bit comparisons.
+
+    An error gives its type and message instead.
+    """
+    if isinstance(result, fc.FleetContestError):
+        return type(result).__name__, str(result)
+    trace = result.trace
+    return (
+        result.strategy.alloc_a.values.tobytes(),
+        result.strategy.alloc_b.values.tobytes(),
+        np.array([result.duals.lambda_a, result.duals.lambda_b]).tobytes(),
+        result.duals.nu_a.tobytes(),
+        result.duals.nu_b.tobytes(),
+        result.location,
+        result.iterations,
+        None if trace is None else (
+            np.array([trace.multiplier_sum, trace.balance_residual]).tobytes(),
+            trace.region_mass.tobytes(),
+        ),
+    )
+
+
+def solo_fingerprint(spec):
+    """fingerprint of solve_spec(spec), or of the error it raises."""
+    try:
+        return fingerprint(fc.solve_spec(spec))
+    except fc.FleetContestError as exc:
+        return fingerprint(exc)

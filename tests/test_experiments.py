@@ -8,7 +8,7 @@ import pytest
 import fleetcontest as fc
 from fleetcontest import experiments
 from fleetcontest.game import FEASIBILITY_RTOL
-from helpers import random_spec, relative_kkt
+from helpers import fingerprint, random_spec, relative_kkt, solo_fingerprint
 
 
 # Charging-price scale where the two-region equilibrium collapses into
@@ -337,6 +337,91 @@ class TestDetectAlphaCrit:
         assert len(calls) == 1
         assert value == pytest.approx(expected, rel=1e-12)
         assert value == pytest.approx(COLLAPSE_SCALE, rel=1e-12)
+
+
+def failing_root_spec():
+    """Two regions whose first beta_m overflows the mass balance's square."""
+    return fc.GameSpec((fc.RegionParams(1e200, 1.0, 1.0), fc.RegionParams(1e3, 2.0, 1.0)),
+                       fleet_a=100.0, fleet_b=100.0)
+
+
+def failing_price_spec():
+    """Two regions where the price Newton cannot meet a's fleet of 1e-200."""
+    return fc.GameSpec((fc.RegionParams(1e3, 0.0, 1.0), fc.RegionParams(1e3, 1e200, 1.0)),
+                       fleet_a=1e-200, fleet_b=100.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestSolveBatch:
+    def test_a_failing_spec_fails_alone(self):
+        """Each failure stays in its own entry, with solve_spec's message,
+        and the entries beside it are their solo solves to the bit."""
+        specs = [fc.two_region_spec(1.0), failing_root_spec(), fc.two_region_spec(45.0),
+                 failing_price_spec(), fc.two_region_spec(10.0)]
+        results = fc.solve_batch(specs)
+        assert len(results) == len(specs)
+        for index in (1, 3):
+            assert isinstance(results[index], fc.NumericalError)
+            with pytest.raises(fc.NumericalError) as raised:
+                fc.solve_spec(specs[index])
+            assert str(results[index]) == str(raised.value)
+        assert "root residual" in str(results[1])
+        assert "price solve" in str(results[3])
+        for index in (0, 2, 4):
+            assert isinstance(results[index], fc.EquilibriumResult)
+            assert fingerprint(results[index]) == solo_fingerprint(specs[index])
+        assert [results[i].location for i in (0, 2, 4)] == ["interior", "A2", "interior"]
+
+    def test_a_failing_spec_gives_its_sweep_record(self, monkeypatch):
+        original = experiments.two_region_spec
+
+        def build(alpha):
+            return failing_root_spec() if alpha == 2.0 else original(alpha)
+
+        monkeypatch.setattr(experiments, "two_region_spec", build)
+        records = fc.alpha_sweep("two", [1.0, 2.0, 45.0])
+        assert [r.parameter for r in records] == [1.0, 2.0, 45.0]
+        assert records[1].error.startswith("root residual inf exceeds tolerance")
+        assert records[1].strategy is None and records[1].location is None
+        assert [records[0].location, records[2].location] == ["interior", "A2"]
+        assert records[2].u_b == fc.utility(original(45.0), "b", records[2].strategy)
+
+    def test_sweep_keeps_order_and_build_errors(self):
+        records = fc.alpha_sweep("four", [5, 25, 8])
+        assert [r.parameter for r in records] == [5.0, 25.0, 8.0]
+        assert records[1].error == "alpha must be in [1, 20], got 25.0"
+        for record in (records[0], records[2]):
+            spec = fc.four_region_spec(record.parameter)
+            solo = fc.solve_spec(spec).strategy
+            assert record.error is None
+            assert record.strategy.alloc_a.values.tobytes() == solo.alloc_a.values.tobytes()
+            assert record.strategy.alloc_b.values.tobytes() == solo.alloc_b.values.tobytes()
+            assert record.u_a == fc.utility(spec, "a", solo)
+            assert record.u_b == fc.utility(spec, "b", solo)
+            assert record.t_lambda == fc.solve_spec(spec).trace.multiplier_sum
+
+    def test_empty_batch(self):
+        assert fc.solve_batch([]) == []
+
+    def test_mixed_region_counts_raise(self):
+        with pytest.raises(fc.ShapeError):
+            fc.solve_batch([fc.two_region_spec(1.0), fc.four_region_spec(1.0)])
+
+    def test_solve_spec_is_the_batch_of_one(self, monkeypatch):
+        calls = []
+        batch = experiments.solve_batch
+
+        def counted(specs):
+            calls.append(specs)
+            return batch(specs)
+
+        monkeypatch.setattr(experiments, "solve_batch", counted)
+        spec = fc.four_region_spec(3.0)
+        result = fc.solve_spec(spec)
+        assert calls == [[spec]]
+        assert fingerprint(result) == fingerprint(batch([spec])[0])
+        with pytest.raises(fc.NumericalError):
+            fc.solve_spec(failing_root_spec())
 
 
 class TestSweepBytes:

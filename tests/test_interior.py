@@ -8,7 +8,8 @@ import pytest
 import fleetcontest as fc
 from fleetcontest import interior
 from fleetcontest.experiments import _fleet_spec
-from fleetcontest.interior import BALANCE_RTOL, _balance, solve_multiplier_sum
+from fleetcontest.game import stack_specs
+from fleetcontest.interior import BALANCE_RTOL, _balance, _balance_terms, solve_multiplier_sum
 from helpers import random_spec
 
 
@@ -79,7 +80,8 @@ class TestMassBalance:
                 offsets = 2.0 * spec.beta_c
                 pole = float(offsets.min())
                 t = pole - float(np.exp(rng.uniform(-6.0, 8.0)))
-                kappa, slope = _balance(spec, (offsets - pole) + (pole - t), t)
+                terms = _balance_terms(spec.beta_m, spec.eps)
+                kappa, slope = _balance(terms, (offsets - pole) + (pole - t))
                 total = float(kappa.sum())
                 mass = spec.fleet_a + spec.fleet_b + float(spec.eps.sum())
                 assert abs(total - mass - fc.mass_balance(spec, offsets, t)) <= 1e-14 * total
@@ -280,6 +282,18 @@ class TestInteriorEquilibrium:
         assert rebuilt.lambda_b == out.duals.lambda_b
 
 
+def contests(bm, eps, cost, mu_a, mu_b):
+    """interior._contests for one spec: its allocations (2 x m) and parts."""
+    terms = interior._ContestTerms.of(bm[None], eps[None], cost[None])
+    x, parts = interior._contests(terms, np.array([[[mu_a], [mu_b]]]))
+    return x[0], parts
+
+
+def solve_prices(spec, lambda_a, lambda_b):
+    """interior._solve_prices for one spec, started from the given multipliers."""
+    return interior._solve_prices(stack_specs([spec]), [(lambda_a, lambda_b)])[0]
+
+
 class TestContests:
     def test_each_region_is_a_one_region_equilibrium(self):
         """At fixed prices every active holding equalizes its own marginal
@@ -291,7 +305,7 @@ class TestContests:
             eps = 10.0 ** rng.uniform(0.0, 3.0, m)
             cost = np.concatenate([[0.0], (bm / eps * 10.0 ** rng.uniform(-4.0, 1.0, m))[1:]])
             mu_a, mu_b = (float(bm[0] / eps[0]) * 10.0 ** rng.uniform(-4.0, 1.0, 2)).tolist()
-            x, _ = interior._contests(bm, eps, cost, mu_a, mu_b)
+            x, _ = contests(bm, eps, cost, mu_a, mu_b)
             price = np.add.outer((mu_a, mu_b), cost)
             total = x[0] + x[1] + eps
             gain = bm * (x[::-1] + eps) / total**2
@@ -307,15 +321,16 @@ class TestContests:
             spec = random_spec(rng, int(rng.integers(1, 9)))
             cost = spec.beta_c - spec.beta_c.min()
             levels = 10.0 ** rng.uniform(-1.0, 2.0, 2)
-            x, parts = interior._contests(spec.beta_m, spec.eps, cost, *levels)
-            jac = np.reshape(interior._contest_jacobian(x, spec.eps, parts), (2, 2))
+            x, parts = contests(spec.beta_m, spec.eps, cost, *levels)
+            terms = interior._ContestTerms.of(spec.beta_m[None], spec.eps[None], cost[None])
+            jac = np.reshape(interior._contest_jacobian(x[None], terms, parts), (2, 2))
             for k in range(2):
                 h = 1e-6 * levels[k]
                 up, down = levels.copy(), levels.copy()
                 up[k] += h
                 down[k] -= h
-                x_up, parts_up = interior._contests(spec.beta_m, spec.eps, cost, *up)
-                x_down, parts_down = interior._contests(spec.beta_m, spec.eps, cost, *down)
+                x_up, parts_up = contests(spec.beta_m, spec.eps, cost, *up)
+                x_down, parts_down = contests(spec.beta_m, spec.eps, cost, *down)
                 if not (np.array_equal(parts_up[-1], parts[-1])
                         and np.array_equal(parts_down[-1], parts[-1])):
                     continue  # A support change inside the stencil.
@@ -335,7 +350,7 @@ class TestPriceSolve:
             outcome = fc.interior_equilibrium(spec)
             if outcome.is_interior:
                 continue
-            _, _, evaluations = interior._solve_prices(
+            _, _, evaluations = solve_prices(
                 spec, outcome.trace.lambda_a, outcome.trace.lambda_b)
             counts.append(evaluations)
         assert max(counts) <= 20
@@ -345,7 +360,7 @@ class TestPriceSolve:
         spec = fc.two_region_spec(45.0)
         expected = fc.solve_spec(spec)
         for lambda_a, lambda_b in ((1e6, 1e6), (-1e6, -1e6), (1e6, -1e6), (0.0, 0.0)):
-            x, duals, _ = interior._solve_prices(spec, lambda_a, lambda_b)
+            x, duals, _ = solve_prices(spec, lambda_a, lambda_b)
             np.testing.assert_allclose(x[0], expected.strategy.alloc_a.values, rtol=0, atol=1e-9)
             np.testing.assert_allclose(x[1], expected.strategy.alloc_b.values, rtol=0, atol=1e-9)
             assert duals.lambda_a == pytest.approx(expected.duals.lambda_a, rel=1e-12)

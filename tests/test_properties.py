@@ -4,7 +4,8 @@ Parameters are drawn log-uniformly over the calibrated box of
 tests/helpers.py and beyond it: beta_m in [1e2, 1e6], beta_c zero or in
 [0.1, 5e3], epsilon in [1, 5e3], fleets in [10, 5e4], for 1 to 8
 regions. Every property holds to 1e-10 of the fleet concerned. Runs are
-derandomized so that a failure replays exactly.
+derandomized so that a failure replays exactly. A batch solve must
+give each spec's solo solve bit for bit.
 """
 
 import math
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fleetcontest as fc
+from helpers import fingerprint, solo_fingerprint
 
 PROPERTY_RTOL = 1e-10
 
@@ -25,8 +27,9 @@ def log_uniform(lo, hi):
 
 
 @st.composite
-def specs(draw):
-    m = draw(st.integers(1, 8))
+def specs(draw, m=None):
+    if m is None:
+        m = draw(st.integers(1, 8))
     regions = tuple(
         fc.RegionParams(
             beta_m=draw(log_uniform(1e2, 1e6)),
@@ -120,3 +123,19 @@ def test_a_common_charging_cost_leaves_the_allocations(spec, c):
     shifted_a, shifted_b = allocations(shifted)
     assert_close(shifted_a, x_a, spec.fleet_a)
     assert_close(shifted_b, x_b, spec.fleet_b)
+
+
+@st.composite
+def batches(draw):
+    """One to six specs that share a region count of 1 to 8."""
+    m = draw(st.integers(1, 8))
+    return draw(st.lists(specs(m), min_size=1, max_size=6))
+
+
+@CHECKED
+@given(batches())
+def test_a_batch_solves_each_spec_as_alone(batch):
+    results = fc.solve_batch(batch)
+    assert len(results) == len(batch)
+    for spec, result in zip(batch, results):
+        assert fingerprint(result) == solo_fingerprint(spec)
