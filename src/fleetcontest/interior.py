@@ -204,7 +204,7 @@ def _multiplier_sums(
     bm, eps and offsets are N x m, mass (fleet_a + fleet_b + sum(eps))
     has length N. Returns, row by row, the roots, the region masses at
     the roots (N x m), the evaluations and the residuals; a row's
-    evaluations count the balance kernel calls it took part in.
+    evaluations count the kernel calls made while it was searching.
 
     The search runs in the pole gap g = pole - t > 0, where the total
     region mass falls from +inf to 0. Region gaps are formed as
