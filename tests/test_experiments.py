@@ -400,13 +400,6 @@ class TestSolveBatch:
             assert record.u_b == fc.utility(spec, "b", solo)
             assert record.t_lambda == fc.solve_spec(spec).trace.multiplier_sum
 
-    def test_empty_batch(self):
-        assert fc.solve_batch([]) == []
-
-    def test_mixed_region_counts_raise(self):
-        with pytest.raises(fc.ShapeError):
-            fc.solve_batch([fc.two_region_spec(1.0), fc.four_region_spec(1.0)])
-
     def test_solve_spec_is_the_batch_of_one(self, monkeypatch):
         calls = []
         batch = experiments.solve_batch

@@ -11,6 +11,7 @@ give each spec's solo solve bit for bit.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,3 +140,12 @@ def test_a_batch_solves_each_spec_as_alone(batch):
     assert len(results) == len(batch)
     for spec, result in zip(batch, results):
         assert fingerprint(result) == solo_fingerprint(spec)
+
+
+def test_an_empty_batch_solves_to_nothing():
+    assert fc.solve_batch([]) == []
+
+
+def test_a_batch_needs_one_region_count():
+    with pytest.raises(fc.ShapeError):
+        fc.solve_batch([fc.two_region_spec(1.0), fc.four_region_spec(1.0)])
