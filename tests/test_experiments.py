@@ -1,6 +1,7 @@
 """Scenario builders, sweeps, and the two transition detectors."""
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -439,6 +440,42 @@ class TestSweepBytes:
         records = fc.fleet_sweep(np.linspace(200.0, 4000.0, 200))
         assert self.digest(records) == (
             "658c046e5f79f6a4cd20efbbe1f7c2d7daa75aa5a7e6f485faa2995898bf2c9d")
+
+
+class TestSolveBytes:
+    """The fingerprints of solve_spec over a seeded set of specs, pinned so
+    that a change of solve path that moves any allocation, multiplier,
+    tag, count or error message shows.
+
+    For each m = 1..8 the set holds 60 box specs and 60 specs with
+    parameters log-uniform over 4.5 decades around the box; about two
+    thirds of them have boundary equilibria. The two failing specs add
+    a root failure and a price-solve failure.
+    """
+
+    @staticmethod
+    def specs():
+        rng = np.random.default_rng(20261018)
+
+        def draw(centre, size):
+            return centre * 10.0 ** rng.uniform(-2.25, 2.25, size)
+
+        specs = [failing_root_spec(), failing_price_spec()]
+        for m in range(1, 9):
+            for _ in range(60):
+                specs.append(random_spec(rng, m))
+                specs.append(_spec(draw(1e4, m), draw(100.0, m) * (rng.random(m) < 0.9),
+                                   draw(100.0, m), draw(1000.0, 1)[0], draw(1000.0, 1)[0]))
+        return specs
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_solve_spec(self):
+        fingerprints = [solo_fingerprint(spec) for spec in self.specs()]
+        kinds = Counter(f[0] if isinstance(f[0], str) else f[5] for f in fingerprints)
+        assert kinds == {"interior": 273, "boundary": 632, "A1": 27, "A2": 20, "B1": 4, "B2": 4,
+                         "NumericalError": 2}
+        assert hashlib.sha256(repr(fingerprints).encode()).hexdigest() == (
+            "22ec73eb6aeae057a2328f1f1bff8cc9958d5bdcd7cd59b178f87db252e3e015")
 
 
 class TestFleetSweep:
