@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FleetContestError, ValidationError
+from .errors import FleetContestError, NumericalError, ValidationError
 from .game import (
     SUPPORT_RTOL,
     GameSpec,
@@ -17,7 +17,7 @@ from .game import (
     stacked_utilities,
     utility,
 )
-from .interior import _InteriorCandidates, _solve_prices
+from .interior import _check_root, _InteriorCandidates, _solve_prices
 from .result import EquilibriumResult, location_tag
 from .verify import _result
 
@@ -102,28 +102,24 @@ def _failed(parameter: float, exc: FleetContestError) -> SweepRecord:
 def _solve_stack(specs: list, stack: SpecStack) -> list:
     """solve_batch for specs already stacked as stack."""
     candidates = _InteriorCandidates(stack)
-    results = []
+    inside = (~candidates.empty.any(axis=(1, 2))).tolist()
+    results = [None] * len(specs)
     price_rows = []
     for i, spec in enumerate(specs):
-        results.append(None)
         try:
-            if candidates.lean[i]:
-                candidates.check(i)  # Not interior; its outcome would only be dropped.
-            else:
-                outcome = candidates.outcome(i)
-                if outcome.is_interior:
-                    try:
-                        results[i] = _result(
-                            spec, outcome.strategy, "interior", outcome.duals, outcome.trace
-                        )
-                        continue
-                    except ValidationError:
-                        pass  # A fleet sum lost to rounding; the price solve retries.
-            price_rows.append(i)
-        except FleetContestError as exc:
+            _check_root(candidates.residuals[i], candidates.masses[i])
+            if inside[i]:
+                strategy = joint_from_arrays(*candidates.x[i])
+                results[i] = _result(spec, strategy, "interior", *candidates.certificate(i))
+                continue
+        except NumericalError as exc:
             results[i] = exc
+            continue
+        except ValidationError:
+            pass  # Not finite, or a fleet sum lost to rounding; the price solve retries.
+        price_rows.append(i)
     if price_rows:
-        starts = [(candidates.lambda_a[i], candidates.lambda_b[i]) for i in price_rows]
+        starts = [candidates.lambdas[i] for i in price_rows]
         if len(price_rows) < len(specs):
             stack = stack.take(price_rows)
         for i, entry in zip(price_rows, _solve_prices(stack, starts)):

@@ -217,7 +217,9 @@ def _multiplier_sums(
     log(total mass) against log(g) shrink the bracket, and a step that
     would leave it becomes a bisection of log(g). A row stops when its
     balance is exactly zero or no double is left to try, so the root
-    does not depend on a stopping tolerance.
+    does not depend on a stopping tolerance. A row whose bracket or step
+    leaves the range of a double stops where it is; at the pole its
+    residual is infinite and fails the root check.
 
     One kernel call evaluates every row at once; a stopped row keeps its
     gap, so later calls give it the same masses again. The step and
@@ -234,8 +236,12 @@ def _multiplier_sums(
     for bm_i, eps_i, j, mass_i, b_i, c_i in zip(
         bm.tolist(), eps.tolist(), pole_region.tolist(), masses, b, c
     ):
-        lows.append(bm_i[j] * (mass_i + eps_i[j]) / (mass_i * mass_i))
-        highs.append(((c_i + math.sqrt(c_i * c_i + 4.0 * b_i * mass_i)) / (2.0 * mass_i)) ** 2)
+        try:
+            lows.append(bm_i[j] * (mass_i + eps_i[j]) / (mass_i * mass_i))
+            highs.append(((c_i + math.sqrt(c_i * c_i + 4.0 * b_i * mass_i)) / (2.0 * mass_i)) ** 2)
+        except (ZeroDivisionError, OverflowError):
+            lows.append(0.0)  # As when mass * mass overflows: the row is tried at the pole.
+            highs.append(0.0)
     gs = lows[:]
     g = np.array(gs)[:, None]  # The gaps of gs as the kernel's column.
     evaluations = [0] * len(lows)
@@ -256,11 +262,14 @@ def _multiplier_sums(
                 low = lows[i] = g_i
             else:
                 high = highs[i] = g_i
-            step = math.log1p(residual / mass_i) * total / (g_i * slopes[i])
-            if math.log(low / g_i) < step < math.log(high / g_i):
-                g_next = g_i + g_i * math.expm1(step)
-            else:
-                g_next = math.sqrt(low) * math.sqrt(high)
+            try:
+                step = math.log1p(residual / mass_i) * total / (g_i * slopes[i])
+                if math.log(low / g_i) < step < math.log(high / g_i):
+                    g_next = g_i + g_i * math.expm1(step)
+                else:
+                    g_next = math.sqrt(low) * math.sqrt(high)
+            except (ZeroDivisionError, OverflowError, ValueError):
+                continue  # At the pole, or beyond what math represents: the row stops.
             if low < g_next < high:
                 gs[i] = g[i, 0] = g_next
                 going.append(i)
@@ -352,40 +361,35 @@ class InteriorOutcome:
         return self.not_interior is None
 
 
-def _interior_point(
-    stack: SpecStack, kappa: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _interior_point(stack: SpecStack, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Allocations and fleet-sum multipliers from the region masses, per row.
 
     Charging costs enter relative to the cheapest region's: a constant
     added to every beta_c moves both multipliers by that constant and
     leaves the allocations alone, so the shifted multipliers form the
     allocations and the shift is added back to the reported ones only.
-    Returns x_a and x_b (N x m) and the reported lambda_a and lambda_b.
+    Returns the allocations (N x 2 x m) and the reported (lambda_a,
+    lambda_b) (N x 2).
     """
     bm, bc, eps, fleets = stack
-    floor_cost = bc.min(axis=1)
-    cost = bc - floor_cost[:, None]
+    floor_cost = bc.min(axis=1)[:, None]
+    cost = bc - floor_cost
     weights = kappa * kappa / bm
-    total = weights.sum(axis=1)
-    base = (cost * weights).sum(axis=1) - eps.sum(axis=1)
-    lam_a = (base - fleets[:, 1]) / total
-    lam_b = (base - fleets[:, 0]) / total
-    x_a = weights * (cost - lam_b[:, None]) - eps
-    x_b = weights * (cost - lam_a[:, None]) - eps
-    return x_a, x_b, lam_a + floor_cost, lam_b + floor_cost
+    total = weights.sum(axis=1)[:, None]
+    base = ((cost * weights).sum(axis=1) - eps.sum(axis=1))[:, None]
+    lam = (base - fleets[:, ::-1]) / total
+    x = weights[:, None] * (cost[:, None] - lam[:, ::-1, None]) - eps[:, None]
+    return x, lam + floor_cost
 
 
 class _InteriorCandidates:
     """The closed-form interior candidates of a stack of specs.
 
-    One root find and one closed form serve every row. outcome(i) builds
-    row i's InteriorOutcome, or raises what interior_equilibrium raises
-    for that spec alone. items[i] lists row i's components at or below
-    the support threshold, as NotInterior holds them. lean[i] marks a
-    row whose candidate is not safely interior and whose outcome would
-    build without error; a solve that goes on to the price Newton needs
-    only its multipliers, lambda_a[i] and lambda_b[i], and check(i).
+    One root find and one closed form serve every row: the roots, region
+    masses, evaluations and residuals of the root find, both allocations
+    as x (N x 2 x m) and the multipliers as lambdas, row by row. empty
+    marks the components at or below the support threshold; a row with
+    none is an interior candidate.
     """
 
     def __init__(self, stack: SpecStack):
@@ -394,50 +398,25 @@ class _InteriorCandidates:
         self.roots, self.kappa, self.evaluations, self.residuals = _multiplier_sums(
             bm, eps, 2.0 * bc, mass
         )
-        self.x_a, self.x_b, lam_a, lam_b = _interior_point(stack, self.kappa)
-        self.masses, self.lambda_a, self.lambda_b = mass.tolist(), lam_a.tolist(), lam_b.tolist()
-        self.items, self.lean = [], []
-        rows = zip(self.x_a.tolist(), self.x_b.tolist(), fleets.tolist(), self.lambda_a,
-                   self.lambda_b)
-        for xs_a, xs_b, (fleet_a, fleet_b), lambda_a, lambda_b in rows:
-            # A plain loop: the generator expression it replaces raised the peak
-            # RSS of a process by 0.6 MB over 40000 solves (Python 3.11), while
-            # tracemalloc showed no object left behind.
-            items = []
-            outside = unbuildable = False
-            for player, vec, fleet in (("a", xs_a, fleet_a), ("b", xs_b, fleet_b)):
-                for j, value in enumerate(vec):
-                    if value <= SUPPORT_RTOL * fleet:
-                        items.append((player, j, value))
-                        outside = outside or value <= 0.0
-                    elif not value < math.inf:
-                        unbuildable = True  # joint_from_arrays rejects it
-            finite = math.isfinite(lambda_a) and math.isfinite(lambda_b)
-            self.items.append(items)
-            self.lean.append(bool(items) and finite and (outside or not unbuildable))
+        self.x, lambdas = _interior_point(stack, self.kappa)
+        self.empty = self.x <= SUPPORT_RTOL * fleets[:, :, None]
+        self.masses, self.lambdas = mass.tolist(), lambdas.tolist()
 
-    def check(self, i: int) -> None:
-        """Raise the NumericalError of a row whose root missed its tolerance."""
-        _check_root(self.residuals[i], self.masses[i])
-
-    def outcome(self, i: int) -> InteriorOutcome:
-        """Row i's InteriorOutcome."""
-        self.check(i)
+    def certificate(self, i: int) -> tuple[DualCertificate, InteriorSolveTrace]:
+        """Row i's multipliers and trace; ValidationError for a multiplier
+        that is not finite."""
+        lambda_a, lambda_b = self.lambdas[i]
         zeros = np.zeros(self.kappa.shape[1])
-        duals = DualCertificate(self.lambda_a[i], self.lambda_b[i], zeros, zeros)
+        duals = DualCertificate(lambda_a, lambda_b, zeros, zeros)
         trace = InteriorSolveTrace(
             multiplier_sum=self.roots[i],
             region_mass=self.kappa[i],
-            lambda_a=duals.lambda_a,
-            lambda_b=duals.lambda_b,
+            lambda_a=lambda_a,
+            lambda_b=lambda_b,
             balance_residual=self.residuals[i],
             iterations=self.evaluations[i],
         )
-        marker = NotInterior(items=tuple(self.items[i])) if self.items[i] else None
-        if marker is not None and marker.strictly_outside:
-            return InteriorOutcome(strategy=None, duals=None, trace=trace, not_interior=marker)
-        strategy = joint_from_arrays(self.x_a[i], self.x_b[i])
-        return InteriorOutcome(strategy=strategy, duals=duals, trace=trace, not_interior=marker)
+        return duals, trace
 
 
 def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
@@ -447,7 +426,18 @@ def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
     the joint strategy and multipliers, and classifies the candidate as
     interior, boundary-suspect, or not interior.
     """
-    return _InteriorCandidates(stack_specs([spec])).outcome(0)
+    candidates = _InteriorCandidates(stack_specs([spec]))
+    _check_root(candidates.residuals[0], candidates.masses[0])
+    duals, trace = candidates.certificate(0)
+    x = candidates.x[0]
+    values = x.tolist()
+    items = tuple(("ab"[p], j, values[p][j]) for p, j in np.argwhere(candidates.empty[0]).tolist())
+    marker = NotInterior(items=items) if items else None
+    if marker is not None and marker.strictly_outside:
+        return InteriorOutcome(strategy=None, duals=None, trace=trace, not_interior=marker)
+    return InteriorOutcome(
+        strategy=joint_from_arrays(*x), duals=duals, trace=trace, not_interior=marker
+    )
 
 
 def reconstruct_duals(spec: GameSpec, trace: InteriorSolveTrace) -> DualCertificate:
@@ -455,9 +445,10 @@ def reconstruct_duals(spec: GameSpec, trace: InteriorSolveTrace) -> DualCertific
     kappa = np.asarray(trace.region_mass, dtype=float)
     if kappa.size != spec.m:
         raise ValidationError("trace region count does not match the spec")
-    _, _, lam_a, lam_b = _interior_point(stack_specs([spec]), kappa[None])
+    _, lambdas = _interior_point(stack_specs([spec]), kappa[None])
+    lambda_a, lambda_b = lambdas[0].tolist()
     zeros = np.zeros(spec.m)
-    return DualCertificate(float(lam_a[0]), float(lam_b[0]), zeros, zeros)
+    return DualCertificate(lambda_a, lambda_b, zeros, zeros)
 
 
 def _solve_prices(stack: SpecStack, lambdas) -> list:
@@ -551,8 +542,10 @@ def _solve_prices(stack: SpecStack, lambdas) -> list:
             f_a, f_b = err_a * fleet_a, err_b * fleet_b
             d_a = (j_ab * f_b - j_bb * f_a) / det
             d_b = (j_ba * f_a - j_aa * f_b) / det
-            step = min(1.0, _MAX_LOG_STEP / max(abs(d_a) / mu_a, abs(d_b) / mu_b))
-            moves[i] = (d_a, d_b, step)
+            reach = max(abs(d_a) / mu_a, abs(d_b) / mu_b)
+            if not reach > 0.0:
+                continue  # A step lost to underflow leaves nothing to try.
+            moves[i] = (d_a, d_b, min(1.0, _MAX_LOG_STEP / reach))
         for i, (d_a, d_b, step) in list(moves.items()):
             mu_a, mu_b = states[i][0]
             trial = (mu_a * math.exp(step * d_a / mu_a), mu_b * math.exp(step * d_b / mu_b))

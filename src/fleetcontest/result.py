@@ -5,6 +5,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ValidationError
 from .game import SUPPORT_RTOL, DualCertificate, GameSpec, JointStrategy
 from .interior import InteriorSolveTrace
 
@@ -54,7 +55,7 @@ class EquilibriumResult:
 
     def __post_init__(self):
         if self.location not in LOCATIONS:
-            raise ValueError(f"unknown location tag {self.location!r}")
+            raise ValidationError(f"unknown location tag {self.location!r}")
 
     @cached_property
     def ne_residual(self) -> float:

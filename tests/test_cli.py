@@ -70,6 +70,17 @@ class TestSolve:
         assert "synthetic breakdown" in capsys.readouterr().err
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fleets_beyond_the_root_find_exit_two(self, tmp_path, capsys):
+        """Fleets of 1e300 overflow the square of the total mass; the solve
+        reports a NumericalError instead of a traceback."""
+        path = tmp_path / "huge.cfg"
+        path.write_text(fc.format_config(
+            fc.GameSpec(fc.two_region_spec(3.0).regions, fleet_a=1e300, fleet_b=1e300)))
+        assert cli_main(["solve", str(path)]) == 2
+        assert "error: root residual" in capsys.readouterr().err
+
+
 class TestArgumentHandling:
     def test_no_arguments(self, capsys):
         assert cli_main([]) == 1
@@ -92,6 +103,15 @@ class TestSweep:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 4
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
+
+    def test_a_sweep_that_fails_everywhere_keeps_the_scenario_header(self, capsys):
+        code = cli_main(["sweep", "--kind", "four", "--from", "21", "--to", "22",
+                         "--points", "2"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("param,x_a_1,x_a_2,x_a_3,x_a_4,x_b_1,x_b_2,x_b_3,x_b_4,"
+                            "u_a,u_b,location,t_lambda")
+        assert lines[1:] == ["21,,,,,,,,,,,error,", "22,,,,,,,,,,,error,"]
 
     def test_zero_points_rejected(self, capsys):
         code = cli_main(["sweep", "--kind", "two", "--from", "1", "--to", "3",

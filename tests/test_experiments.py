@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fleetcontest as fc
-from fleetcontest import experiments
+from fleetcontest import experiments, interior
 from fleetcontest.game import FEASIBILITY_RTOL
 from helpers import fingerprint, random_spec, relative_kkt, solo_fingerprint
 
@@ -400,6 +400,57 @@ class TestSolveBatch:
             assert record.u_a == fc.utility(spec, "a", solo)
             assert record.u_b == fc.utility(spec, "b", solo)
             assert record.t_lambda == fc.solve_spec(spec).trace.multiplier_sum
+
+    @pytest.mark.parametrize("spec", [
+        fc.GameSpec(fc.two_region_spec(3.0).regions, fleet_a=1e154, fleet_b=1e154),
+        fc.GameSpec(fc.two_region_spec(3.0).regions, fleet_a=1e300, fleet_b=1e300),
+        fc.GameSpec((fc.RegionParams(1e4, 1.0, 1e-200), fc.RegionParams(2e4, 2.0, 1e-200)),
+                    fleet_a=1e-200, fleet_b=1e-200),
+    ], ids=["square-overflows-1e154", "square-overflows-1e300", "square-underflows"])
+    def test_a_bracket_out_of_range_fails_alone(self, spec):
+        """The square of the total mass leaves the range of a double, so the
+        root find's bracket cannot be formed. That row fails its root check,
+        and the row beside it is its solo solve."""
+        results = fc.solve_batch([spec, fc.two_region_spec(3.0)])
+        assert isinstance(results[0], fc.NumericalError)
+        assert str(results[0]).startswith("root residual inf exceeds tolerance")
+        assert fingerprint(results[1]) == solo_fingerprint(fc.two_region_spec(3.0))
+
+    def test_a_price_step_lost_to_underflow_fails_alone(self):
+        """One region; the price Newton's step underflows to zero."""
+        spec = fc.GameSpec((fc.RegionParams(1e-8, 0.0, 1e16),), fleet_a=1e46, fleet_b=1e-9)
+        results = fc.solve_batch([spec, fc.GameSpec(spec.regions, 10.0, 20.0)])
+        assert isinstance(results[0], fc.NumericalError)
+        assert str(results[0]).startswith("price solve fleet-sum error")
+        assert fingerprint(results[1]) == solo_fingerprint(fc.GameSpec(spec.regions, 10.0, 20.0))
+
+    def test_a_candidate_with_non_finite_multipliers_goes_to_the_price_solve(self):
+        """Region 1's mass squared over its beta_m overflows, so the closed
+        form's multipliers are NaN. interior_equilibrium rejects the
+        candidate; the solve hands the row to the price Newton, which
+        misses a fleet sum here."""
+        spec = fc.GameSpec((fc.RegionParams(1e-120, 0.0, 1e100), fc.RegionParams(1e4, 1.0, 10.0)),
+                           fleet_a=100.0, fleet_b=100.0)
+        with pytest.raises(fc.ValidationError, match="lambda_a must be finite, got nan"):
+            fc.interior_equilibrium(spec)
+        with pytest.raises(fc.NumericalError, match="price solve fleet-sum error inf"):
+            fc.solve_spec(spec)
+
+    def test_the_solve_builds_no_interior_outcome(self, monkeypatch):
+        """interior_equilibrium is the only builder of InteriorOutcome and
+        NotInterior: with both broken, a batch of interior, boundary and
+        failing specs solves as before."""
+        specs = [fc.two_region_spec(1.0), failing_root_spec(), fc.two_region_spec(45.0),
+                 failing_price_spec(), fc.two_region_spec(41.0)]
+        expected = [fingerprint(result) for result in fc.solve_batch(specs)]
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the solve built an interior outcome")
+
+        monkeypatch.setattr(interior, "InteriorOutcome", broken)
+        monkeypatch.setattr(interior, "NotInterior", broken)
+        assert [fingerprint(result) for result in fc.solve_batch(specs)] == expected
+        assert [expected[i][5] for i in (0, 2, 4)] == ["interior", "A2", "A2"]
 
     def test_solve_spec_is_the_batch_of_one(self, monkeypatch):
         calls = []
