@@ -9,7 +9,7 @@ from .boundary import solve_two_region
 from .config import _fmt, emit_csv, parse_config
 from .errors import GridSizeError, NumericalError, ValidationError
 from .experiments import (
-    _record,
+    SweepRecord,
     alpha_sweep,
     detect_alpha_crit,
     detect_optimal_fleet,
@@ -34,7 +34,9 @@ def _cmd_solve(args) -> int:
     result = solve_spec(spec)
     u_a = utility(spec, "a", result.strategy)
     u_b = utility(spec, "b", result.strategy)
-    sys.stdout.write(emit_csv([_record(0.0, result, u_a, u_b)], m=spec.m))
+    t_lambda = None if result.trace is None else result.trace.multiplier_sum
+    record = SweepRecord(0.0, result.strategy, u_a, u_b, result.location, t_lambda)
+    sys.stdout.write(emit_csv([record], m=spec.m))
     print(f"lambda_a = {_fmt(result.duals.lambda_a)}")
     print(f"lambda_b = {_fmt(result.duals.lambda_b)}")
     print("nu_a = " + " ".join(_fmt(v) for v in result.duals.nu_a))

@@ -2,12 +2,15 @@
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FleetContestError, NumericalError, ValidationError
 from .game import (
+    FEASIBILITY_RTOL,
     SUPPORT_RTOL,
+    DualCertificate,
     GameSpec,
     JointStrategy,
     RegionParams,
@@ -17,9 +20,8 @@ from .game import (
     stacked_utilities,
     utility,
 )
-from .interior import _check_root, _InteriorCandidates, _solve_prices
-from .result import EquilibriumResult, location_tag
-from .verify import _result
+from .interior import BALANCE_RTOL, _InteriorCandidates, _quiet, _solve_prices
+from .result import EquilibriumResult, location_tags
 
 
 def four_region_spec(alpha: float) -> GameSpec:
@@ -59,11 +61,11 @@ def two_region_spec(alpha: float) -> GameSpec:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One solved point of a sweep.
+    """One point of a sweep, read straight off the solved stack.
 
-    t_lambda is the interior multiplier sum, None at boundary points.
-    error is None unless the solver failed, in which case the numeric
-    fields are None and error holds the message.
+    t_lambda is the interior multiplier sum, None where the price solve
+    answered. error is None unless the point could not be built or
+    solved; then the numeric fields are None and error holds the message.
     """
 
     parameter: float
@@ -75,83 +77,116 @@ class SweepRecord:
     error: str | None = None
 
 
-def _record(parameter: float, result: EquilibriumResult, u_a: float, u_b: float) -> SweepRecord:
-    return SweepRecord(
-        parameter=parameter,
-        strategy=result.strategy,
-        u_a=u_a,
-        u_b=u_b,
-        location=result.location,
-        t_lambda=result.trace.multiplier_sum if result.trace is not None else None,
-        error=None,
-    )
-
-
 def _failed(parameter: float, exc: FleetContestError) -> SweepRecord:
-    return SweepRecord(
-        parameter=parameter,
-        strategy=None,
-        u_a=None,
-        u_b=None,
-        location=None,
-        t_lambda=None,
-        error=str(exc),
-    )
+    return SweepRecord(parameter, None, None, None, None, None, error=str(exc))
 
 
-def _solve_stack(specs: list, stack: SpecStack) -> list:
-    """solve_batch for specs already stacked as stack."""
-    candidates = _InteriorCandidates(stack)
-    inside = (~candidates.empty.any(axis=(1, 2))).tolist()
-    results = [None] * len(specs)
-    price_rows = []
-    for i, spec in enumerate(specs):
+class _Solution(NamedTuple):
+    """A solved stack: per row, the allocations x (N x 2 x m), multipliers
+    lambdas (N x 2) and nu (N x 2 x m), location tag and kernel evaluations.
+    closed marks the rows the interior closed form answered, whose trace
+    and t_lambda read candidates; errors holds a failed row's error, else None.
+    """
+
+    x: np.ndarray
+    lambdas: np.ndarray
+    nu: np.ndarray
+    tags: list
+    evaluations: list
+    candidates: _InteriorCandidates
+    closed: list
+    errors: list
+
+    def result(self, i: int, spec: GameSpec) -> EquilibriumResult:
+        """The EquilibriumResult of solved row i, whose spec is spec."""
+        (x_a, x_b), (nu_a, nu_b) = self.x[i], self.nu[i]
+        duals = DualCertificate(*self.lambdas[i].tolist(), nu_a, nu_b)
+        trace = self.candidates.trace(i) if self.closed[i] else None
+        return EquilibriumResult(joint_from_arrays(x_a, x_b), duals, self.tags[i], spec, trace,
+                                 iterations=self.evaluations[i])
+
+
+def _meet_fleets(fleets: np.ndarray, x: np.ndarray, finite: np.ndarray) -> np.ndarray:
+    """Rows whose N x 2 mask finite holds and whose allocations pass is_feasible's
+    fleet-sum test; each row sum adds in is_feasible's order, to the same bits."""
+    return (finite & (np.abs(x.sum(axis=2) - fleets) <= FEASIBILITY_RTOL * fleets)).all(axis=1)
+
+
+def _price_error(fleet_error: float, finite, lambdas, nu, x, fleets) -> FleetContestError:
+    """Why a price row the stacked checks rejected fails: the first of its fleet sums
+    missing BALANCE_RTOL, a multiplier not finite, an allocation missing FEASIBILITY_RTOL."""
+    if not fleet_error <= BALANCE_RTOL:
+        return NumericalError(
+            f"price solve fleet-sum error {fleet_error!r} exceeds tolerance {BALANCE_RTOL!r}"
+        )
+    if not finite.all():
         try:
-            _check_root(candidates.residuals[i], candidates.masses[i])
-            if inside[i]:
-                strategy = joint_from_arrays(*candidates.x[i])
-                results[i] = _result(spec, strategy, "interior", *candidates.certificate(i))
-                continue
-        except NumericalError as exc:
-            results[i] = exc
-            continue
-        except ValidationError:
-            pass  # Not finite, or a fleet sum lost to rounding; the price solve retries.
-        price_rows.append(i)
-    if price_rows:
-        starts = [candidates.lambdas[i] for i in price_rows]
-        if len(price_rows) < len(specs):
-            stack = stack.take(price_rows)
-        for i, entry in zip(price_rows, _solve_prices(stack, starts)):
-            if isinstance(entry, FleetContestError):
-                results[i] = entry
-                continue
-            x, duals, evaluations = entry
-            spec = specs[i]
-            try:
-                results[i] = _result(spec, joint_from_arrays(x[0], x[1]), location_tag(spec, x),
-                                     duals, iterations=evaluations)
-            except FleetContestError as exc:
-                results[i] = exc
-    return results
+            DualCertificate(*lambdas, *nu)  # Raises with its own message.
+        except ValidationError as exc:
+            return exc
+    for player, total, fleet in zip("ab", x.sum(axis=1).tolist(), fleets.tolist()):
+        if not abs(total - fleet) <= FEASIBILITY_RTOL * fleet:
+            return NumericalError(
+                f"price solve leaves player {player!r} infeasible: fleet-sum error "
+                f"{abs(total - fleet) / fleet!r} exceeds tolerance {FEASIBILITY_RTOL!r}"
+            )
+
+
+@_quiet
+def _solve_stack(stack: SpecStack) -> _Solution:
+    """Solve every spec of stack, accepting each row once, by checks over the stack.
+
+    A row whose root misses BALANCE_RTOL fails with its NumericalError.
+    Its interior candidate is accepted when no component is empty (which
+    implies is_feasible's sign test), both multipliers are finite and
+    both allocations pass is_feasible's fleet-sum test. Every other row
+    goes to Newton on the two water levels from the candidate's
+    multipliers (_solve_prices, whose allocations are never negative)
+    and fails as _price_error says. Each row's outcome is its solo solve's.
+    """
+    candidates = _InteriorCandidates(stack)
+    x, lambdas, fleets = candidates.x, candidates.lambdas, stack.fleets
+    errors = list(candidates.errors)
+    inside = ~candidates.empty.any(axis=(1, 2))
+    closed = inside.tolist()
+    if any(closed):
+        closed = (inside & _meet_fleets(fleets, x, np.isfinite(lambdas))).tolist()
+    tags, nu, evaluations = ["interior"] * len(errors), np.zeros(x.shape), candidates.evaluations[:]
+    rows = [i for i, (error, done) in enumerate(zip(errors, closed)) if error is None and not done]
+    if not rows:
+        return _Solution(x, lambdas, nu, tags, evaluations, candidates, closed, errors)
+    priced = stack if len(rows) == len(errors) else stack.take(rows)
+    starts = [lambdas[i].tolist() for i in rows]
+    p_x, p_lambdas, p_nu, p_evaluations, fleet_errors = _solve_prices(priced, starts)
+    if priced is stack:
+        x, lambdas, nu = p_x, p_lambdas, p_nu
+    else:
+        x, lambdas = x.copy(), lambdas.copy()
+        x[rows], lambdas[rows], nu[rows] = p_x, p_lambdas, p_nu
+    finite = np.isfinite(p_lambdas) & np.isfinite(p_nu).all(axis=2)
+    accepted = _meet_fleets(priced.fleets, p_x, finite).tolist()
+    for k, (i, tag) in enumerate(zip(rows, location_tags(priced.fleets, p_x))):
+        tags[i], evaluations[i] = tag, p_evaluations[k]
+        if not (accepted[k] and fleet_errors[k] <= BALANCE_RTOL):
+            errors[i] = _price_error(fleet_errors[k], finite[k], p_lambdas[k], p_nu[k], p_x[k],
+                                     priced.fleets[k])
+    return _Solution(x, lambdas, nu, tags, evaluations, candidates, closed, errors)
 
 
 def solve_batch(specs) -> list:
     """The unique equilibria of specs that share one region count.
 
     Entry i is the EquilibriumResult of specs[i], or the FleetContestError
-    its solve raised: one spec's failure leaves the others' solves alone.
-    Every spec takes solve_spec's path, the interior closed form first
-    and Newton on the two water levels where its candidate leaves the
-    interior or misses a fleet sum, but each stage runs on all specs at
-    once, and an entry is bit for bit what the spec solved alone gives.
-    An empty batch gives []; specs with different region counts raise
-    ShapeError.
+    its solve raised. Each stage runs on all specs at once (_solve_stack),
+    and an entry is bit for bit what the spec solved alone gives. An empty
+    batch gives []; specs with different region counts raise ShapeError.
     """
     specs = list(specs)
     if not specs:
         return []
-    return _solve_stack(specs, stack_specs(specs))
+    solution = _solve_stack(stack_specs(specs))
+    return [solution.result(i, spec) if error is None else error
+            for i, (spec, error) in enumerate(zip(specs, solution.errors))]
 
 
 def solve_spec(spec: GameSpec) -> EquilibriumResult:
@@ -169,12 +204,13 @@ def solve_spec(spec: GameSpec) -> EquilibriumResult:
     return result
 
 
+@_quiet
 def _sweep(build, parameters) -> list[SweepRecord]:
     """The records of the specs build makes from parameters, in their order.
 
-    The specs are solved as one batch, and both payoffs come from one
-    stacked evaluation after one stacked feasibility check. A spec that
-    cannot be built or solved gives a record with its error message.
+    The specs are solved as one stack, and each record reads its row and
+    one stacked payoff evaluation. A spec that cannot be built or solved
+    gives a record with its error message.
     """
     parameters = [float(p) for p in parameters]
     records = [None] * len(parameters)
@@ -188,24 +224,17 @@ def _sweep(build, parameters) -> list[SweepRecord]:
     if not specs:
         return records
     stack = stack_specs(specs)
-    results = _solve_stack(specs, stack)
-    solved = [i for i, result in enumerate(results) if isinstance(result, EquilibriumResult)]
-    payoffs = {}
-    if solved:
-        x = np.array([(results[i].strategy.alloc_a.values, results[i].strategy.alloc_b.values)
-                      for i in solved])
-        values, infeasible = stacked_utilities(stack.take(solved), x)
-        payoffs = dict(zip(solved, zip(values.tolist(), infeasible.tolist())))
-    for i, (k, result) in enumerate(zip(built, results)):
-        if i in payoffs:
-            (u_a, u_b), (bad_a, bad_b) = payoffs[i]
-            if bad_a or bad_b:
-                owner = "a" if bad_a else "b"
-                result = ValidationError(f"allocation of player {owner!r} is infeasible")
-        if isinstance(result, FleetContestError):
-            records[k] = _failed(parameters[k], result)
+    solution = _solve_stack(stack)
+    payoffs = stacked_utilities(stack, solution.x).tolist()
+    roots = solution.candidates.roots
+    for i, k in enumerate(built):
+        error = solution.errors[i]
+        if error is not None:
+            records[k] = _failed(parameters[k], error)
             continue
-        records[k] = _record(parameters[k], result, u_a, u_b)
+        (x_a, x_b), (u_a, u_b) = solution.x[i], payoffs[i]
+        records[k] = SweepRecord(parameters[k], joint_from_arrays(x_a, x_b), u_a, u_b,
+                                 solution.tags[i], roots[i] if solution.closed[i] else None)
     return records
 
 

@@ -288,6 +288,22 @@ def is_feasible(spec: GameSpec, alloc: Allocation) -> bool:
     return abs(alloc.values.sum() - fleet) <= FEASIBILITY_RTOL * fleet
 
 
+def _require_feasible(spec: GameSpec, joint: JointStrategy) -> None:
+    """Raise ValidationError naming the first player whose allocation is infeasible."""
+    for alloc in (joint.alloc_a, joint.alloc_b):
+        if not is_feasible(spec, alloc):
+            raise ValidationError(f"allocation of player {alloc.owner!r} is infeasible")
+
+
+def _require_nonnegative(spec: GameSpec, joint: JointStrategy) -> None:
+    """Raise ValidationError unless both allocations cover spec's regions and are >= 0."""
+    for alloc in (joint.alloc_a, joint.alloc_b):
+        if alloc.values.size != spec.m:
+            raise ValidationError("allocation length does not match region count")
+        if np.any(alloc.values < 0):
+            raise ValidationError("allocations must be componentwise >= 0")
+
+
 def market_share(region: RegionParams, own: float, rival: float) -> float:
     """Market profit captured in one region: beta_m * own / (own + rival + eps)."""
     own = _check_finite("own", own)
@@ -339,29 +355,20 @@ def utility(spec: GameSpec, player: str, joint: JointStrategy) -> float:
 
     Raises ValidationError when either allocation is infeasible for spec.
     """
-    for alloc in (joint.alloc_a, joint.alloc_b):
-        if not is_feasible(spec, alloc):
-            raise ValidationError(f"allocation of player {alloc.owner!r} is infeasible")
+    _require_feasible(spec, joint)
     own = joint.of(player).values
     rival = joint.of(opponent(player)).values
     return raw_utility(spec, own, rival)
 
 
-def stacked_utilities(stack: SpecStack, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def stacked_utilities(stack: SpecStack, x: np.ndarray) -> np.ndarray:
     """Both players' payoffs at N joint strategies of the N stacked specs.
 
-    x is N x 2 x m, player a's allocations in x[:, 0]. Returns the N x 2
-    payoffs and an N x 2 mask of the allocations is_feasible rejects;
-    a row with a rejected allocation has no payoff utility would give.
+    x is N x 2 x m, player a's allocations in x[:, 0]; the result is N x 2.
     Each payoff is raw_utility's sum, row by row, to the same bits.
     """
-    fleets = stack.fleets
-    feasible = ~(x < 0).any(axis=2) & (
-        np.abs(x.sum(axis=2) - fleets) <= FEASIBILITY_RTOL * fleets
-    )
     margin = stack.beta_m / (x[:, 0] + x[:, 1] + stack.eps) - stack.beta_c
-    payoffs = (x * margin[:, None]).sum(axis=2)
-    return payoffs, ~feasible
+    return (x * margin[:, None]).sum(axis=2)
 
 
 def utility_gradient(spec: GameSpec, player: str, joint: JointStrategy) -> np.ndarray:
@@ -370,11 +377,7 @@ def utility_gradient(spec: GameSpec, player: str, joint: JointStrategy) -> np.nd
     Only nonnegativity is required, not the fleet-sum equality, so the
     gradient can be probed off the simplex.
     """
-    for alloc in (joint.alloc_a, joint.alloc_b):
-        if alloc.values.size != spec.m:
-            raise ValidationError("allocation length does not match region count")
-        if np.any(alloc.values < 0):
-            raise ValidationError("allocations must be componentwise >= 0")
+    _require_nonnegative(spec, joint)
     own = joint.of(player).values
     rival = joint.of(opponent(player)).values
     return raw_utility_gradient(spec, own, rival)

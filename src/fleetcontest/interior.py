@@ -51,6 +51,10 @@ _MAX_LOG_STEP = 2.0
 
 _ULP = float(np.finfo(float).eps)
 
+#: The solve's stages run with numpy's floating-point warnings off, so a row
+#: that overflows fails its own checks alone, whatever the warning filters.
+_quiet = np.errstate(all="ignore")
+
 
 def _offsets_array(spec: GameSpec, offsets) -> np.ndarray:
     out = np.asarray(offsets, dtype=float).reshape(-1)
@@ -278,6 +282,7 @@ def _multiplier_sums(
     return roots, kappa, evaluations, residuals
 
 
+@_quiet
 def solve_multiplier_sum(spec: GameSpec, offsets=None) -> float:
     """Solve mass_balance(spec, offsets, t) = 0 for t.
 
@@ -291,16 +296,17 @@ def solve_multiplier_sum(spec: GameSpec, offsets=None) -> float:
     roots, _, _, residuals = _multiplier_sums(
         spec.beta_m[None], spec.eps[None], arr[None], np.array([mass])
     )
-    _check_root(residuals[0], mass)
+    error = _root_error(residuals[0], mass)
+    if error is not None:
+        raise error
     return roots[0]
 
 
-def _check_root(residual: float, mass: float) -> None:
-    """Raise NumericalError for a root whose residual misses BALANCE_RTOL * mass."""
-    if not abs(residual) <= BALANCE_RTOL * mass:
-        raise NumericalError(
-            f"root residual {residual!r} exceeds tolerance {BALANCE_RTOL * mass!r}"
-        )
+def _root_error(residual: float, mass: float) -> NumericalError | None:
+    """The NumericalError of a root whose residual misses BALANCE_RTOL * mass."""
+    if abs(residual) <= BALANCE_RTOL * mass:
+        return None
+    return NumericalError(f"root residual {residual!r} exceeds tolerance {BALANCE_RTOL * mass!r}")
 
 
 @dataclass(frozen=True)
@@ -386,10 +392,11 @@ class _InteriorCandidates:
     """The closed-form interior candidates of a stack of specs.
 
     One root find and one closed form serve every row: the roots, region
-    masses, evaluations and residuals of the root find, both allocations
-    as x (N x 2 x m) and the multipliers as lambdas, row by row. empty
-    marks the components at or below the support threshold; a row with
-    none is an interior candidate.
+    masses, evaluations and residuals of the root find, each row's
+    NumericalError when its root misses BALANCE_RTOL (else None), both
+    allocations as x (N x 2 x m) and the multipliers as lambdas (N x 2).
+    empty marks the components at or below the support threshold; a row
+    with none is an interior candidate.
     """
 
     def __init__(self, stack: SpecStack):
@@ -398,27 +405,17 @@ class _InteriorCandidates:
         self.roots, self.kappa, self.evaluations, self.residuals = _multiplier_sums(
             bm, eps, 2.0 * bc, mass
         )
-        self.x, lambdas = _interior_point(stack, self.kappa)
+        self.x, self.lambdas = _interior_point(stack, self.kappa)
         self.empty = self.x <= SUPPORT_RTOL * fleets[:, :, None]
-        self.masses, self.lambdas = mass.tolist(), lambdas.tolist()
+        self.errors = [_root_error(r, total) for r, total in zip(self.residuals, mass.tolist())]
 
-    def certificate(self, i: int) -> tuple[DualCertificate, InteriorSolveTrace]:
-        """Row i's multipliers and trace; ValidationError for a multiplier
-        that is not finite."""
-        lambda_a, lambda_b = self.lambdas[i]
-        zeros = np.zeros(self.kappa.shape[1])
-        duals = DualCertificate(lambda_a, lambda_b, zeros, zeros)
-        trace = InteriorSolveTrace(
-            multiplier_sum=self.roots[i],
-            region_mass=self.kappa[i],
-            lambda_a=lambda_a,
-            lambda_b=lambda_b,
-            balance_residual=self.residuals[i],
-            iterations=self.evaluations[i],
-        )
-        return duals, trace
+    def trace(self, i: int) -> InteriorSolveTrace:
+        """Row i's trace."""
+        return InteriorSolveTrace(self.roots[i], self.kappa[i], *self.lambdas[i].tolist(),
+                                  self.residuals[i], self.evaluations[i])
 
 
+@_quiet
 def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
     """Closed-form interior equilibrium candidate.
 
@@ -427,8 +424,11 @@ def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
     interior, boundary-suspect, or not interior.
     """
     candidates = _InteriorCandidates(stack_specs([spec]))
-    _check_root(candidates.residuals[0], candidates.masses[0])
-    duals, trace = candidates.certificate(0)
+    if candidates.errors[0] is not None:
+        raise candidates.errors[0]
+    zeros = np.zeros(spec.m)
+    duals = DualCertificate(*candidates.lambdas[0].tolist(), zeros, zeros)
+    trace = candidates.trace(0)
     x = candidates.x[0]
     values = x.tolist()
     items = tuple(("ab"[p], j, values[p][j]) for p, j in np.argwhere(candidates.empty[0]).tolist())
@@ -446,12 +446,11 @@ def reconstruct_duals(spec: GameSpec, trace: InteriorSolveTrace) -> DualCertific
     if kappa.size != spec.m:
         raise ValidationError("trace region count does not match the spec")
     _, lambdas = _interior_point(stack_specs([spec]), kappa[None])
-    lambda_a, lambda_b = lambdas[0].tolist()
     zeros = np.zeros(spec.m)
-    return DualCertificate(lambda_a, lambda_b, zeros, zeros)
+    return DualCertificate(*lambdas[0].tolist(), zeros, zeros)
 
 
-def _solve_prices(stack: SpecStack, lambdas) -> list:
+def _solve_prices(stack: SpecStack, lambdas) -> tuple:
     """The equilibrium for any support, by Newton on the two water levels.
 
     lambdas holds a start (lambda_a, lambda_b) per stacked spec. Fixing
@@ -472,10 +471,11 @@ def _solve_prices(stack: SpecStack, lambdas) -> list:
     and stops are decided per row in math, so a row's result does not
     depend on the rows beside it.
 
-    An entry of the result is (allocations as a 2 x m array, the
-    multipliers, the row's kernel evaluations), or the NumericalError of
-    a row that missed its fleet sums. Inactive components are exactly 0,
-    and a player active in one region holds exactly its fleet there.
+    Returns the allocations (N x 2 x m), the multipliers lambda (N x 2)
+    and nu (N x 2 x m), and per row its kernel evaluations and the larger
+    relative fleet-sum error of its levels, for the caller to accept or
+    reject. Inactive components are exactly 0, and a player active in one
+    region holds exactly its fleet there.
     """
     bm, bc, eps, fleets = stack
     n, m = bm.shape
@@ -587,15 +587,6 @@ def _solve_prices(stack: SpecStack, lambdas) -> list:
     total = x[:, :1] + x[:, 1:] + terms.eps
     gain = terms.bm * (x[:, ::-1] + terms.eps) / (total * total)
     nu = np.where(active, 0.0, np.maximum(price - gain, 0.0))
-    out = []
-    for i in range(n):
-        (mu_a, mu_b), (err_a, err_b), _ = states[i]
-        fleet_error = max(abs(err_a), abs(err_b))
-        if not fleet_error <= BALANCE_RTOL:
-            out.append(NumericalError(
-                f"price solve fleet-sum error {fleet_error!r} exceeds tolerance {BALANCE_RTOL!r}"
-            ))
-            continue
-        duals = DualCertificate(floors[i] - mu_a, floors[i] - mu_b, nu[i, 0], nu[i, 1])
-        out.append((x[i], duals, evaluations[i]))
-    return out
+    lambdas = [(f - mu_a, f - mu_b) for f, ((mu_a, mu_b), _, _) in zip(floors, states)]
+    fleet_errors = [max(abs(err_a), abs(err_b)) for _, (err_a, err_b), _ in states]
+    return x, np.array(lambdas), nu, evaluations, fleet_errors

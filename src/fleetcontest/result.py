@@ -18,25 +18,26 @@ FAMILIES = ("A1", "A2", "B1", "B2")
 LOCATIONS = ("interior", *FAMILIES, "boundary")
 
 
-def location_tag(spec: GameSpec, x) -> str:
-    """Location tag of a 2 x m allocation under the SUPPORT_RTOL rule.
+def location_tags(fleets: np.ndarray, x: np.ndarray) -> list[str]:
+    """Location tags of N x 2 x m allocations against N x 2 fleets.
 
-    "interior" when no component is empty; for two regions the first of
-    A1, A2, B1, B2 whose pinned player's named region is empty;
-    "boundary" otherwise.
+    Under the SUPPORT_RTOL rule a row is "interior" when no component is
+    empty; for two regions the first of A1, A2, B1, B2 whose pinned
+    player's named region is empty; "boundary" otherwise.
     """
-    empty = x <= SUPPORT_RTOL * np.array([[spec.fleet_a], [spec.fleet_b]])
-    if not empty.any():
-        return "interior"
-    if spec.m == 2:
-        return FAMILIES[int(np.argmax(empty.ravel()))]
-    return "boundary"
+    empty = (x <= SUPPORT_RTOL * fleets[:, :, None]).reshape(len(x), -1)
+    some = empty.any(axis=1).tolist()
+    if x.shape[2] != 2:
+        return ["boundary" if e else "interior" for e in some]
+    return [FAMILIES[j] if e else "interior" for e, j in zip(some, empty.argmax(axis=1).tolist())]
 
 
 @dataclass(frozen=True)
 class EquilibriumResult:
     """A solved equilibrium of spec with its multipliers and quality measure.
 
+    solve_batch builds one per solved row of the stacked solve, which has
+    already accepted the row; iterated_best_response builds its own.
     ne_residual is the largest unilateral payoff improvement either
     player could still gain; it is computed on first read and kept.
     trace is present for interior solves. iterations counts balance

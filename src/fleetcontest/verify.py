@@ -23,14 +23,15 @@ from .game import (
     DualCertificate,
     GameSpec,
     JointStrategy,
+    _require_feasible,
+    _require_nonnegative,
     is_feasible,
     joint_from_arrays,
     opponent,
     raw_utility,
     raw_utility_gradient,
 )
-from .interior import InteriorSolveTrace
-from .result import EquilibriumResult, location_tag
+from .result import EquilibriumResult, location_tags
 
 #: Relative (to the player's fleet) tolerance of the best-response fleet sum
 #: before the exact rescale.
@@ -39,12 +40,6 @@ BR_SUM_RTOL = 1e-9
 #: Per-player cell cap and joint point cap for the grid oracle.
 GRID_MAX_CELLS = 100_000
 GRID_MAX_POINTS = 250_000_000
-
-
-def _require_feasible(spec: GameSpec, joint: JointStrategy) -> None:
-    for alloc in (joint.alloc_a, joint.alloc_b):
-        if not is_feasible(spec, alloc):
-            raise ValidationError(f"allocation of player {alloc.owner!r} is infeasible")
 
 
 def _water_fill(spec: GameSpec, y: np.ndarray, target: float) -> np.ndarray:
@@ -164,11 +159,7 @@ SCHUR_RTOL = 1e-10
 
 def concavity_certificate(spec: GameSpec, joint: JointStrategy) -> ConcavityCertificate:
     """Evaluate the concavity certificate at one nonnegative joint point."""
-    for alloc in (joint.alloc_a, joint.alloc_b):
-        if alloc.values.size != spec.m:
-            raise ValidationError("allocation length does not match region count")
-        if np.any(alloc.values < 0):
-            raise ValidationError("allocations must be componentwise >= 0")
+    _require_nonnegative(spec, joint)
     x_a = joint.alloc_a.values
     x_b = joint.alloc_b.values
     totals = x_a + x_b + spec.eps
@@ -280,30 +271,12 @@ def duals_from_gradients(spec: GameSpec, joint: JointStrategy) -> DualCertificat
     return DualCertificate(lams["a"], lams["b"], nus["a"], nus["b"])
 
 
-def _result(
-    spec: GameSpec,
-    strategy: JointStrategy,
-    location: str,
-    duals: DualCertificate | None = None,
-    trace: InteriorSolveTrace | None = None,
-    converged: bool = True,
-    iterations: int = 0,
-) -> EquilibriumResult:
-    """The one constructor of EquilibriumResult for the solvers.
-
-    Rejects an infeasible strategy. Duals not given are read off the
-    payoff gradients; an interior trace supplies the iteration count.
-    """
-    _require_feasible(spec, strategy)
-    return EquilibriumResult(
-        strategy=strategy,
-        duals=duals_from_gradients(spec, strategy) if duals is None else duals,
-        location=location,
-        spec=spec,
-        trace=trace,
-        converged=converged,
-        iterations=iterations if trace is None else trace.iterations,
-    )
+def _result(spec: GameSpec, strategy: JointStrategy, location: str, converged: bool = True,
+            iterations: int = 0) -> EquilibriumResult:
+    """The EquilibriumResult of iterated_best_response; rejects an infeasible
+    strategy, and reads the duals off the payoff gradients."""
+    duals = duals_from_gradients(spec, strategy)
+    return EquilibriumResult(strategy, duals, location, spec, None, converged, iterations)
 
 
 def iterated_best_response(
@@ -320,7 +293,7 @@ def iterated_best_response(
     Components at or below tol are then set to zero, so that a component
     the iteration could not tell from zero counts as empty, and each
     allocation is rescaled to its fleet. The location tag then follows
-    the support, by the rule solve_spec uses (result.location_tag).
+    the support, by the rule solve_spec uses (result.location_tags).
     """
     if not 0.0 < damping <= 1.0:
         raise ValidationError(f"damping must be in (0, 1], got {damping!r}")
@@ -354,7 +327,7 @@ def iterated_best_response(
     return _result(
         spec,
         joint_from_arrays(x_a, x_b),
-        location_tag(spec, np.vstack((x_a, x_b))),
+        location_tags(np.array([[spec.fleet_a, spec.fleet_b]]), np.array([[x_a, x_b]]))[0],
         converged=converged,
         iterations=iterations,
     )

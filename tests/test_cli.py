@@ -70,7 +70,6 @@ class TestSolve:
         assert "synthetic breakdown" in capsys.readouterr().err
 
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_fleets_beyond_the_root_find_exit_two(self, tmp_path, capsys):
         """Fleets of 1e300 overflow the square of the total mass; the solve
         reports a NumericalError instead of a traceback."""
@@ -79,6 +78,18 @@ class TestSolve:
             fc.GameSpec(fc.two_region_spec(3.0).regions, fleet_a=1e300, fleet_b=1e300)))
         assert cli_main(["solve", str(path)]) == 2
         assert "error: root residual" in capsys.readouterr().err
+
+
+    def test_a_price_row_that_misses_feasibility_exits_two(self, tmp_path, capsys):
+        regions = ((87.014577345429799, 109.35791949721579, 0.011780113409158043),
+                   (73623.338476571895, 0.038702490272917264, 692787.52527986467),
+                   (26791975.726399578, 8148.4849383213686, 992540.75579221011))
+        spec = fc.GameSpec(tuple(fc.RegionParams(*r) for r in regions),
+                           fleet_a=6302.97741740527, fleet_b=1.1234720823442839)
+        path = tmp_path / "stalled.cfg"
+        path.write_text(fc.format_config(spec))
+        assert cli_main(["solve", str(path)]) == 2
+        assert "error: price solve leaves player 'b' infeasible" in capsys.readouterr().err
 
 
 class TestArgumentHandling:

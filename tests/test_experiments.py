@@ -1,6 +1,7 @@
 """Scenario builders, sweeps, and the two transition detectors."""
 
 import hashlib
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -352,7 +353,16 @@ def failing_price_spec():
                        fleet_a=1e-200, fleet_b=100.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def stalled_price_spec():
+    """Three regions whose price Newton meets BALANCE_RTOL but returns b's
+    allocation 1.416e-11 of its fleet short, beyond FEASIBILITY_RTOL."""
+    regions = ((87.014577345429799, 109.35791949721579, 0.011780113409158043),
+               (73623.338476571895, 0.038702490272917264, 692787.52527986467),
+               (26791975.726399578, 8148.4849383213686, 992540.75579221011))
+    return fc.GameSpec(tuple(fc.RegionParams(*r) for r in regions),
+                       fleet_a=6302.97741740527, fleet_b=1.1234720823442839)
+
+
 class TestSolveBatch:
     def test_a_failing_spec_fails_alone(self):
         """Each failure stays in its own entry, with solve_spec's message,
@@ -436,6 +446,31 @@ class TestSolveBatch:
         with pytest.raises(fc.NumericalError, match="price solve fleet-sum error inf"):
             fc.solve_spec(spec)
 
+    def test_a_price_row_that_misses_feasibility_fails_as_numerical(self):
+        """The price solve's own tolerance is met, is_feasible's is not: the
+        row fails with a NumericalError naming b, and its neighbour is its
+        solo solve to the bit."""
+        spec = stalled_price_spec()
+        neighbour = fc.GameSpec(spec.regions, fleet_a=1000.0, fleet_b=2000.0)
+        results = fc.solve_batch([spec, neighbour])
+        assert isinstance(results[0], fc.NumericalError)
+        assert str(results[0]).startswith("price solve leaves player 'b' infeasible")
+        with pytest.raises(fc.NumericalError, match="price solve leaves player 'b'"):
+            fc.solve_spec(spec)
+        assert fingerprint(results[1]) == solo_fingerprint(neighbour)
+
+    def test_an_overflowing_row_fails_alone_when_warnings_are_errors(self):
+        specs = [fc.two_region_spec(1.0), failing_root_spec(), fc.two_region_spec(45.0)]
+        expected = [fingerprint(result) for result in fc.solve_batch(specs)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [fingerprint(result) for result in fc.solve_batch(specs)] == expected
+            with pytest.raises(fc.NumericalError, match="root residual"):
+                fc.interior_equilibrium(failing_root_spec())
+            with pytest.raises(fc.NumericalError, match="root residual"):
+                fc.solve_multiplier_sum(failing_root_spec())
+        assert expected[1][0] == "NumericalError"
+
     def test_the_solve_builds_no_interior_outcome(self, monkeypatch):
         """interior_equilibrium is the only builder of InteriorOutcome and
         NotInterior: with both broken, a batch of interior, boundary and
@@ -467,6 +502,52 @@ class TestSolveBatch:
         assert fingerprint(result) == fingerprint(batch([spec])[0])
         with pytest.raises(fc.NumericalError):
             fc.solve_spec(failing_root_spec())
+
+
+class TestSweepReadsTheStack:
+    def test_each_record_is_its_batch_entry(self):
+        """Over the specs TestSolveBytes pins, one region count at a time, a
+        sweep record carries its solve_batch entry's error message, or its
+        allocation bytes, tag, t_lambda and payoffs."""
+        by_m = {}
+        for spec in TestSolveBytes.specs():
+            by_m.setdefault(spec.m, []).append(spec)
+        for specs in by_m.values():
+            records = experiments._sweep(lambda k, specs=specs: specs[int(k)], range(len(specs)))
+            for spec, record, result in zip(specs, records, fc.solve_batch(specs)):
+                if isinstance(result, fc.FleetContestError):
+                    assert record.error == str(result) and record.strategy is None
+                    continue
+                assert record.error is None
+                for player in fc.PLAYERS:
+                    assert (record.strategy.of(player).values.tobytes()
+                            == result.strategy.of(player).values.tobytes())
+                assert record.location == result.location
+                trace = result.trace
+                assert record.t_lambda == (None if trace is None else trace.multiplier_sum)
+                assert record.u_a == fc.utility(spec, "a", result.strategy)
+                assert record.u_b == fc.utility(spec, "b", result.strategy)
+
+    def test_a_sweep_builds_no_result_objects(self, monkeypatch):
+        """A sweep reads the solved stack: with EquilibriumResult,
+        DualCertificate and InteriorSolveTrace broken, interior, boundary
+        and out-of-range points sweep as before, and a stalled price row
+        still gets its message."""
+        alphas = {"two": [1.0, 25.0, 41.0, 45.0, 60.0], "four": [1.0, 8.0, 20.0, 25.0]}
+        expected = {kind: fc.emit_csv(fc.alpha_sweep(kind, a)) for kind, a in alphas.items()}
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the sweep built a result object")
+
+        for name in ("EquilibriumResult", "DualCertificate"):
+            monkeypatch.setattr(experiments, name, broken)
+        monkeypatch.setattr(interior, "InteriorSolveTrace", broken)
+        for kind, a in alphas.items():
+            assert fc.emit_csv(fc.alpha_sweep(kind, a)) == expected[kind]
+        assert "A2" in expected["two"] and "error" in expected["four"]
+        stalled = stalled_price_spec()
+        (record,) = experiments._sweep(lambda _: stalled, [0.0])
+        assert record.error.startswith("price solve leaves player 'b' infeasible")
 
 
 class TestSweepBytes:
@@ -519,7 +600,6 @@ class TestSolveBytes:
                                    draw(100.0, m), draw(1000.0, 1)[0], draw(1000.0, 1)[0]))
         return specs
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_solve_spec(self):
         fingerprints = [solo_fingerprint(spec) for spec in self.specs()]
         kinds = Counter(f[0] if isinstance(f[0], str) else f[5] for f in fingerprints)

@@ -290,8 +290,11 @@ def contests(bm, eps, cost, mu_a, mu_b):
 
 
 def solve_prices(spec, lambda_a, lambda_b):
-    """interior._solve_prices for one spec, started from the given multipliers."""
-    return interior._solve_prices(stack_specs([spec]), [(lambda_a, lambda_b)])[0]
+    """interior._solve_prices for one spec, started from the given multipliers:
+    its allocations (2 x m), multipliers and kernel evaluations."""
+    x, lambdas, nu, evaluations, _ = interior._solve_prices(
+        stack_specs([spec]), [(lambda_a, lambda_b)])
+    return x[0], fc.DualCertificate(*lambdas[0], *nu[0]), evaluations[0]
 
 
 class TestContests:

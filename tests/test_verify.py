@@ -321,10 +321,10 @@ class TestLazyNeResidual:
         duals = fc.interior_equilibrium(spec).duals
         joint = fc.joint_from_arrays([1.0, 2.0], [3.0, 4.0])
         with pytest.raises(fc.ValidationError):
-            _result(spec, joint, "interior", duals)
+            _result(spec, joint, "interior")
 
     def test_result_rejects_an_unknown_location(self):
         spec = fc.two_region_spec(1.0)
         out = fc.interior_equilibrium(spec)
         with pytest.raises(fc.ValidationError, match="unknown location tag 'inside'"):
-            _result(spec, out.strategy, "inside", out.duals)
+            _result(spec, out.strategy, "inside")
