@@ -65,7 +65,6 @@ from .game import (
 )
 from .interior import (
     InteriorOutcome,
-    InteriorSolveTrace,
     NotInterior,
     interior_equilibrium,
     mass_balance,
@@ -73,7 +72,7 @@ from .interior import (
     reconstruct_duals,
     solve_multiplier_sum,
 )
-from .result import EquilibriumResult
+from .result import EquilibriumResult, InteriorSolveTrace
 from .verify import (
     ConcavityCertificate,
     GridOracleResult,

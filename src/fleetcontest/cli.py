@@ -32,6 +32,7 @@ def _read_config(path: str):
 def _cmd_solve(args) -> int:
     spec = _read_config(args.config)
     result = solve_spec(spec)
+    residual = result.ne_residual  # Read first: a failing certificate prints nothing.
     u_a = utility(spec, "a", result.strategy)
     u_b = utility(spec, "b", result.strategy)
     t_lambda = None if result.trace is None else result.trace.multiplier_sum
@@ -41,7 +42,7 @@ def _cmd_solve(args) -> int:
     print(f"lambda_b = {_fmt(result.duals.lambda_b)}")
     print("nu_a = " + " ".join(_fmt(v) for v in result.duals.nu_a))
     print("nu_b = " + " ".join(_fmt(v) for v in result.duals.nu_b))
-    print(f"ne_residual = {_fmt(result.ne_residual)}")
+    print(f"ne_residual = {_fmt(residual)}")
     return 0
 
 

@@ -2,26 +2,21 @@
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
-import numpy as np
-
-from .errors import FleetContestError, NumericalError, ValidationError
+from .errors import FleetContestError, ValidationError
 from .game import (
-    FEASIBILITY_RTOL,
-    SUPPORT_RTOL,
     DualCertificate,
     GameSpec,
     JointStrategy,
     RegionParams,
-    SpecStack,
+    empty_components,
     joint_from_arrays,
     stack_specs,
     stacked_utilities,
     utility,
 )
-from .interior import BALANCE_RTOL, _InteriorCandidates, _quiet, _solve_prices
-from .result import EquilibriumResult, location_tags
+from .interior import _quiet, _solve_stack
+from .result import EquilibriumResult
 
 
 def four_region_spec(alpha: float) -> GameSpec:
@@ -81,111 +76,29 @@ def _failed(parameter: float, exc: FleetContestError) -> SweepRecord:
     return SweepRecord(parameter, None, None, None, None, None, error=str(exc))
 
 
-class _Solution(NamedTuple):
-    """A solved stack: per row, the allocations x (N x 2 x m), multipliers
-    lambdas (N x 2) and nu (N x 2 x m), location tag and kernel evaluations.
-    closed marks the rows the interior closed form answered, whose trace
-    and t_lambda read candidates; errors holds a failed row's error, else None.
-    """
-
-    x: np.ndarray
-    lambdas: np.ndarray
-    nu: np.ndarray
-    tags: list
-    evaluations: list
-    candidates: _InteriorCandidates
-    closed: list
-    errors: list
-
-    def result(self, i: int, spec: GameSpec) -> EquilibriumResult:
-        """The EquilibriumResult of solved row i, whose spec is spec."""
-        (x_a, x_b), (nu_a, nu_b) = self.x[i], self.nu[i]
-        duals = DualCertificate(*self.lambdas[i].tolist(), nu_a, nu_b)
-        trace = self.candidates.trace(i) if self.closed[i] else None
-        return EquilibriumResult(joint_from_arrays(x_a, x_b), duals, self.tags[i], spec, trace,
-                                 iterations=self.evaluations[i])
-
-
-def _meet_fleets(fleets: np.ndarray, x: np.ndarray, finite: np.ndarray) -> np.ndarray:
-    """Rows whose N x 2 mask finite holds and whose allocations pass is_feasible's
-    fleet-sum test; each row sum adds in is_feasible's order, to the same bits."""
-    return (finite & (np.abs(x.sum(axis=2) - fleets) <= FEASIBILITY_RTOL * fleets)).all(axis=1)
-
-
-def _price_error(fleet_error: float, finite, lambdas, nu, x, fleets) -> FleetContestError:
-    """Why a price row the stacked checks rejected fails: the first of its fleet sums
-    missing BALANCE_RTOL, a multiplier not finite, an allocation missing FEASIBILITY_RTOL."""
-    if not fleet_error <= BALANCE_RTOL:
-        return NumericalError(
-            f"price solve fleet-sum error {fleet_error!r} exceeds tolerance {BALANCE_RTOL!r}"
-        )
-    if not finite.all():
-        try:
-            DualCertificate(*lambdas, *nu)  # Raises with its own message.
-        except ValidationError as exc:
-            return exc
-    for player, total, fleet in zip("ab", x.sum(axis=1).tolist(), fleets.tolist()):
-        if not abs(total - fleet) <= FEASIBILITY_RTOL * fleet:
-            return NumericalError(
-                f"price solve leaves player {player!r} infeasible: fleet-sum error "
-                f"{abs(total - fleet) / fleet!r} exceeds tolerance {FEASIBILITY_RTOL!r}"
-            )
-
-
-@_quiet
-def _solve_stack(stack: SpecStack) -> _Solution:
-    """Solve every spec of stack, accepting each row once, by checks over the stack.
-
-    A row whose root misses BALANCE_RTOL fails with its NumericalError.
-    Its interior candidate is accepted when no component is empty (which
-    implies is_feasible's sign test), both multipliers are finite and
-    both allocations pass is_feasible's fleet-sum test. Every other row
-    goes to Newton on the two water levels from the candidate's
-    multipliers (_solve_prices, whose allocations are never negative)
-    and fails as _price_error says. Each row's outcome is its solo solve's.
-    """
-    candidates = _InteriorCandidates(stack)
-    x, lambdas, fleets = candidates.x, candidates.lambdas, stack.fleets
-    errors = list(candidates.errors)
-    inside = ~candidates.empty.any(axis=(1, 2))
-    closed = inside.tolist()
-    if any(closed):
-        closed = (inside & _meet_fleets(fleets, x, np.isfinite(lambdas))).tolist()
-    tags, nu, evaluations = ["interior"] * len(errors), np.zeros(x.shape), candidates.evaluations[:]
-    rows = [i for i, (error, done) in enumerate(zip(errors, closed)) if error is None and not done]
-    if not rows:
-        return _Solution(x, lambdas, nu, tags, evaluations, candidates, closed, errors)
-    priced = stack if len(rows) == len(errors) else stack.take(rows)
-    starts = [lambdas[i].tolist() for i in rows]
-    p_x, p_lambdas, p_nu, p_evaluations, fleet_errors = _solve_prices(priced, starts)
-    if priced is stack:
-        x, lambdas, nu = p_x, p_lambdas, p_nu
-    else:
-        x, lambdas = x.copy(), lambdas.copy()
-        x[rows], lambdas[rows], nu[rows] = p_x, p_lambdas, p_nu
-    finite = np.isfinite(p_lambdas) & np.isfinite(p_nu).all(axis=2)
-    accepted = _meet_fleets(priced.fleets, p_x, finite).tolist()
-    for k, (i, tag) in enumerate(zip(rows, location_tags(priced.fleets, p_x))):
-        tags[i], evaluations[i] = tag, p_evaluations[k]
-        if not (accepted[k] and fleet_errors[k] <= BALANCE_RTOL):
-            errors[i] = _price_error(fleet_errors[k], finite[k], p_lambdas[k], p_nu[k], p_x[k],
-                                     priced.fleets[k])
-    return _Solution(x, lambdas, nu, tags, evaluations, candidates, closed, errors)
+def _result(solution, i: int, spec: GameSpec) -> EquilibriumResult:
+    """The EquilibriumResult of row i of a solved stack, whose spec is spec."""
+    (x_a, x_b), (nu_a, nu_b) = solution.x[i], solution.nu[i]
+    duals = DualCertificate(*solution.lambdas[i].tolist(), nu_a, nu_b)
+    trace = solution.trace(i) if solution.closed[i] else None
+    return EquilibriumResult(joint_from_arrays(x_a, x_b), duals, solution.tags[i], spec, trace,
+                             iterations=solution.evaluations[i])
 
 
 def solve_batch(specs) -> list:
     """The unique equilibria of specs that share one region count.
 
     Entry i is the EquilibriumResult of specs[i], or the FleetContestError
-    its solve raised. Each stage runs on all specs at once (_solve_stack),
-    and an entry is bit for bit what the spec solved alone gives. An empty
-    batch gives []; specs with different region counts raise ShapeError.
+    its solve raised. Each stage runs on all specs at once, and each row is
+    accepted or failed once, in interior._solve_stack; an entry is bit for
+    bit what the spec solved alone gives. An empty batch gives []; specs
+    with different region counts raise ShapeError.
     """
     specs = list(specs)
     if not specs:
         return []
     solution = _solve_stack(stack_specs(specs))
-    return [solution.result(i, spec) if error is None else error
+    return [_result(solution, i, spec) if error is None else error
             for i, (spec, error) in enumerate(zip(specs, solution.errors))]
 
 
@@ -226,15 +139,14 @@ def _sweep(build, parameters) -> list[SweepRecord]:
     stack = stack_specs(specs)
     solution = _solve_stack(stack)
     payoffs = stacked_utilities(stack, solution.x).tolist()
-    roots = solution.candidates.roots
-    for i, k in enumerate(built):
-        error = solution.errors[i]
+    for i, (k, error) in enumerate(zip(built, solution.errors)):
         if error is not None:
             records[k] = _failed(parameters[k], error)
             continue
         (x_a, x_b), (u_a, u_b) = solution.x[i], payoffs[i]
+        t_lambda = solution.roots[i] if solution.closed[i] else None
         records[k] = SweepRecord(parameters[k], joint_from_arrays(x_a, x_b), u_a, u_b,
-                                 solution.tags[i], roots[i] if solution.closed[i] else None)
+                                 solution.tags[i], t_lambda)
     return records
 
 
@@ -279,9 +191,8 @@ def detect_alpha_crit(lo: float = 1.0, hi: float = 50.0, step: float = 0.1) -> f
     _check_step(step)
     spec = two_region_spec(hi)
     result = solve_spec(spec)
-    x_a2 = result.strategy.alloc_a.values[1]
-    x_b2 = result.strategy.alloc_b.values[1]
-    if x_a2 > SUPPORT_RTOL * spec.fleet_a or x_b2 > SUPPORT_RTOL * spec.fleet_b:
+    x = [result.strategy.of(player).values for player in ("a", "b")]
+    if not empty_components((spec.fleet_a, spec.fleet_b), x)[:, 1].all():
         return None
     slope = float(spec.beta_c[1]) / hi
     margin = min(float(result.duals.nu_a[1]), float(result.duals.nu_b[1]))

@@ -27,6 +27,14 @@ FEASIBILITY_RTOL = 1e-11
 SUPPORT_RTOL = 1e-9
 
 
+def empty_components(fleets, x) -> np.ndarray:
+    """The support rule: the components of x at or below SUPPORT_RTOL of
+    their owner's fleet are empty. fleets is (..., 2) (fleet_a, fleet_b)
+    against x (..., 2, m), or one fleet against its player's m values.
+    """
+    return np.asarray(x) <= SUPPORT_RTOL * np.asarray(fleets)[..., None]
+
+
 def opponent(player: str) -> str:
     """Return the other player's tag."""
     if player == "a":

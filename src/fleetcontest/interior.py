@@ -14,7 +14,7 @@ An equilibrium with empty components comes from the two multipliers
 themselves. Fixing both water levels splits the game into one-region
 contests, each with a closed-form equilibrium whatever its support, and
 Newton on the two fleet-sum equations finds the levels
-(_solve_prices).
+(_solve_prices). _solve_stack accepts or fails each row of a batch once.
 """
 
 import math
@@ -23,16 +23,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ValidationError
+from .errors import DomainError, FleetContestError, NumericalError, ValidationError
 from .game import (
-    SUPPORT_RTOL,
+    FEASIBILITY_RTOL,
     DualCertificate,
     GameSpec,
     JointStrategy,
     SpecStack,
+    empty_components,
     joint_from_arrays,
     stack_specs,
 )
+from .result import InteriorSolveTrace, location_tags
 
 #: Relative tolerance of the scalar-equation residual at the returned root,
 #: scaled by the total mass fleet_a + fleet_b + sum(eps); the price solve
@@ -109,24 +111,15 @@ def _balance(terms: tuple, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (bm + root) / two_gaps, slopes.sum(axis=-1)
 
 
-class _ContestTerms(NamedTuple):
-    """The parts of _contests that do not move with the water levels, each
-    N x 1 x m: beta_m, eps, the shifted costs, 4 eps and beta_m eps."""
-
-    bm: np.ndarray
-    eps: np.ndarray
-    cost: np.ndarray
-    four_eps: np.ndarray
-    bm_eps: np.ndarray
-
-    @classmethod
-    def of(cls, bm: np.ndarray, eps: np.ndarray, cost: np.ndarray) -> "_ContestTerms":
-        """The terms of N x m beta_m, eps and shifted costs."""
-        bm, eps = bm[:, None], eps[:, None]
-        return cls(bm, eps, cost[:, None], 4.0 * eps, bm * eps)
+def _contest_terms(bm: np.ndarray, eps: np.ndarray, cost: np.ndarray) -> tuple:
+    """The parts of _contests that do not move with the water levels, from
+    N x m beta_m, eps and shifted costs, each N x 1 x m: beta_m, eps, the
+    costs, 4 eps and beta_m eps, formed once per price solve."""
+    bm, eps = bm[:, None], eps[:, None]
+    return bm, eps, cost[:, None], 4.0 * eps, bm * eps
 
 
-def _contests(terms: _ContestTerms, mu: np.ndarray) -> tuple[np.ndarray, tuple]:
+def _contests(terms: tuple, mu: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Each region's one-region equilibrium at the water levels of each row.
 
     mu is N x 2 x 1 (mu_a, mu_b). The costs in terms are beta_c -
@@ -137,12 +130,13 @@ def _contests(terms: _ContestTerms, mu: np.ndarray) -> tuple[np.ndarray, tuple]:
     times T**2 / beta_m, less eps. A player that formula leaves at or
     below zero stays out, and its rival alone holds
     sqrt(beta_m eps / p) - eps, or nothing. Returns the allocations as
-    an N x 2 x m array and the parts _contest_jacobian needs.
+    an N x 2 x m array and the parts _contest_jacobian needs. terms
+    comes from _contest_terms.
     """
-    bm, eps = terms.bm, terms.eps
-    price = mu + terms.cost
+    bm, eps, cost, four_eps, bm_eps = terms
+    price = mu + cost
     s = price[:, :1] + price[:, 1:]
-    root = np.sqrt(bm * (bm + terms.four_eps * s))
+    root = np.sqrt(bm * (bm + four_eps * s))
     t = (bm + root) / (s + s)
     w = t * t / bm
     x = price[:, ::-1] * w - eps
@@ -150,13 +144,13 @@ def _contests(terms: _ContestTerms, mu: np.ndarray) -> tuple[np.ndarray, tuple]:
     if not active.all():
         # A player whose rival is out holds its lone amount. Where both formulas
         # fail, lone entry does not pay either, so the region stays empty.
-        x = np.where(active[:, ::-1], x, np.sqrt(terms.bm_eps / price) - eps)
+        x = np.where(active[:, ::-1], x, np.sqrt(bm_eps / price) - eps)
         active = x > 0.0
         x = np.where(active, x, 0.0)
     return x, (price, root, t, w, active)
 
 
-def _contest_jacobian(x: np.ndarray, terms: _ContestTerms, parts) -> list:
+def _contest_jacobian(x: np.ndarray, terms: tuple, parts) -> list:
     """Derivatives of the fleet sums of _contests in (mu_a, mu_b), per row.
 
     Returns (dS_a/dmu_a, dS_a/dmu_b, dS_b/dmu_a, dS_b/dmu_b) for each
@@ -165,10 +159,11 @@ def _contest_jacobian(x: np.ndarray, terms: _ContestTerms, parts) -> list:
     -(x + eps) / (2 p).
     """
     price, root, t, w, active = parts
+    eps = terms[1]
     both = active[:, :1] & active[:, 1:]
     up = (price * np.where(both, 2.0 * w * t / root, 0.0)).sum(axis=2)
     w_sum = np.where(both, w, 0.0).sum(axis=2)
-    lone = np.where(active & ~active[:, ::-1], (x + terms.eps) / (price + price), 0.0).sum(axis=2)
+    lone = np.where(active & ~active[:, ::-1], (x + eps) / (price + price), 0.0).sum(axis=2)
     return [
         (-up_b - lone_a, w_b - up_b, w_b - up_a, -up_a - lone_b)
         for (up_a, up_b), (lone_a, lone_b), (w_b,) in zip(
@@ -310,28 +305,6 @@ def _root_error(residual: float, mass: float) -> NumericalError | None:
 
 
 @dataclass(frozen=True)
-class InteriorSolveTrace:
-    """Diagnostics of one interior solve.
-
-    multiplier_sum is the root t; region_mass holds each region's total
-    mass (both allocations plus epsilon) implied at the root; iterations
-    counts every evaluation of the mass balance in the root find.
-    """
-
-    multiplier_sum: float
-    region_mass: np.ndarray
-    lambda_a: float
-    lambda_b: float
-    balance_residual: float
-    iterations: int
-
-    def __post_init__(self):
-        mass = np.array(self.region_mass, dtype=float).reshape(-1)
-        mass.setflags(write=False)
-        object.__setattr__(self, "region_mass", mass)
-
-
-@dataclass(frozen=True)
 class NotInterior:
     """Marks interior-candidate components that are not safely positive.
 
@@ -388,31 +361,58 @@ def _interior_point(stack: SpecStack, kappa: np.ndarray) -> tuple[np.ndarray, np
     return x, lam + floor_cost
 
 
-class _InteriorCandidates:
-    """The closed-form interior candidates of a stack of specs.
-
-    One root find and one closed form serve every row: the roots, region
-    masses, evaluations and residuals of the root find, each row's
-    NumericalError when its root misses BALANCE_RTOL (else None), both
-    allocations as x (N x 2 x m) and the multipliers as lambdas (N x 2).
-    empty marks the components at or below the support threshold; a row
-    with none is an interior candidate.
+class _Solution(NamedTuple):
+    """A solved stack of N specs, row by row: the interior root find's
+    roots, region masses kappa (N x m) and residuals; the allocations x
+    (N x 2 x m), multipliers lambdas (N x 2) and nu (N x 2 x m), location
+    tag and evaluations (the root find's, or the price solve's kernel
+    calls); closed, the rows the closed form answers; and errors, a
+    failed row's FleetContestError or None. trace(i) reads the root find
+    and the candidate's multipliers: a closed row's, or any candidate's.
     """
 
-    def __init__(self, stack: SpecStack):
-        bm, bc, eps, fleets = stack
-        mass = fleets[:, 0] + fleets[:, 1] + eps.sum(axis=1)
-        self.roots, self.kappa, self.evaluations, self.residuals = _multiplier_sums(
-            bm, eps, 2.0 * bc, mass
-        )
-        self.x, self.lambdas = _interior_point(stack, self.kappa)
-        self.empty = self.x <= SUPPORT_RTOL * fleets[:, :, None]
-        self.errors = [_root_error(r, total) for r, total in zip(self.residuals, mass.tolist())]
+    roots: list
+    kappa: np.ndarray
+    residuals: list
+    x: np.ndarray
+    lambdas: np.ndarray
+    nu: np.ndarray
+    tags: list
+    evaluations: list
+    closed: list
+    errors: list
 
     def trace(self, i: int) -> InteriorSolveTrace:
         """Row i's trace."""
         return InteriorSolveTrace(self.roots[i], self.kappa[i], *self.lambdas[i].tolist(),
                                   self.residuals[i], self.evaluations[i])
+
+
+def _meet_fleets(fleets: np.ndarray, x: np.ndarray, finite: np.ndarray) -> np.ndarray:
+    """Rows whose N x 2 mask finite holds and whose allocations pass is_feasible's
+    fleet-sum test; each row sum adds in is_feasible's order, to the same bits."""
+    return (finite & (np.abs(x.sum(axis=2) - fleets) <= FEASIBILITY_RTOL * fleets)).all(axis=1)
+
+
+def _interior_candidates(stack: SpecStack) -> _Solution:
+    """The closed-form interior candidates of a stack, as a _Solution with nu zero.
+
+    One root find and one closed form serve every row; a row whose root
+    misses BALANCE_RTOL carries its NumericalError. closed accepts a
+    candidate with no empty component (which implies is_feasible's sign
+    test), finite multipliers and both fleet sums within is_feasible's.
+    """
+    bm, bc, eps, fleets = stack
+    mass = fleets[:, 0] + fleets[:, 1] + eps.sum(axis=1)
+    roots, kappa, evaluations, residuals = _multiplier_sums(bm, eps, 2.0 * bc, mass)
+    x, lambdas = _interior_point(stack, kappa)
+    inside = ~empty_components(fleets, x).any(axis=(1, 2))
+    closed = inside.tolist()
+    if any(closed):
+        closed = (inside & _meet_fleets(fleets, x, np.isfinite(lambdas))).tolist()
+    errors = [_root_error(r, total) for r, total in zip(residuals, mass.tolist())]
+    return _Solution(roots, kappa, residuals, x, lambdas, np.zeros(x.shape),
+                     ["interior"] * len(roots), evaluations, closed, errors)
 
 
 @_quiet
@@ -423,15 +423,15 @@ def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
     the joint strategy and multipliers, and classifies the candidate as
     interior, boundary-suspect, or not interior.
     """
-    candidates = _InteriorCandidates(stack_specs([spec]))
+    candidates = _interior_candidates(stack_specs([spec]))
     if candidates.errors[0] is not None:
         raise candidates.errors[0]
     zeros = np.zeros(spec.m)
     duals = DualCertificate(*candidates.lambdas[0].tolist(), zeros, zeros)
     trace = candidates.trace(0)
     x = candidates.x[0]
-    values = x.tolist()
-    items = tuple(("ab"[p], j, values[p][j]) for p, j in np.argwhere(candidates.empty[0]).tolist())
+    empty = empty_components((spec.fleet_a, spec.fleet_b), x)
+    items = tuple(("ab"[p], j, float(x[p, j])) for p, j in np.argwhere(empty).tolist())
     marker = NotInterior(items=items) if items else None
     if marker is not None and marker.strictly_outside:
         return InteriorOutcome(strategy=None, duals=None, trace=trace, not_interior=marker)
@@ -480,7 +480,7 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
     bm, bc, eps, fleets = stack
     n, m = bm.shape
     floor_cost = bc.min(axis=1)
-    terms = _ContestTerms.of(bm, eps, bc - floor_cost[:, None])
+    terms = _contest_terms(bm, eps, bc - floor_cost[:, None])
     floors, fleet_rows = floor_cost.tolist(), fleets.tolist()
     lowest = [
         bm_i[j] * eps_i[j] / (fleet_a + fleet_b + eps_i[j]) ** 2
@@ -584,9 +584,63 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
             if flags.count(True) == 1:
                 x[i, player, flags.index(True)] = fleet
     # An inactive player's multiplier is its price less its marginal payoff.
-    total = x[:, :1] + x[:, 1:] + terms.eps
-    gain = terms.bm * (x[:, ::-1] + terms.eps) / (total * total)
+    total = x[:, :1] + x[:, 1:] + eps[:, None]
+    gain = bm[:, None] * (x[:, ::-1] + eps[:, None]) / (total * total)
     nu = np.where(active, 0.0, np.maximum(price - gain, 0.0))
     lambdas = [(f - mu_a, f - mu_b) for f, ((mu_a, mu_b), _, _) in zip(floors, states)]
     fleet_errors = [max(abs(err_a), abs(err_b)) for _, (err_a, err_b), _ in states]
     return x, np.array(lambdas), nu, evaluations, fleet_errors
+
+
+def _price_error(fleet_error: float, finite, lambdas, nu, x, fleets) -> FleetContestError:
+    """Why a price row the stacked checks rejected fails: the first of its fleet sums
+    missing BALANCE_RTOL, a multiplier not finite, an allocation missing FEASIBILITY_RTOL."""
+    if not fleet_error <= BALANCE_RTOL:
+        return NumericalError(
+            f"price solve fleet-sum error {fleet_error!r} exceeds tolerance {BALANCE_RTOL!r}"
+        )
+    if not finite.all():
+        try:
+            DualCertificate(*lambdas, *nu)  # Raises with its own message.
+        except ValidationError as exc:
+            return exc
+    for player, total, fleet in zip("ab", x.sum(axis=1).tolist(), fleets.tolist()):
+        if not abs(total - fleet) <= FEASIBILITY_RTOL * fleet:
+            return NumericalError(
+                f"price solve leaves player {player!r} infeasible: fleet-sum error "
+                f"{abs(total - fleet) / fleet!r} exceeds tolerance {FEASIBILITY_RTOL!r}"
+            )
+
+
+@_quiet
+def _solve_stack(stack: SpecStack) -> _Solution:
+    """Solve every spec of stack; each row is accepted or failed here, once.
+
+    The interior candidates come first (_interior_candidates). Each row
+    they leave open, with a root within BALANCE_RTOL, goes to Newton on
+    the water levels from its candidate's multipliers (_solve_prices,
+    whose allocations are never negative). It is accepted when its
+    fleet-sum error meets BALANCE_RTOL, its multipliers are finite and
+    its fleet sums pass is_feasible's test, and fails as _price_error
+    says otherwise. Each row's outcome is its solo solve's.
+    """
+    solution = _interior_candidates(stack)
+    *_, x, lambdas, nu, tags, evaluations, closed, errors = solution
+    rows = [i for i, (error, done) in enumerate(zip(errors, closed)) if error is None and not done]
+    if not rows:
+        return solution
+    priced = stack if len(rows) == len(errors) else stack.take(rows)
+    starts = [lambdas[i].tolist() for i in rows]
+    p_x, p_lambdas, p_nu, p_evaluations, fleet_errors = _solve_prices(priced, starts)
+    if priced is stack:
+        x, lambdas, nu = p_x, p_lambdas, p_nu
+    else:
+        x[rows], lambdas[rows], nu[rows] = p_x, p_lambdas, p_nu
+    finite = np.isfinite(p_lambdas) & np.isfinite(p_nu).all(axis=2)
+    accepted = _meet_fleets(priced.fleets, p_x, finite).tolist()
+    for k, (i, tag) in enumerate(zip(rows, location_tags(priced.fleets, p_x))):
+        tags[i], evaluations[i] = tag, p_evaluations[k]
+        if not (accepted[k] and fleet_errors[k] <= BALANCE_RTOL):
+            errors[i] = _price_error(fleet_errors[k], finite[k], p_lambdas[k], p_nu[k], p_x[k],
+                                     priced.fleets[k])
+    return solution._replace(x=x, lambdas=lambdas, nu=nu)

@@ -1,4 +1,4 @@
-"""Shared result type for the equilibrium solvers."""
+"""Shared result types for the equilibrium solvers."""
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -6,8 +6,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .game import SUPPORT_RTOL, DualCertificate, GameSpec, JointStrategy
-from .interior import InteriorSolveTrace
+from .game import DualCertificate, GameSpec, JointStrategy, empty_components
 
 #: The four two-region boundary families, each naming the player pinned
 #: into one region and the region it leaves empty (A1: a leaves region 1).
@@ -21,15 +20,37 @@ LOCATIONS = ("interior", *FAMILIES, "boundary")
 def location_tags(fleets: np.ndarray, x: np.ndarray) -> list[str]:
     """Location tags of N x 2 x m allocations against N x 2 fleets.
 
-    Under the SUPPORT_RTOL rule a row is "interior" when no component is
-    empty; for two regions the first of A1, A2, B1, B2 whose pinned
-    player's named region is empty; "boundary" otherwise.
+    Under the support rule (game.empty_components) a row is "interior"
+    when no component is empty; for two regions the first of A1, A2, B1,
+    B2 whose pinned player's named region is empty; "boundary" otherwise.
     """
-    empty = (x <= SUPPORT_RTOL * fleets[:, :, None]).reshape(len(x), -1)
+    empty = empty_components(fleets, x).reshape(len(x), -1)
     some = empty.any(axis=1).tolist()
     if x.shape[2] != 2:
         return ["boundary" if e else "interior" for e in some]
     return [FAMILIES[j] if e else "interior" for e, j in zip(some, empty.argmax(axis=1).tolist())]
+
+
+@dataclass(frozen=True)
+class InteriorSolveTrace:
+    """Diagnostics of one interior solve.
+
+    multiplier_sum is the root t; region_mass holds each region's total
+    mass (both allocations plus epsilon) implied at the root; iterations
+    counts every evaluation of the mass balance in the root find.
+    """
+
+    multiplier_sum: float
+    region_mass: np.ndarray
+    lambda_a: float
+    lambda_b: float
+    balance_residual: float
+    iterations: int
+
+    def __post_init__(self):
+        mass = np.array(self.region_mass, dtype=float).reshape(-1)
+        mass.setflags(write=False)
+        object.__setattr__(self, "region_mass", mass)
 
 
 @dataclass(frozen=True)

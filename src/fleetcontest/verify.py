@@ -14,6 +14,7 @@ from ._kernels import two_region_scan
 from .errors import (
     GridSizeError,
     InconsistencyError,
+    NumericalError,
     ShapeError,
     ValidationError,
 )
@@ -25,6 +26,7 @@ from .game import (
     JointStrategy,
     _require_feasible,
     _require_nonnegative,
+    empty_components,
     is_feasible,
     joint_from_arrays,
     opponent,
@@ -46,42 +48,44 @@ def _water_fill(spec: GameSpec, y: np.ndarray, target: float) -> np.ndarray:
     """Maximize the contest payoff over x >= 0 with components summing to target.
 
     y holds the rival-plus-epsilon masses. Each positive component obeys
-    sqrt(beta_m * y / (beta_c + mu)) - y = x for a common water level mu
-    found by bisection, then the positive part is rescaled so the sum is
-    exact.
+    x = sqrt(beta_m * y / (cost + nu)) - y for a common level nu; the
+    charging costs are shifted by their minimum, so nu is the cheapest
+    region's price and cancels against no large cost. At beta_m * y /
+    (y + target)**2 (the cheapest region's) that region alone holds the
+    target, and at max(beta_m / y - cost) no region holds anything; log
+    nu is bisected between the two down to adjacent doubles, and the
+    positive part rescaled to an exact sum. A sum still off by more than
+    BR_SUM_RTOL raises NumericalError: a target far below a held y lets
+    sqrt(.) - y cancel.
     """
-    bm, bc = spec.beta_m, spec.beta_c
+    bm = spec.beta_m
+    cheapest = int(spec.beta_c.argmin())
+    cost = spec.beta_c - spec.beta_c[cheapest]
 
-    def filled(mu: float) -> np.ndarray:
-        return np.maximum(0.0, np.sqrt(bm * y / (bc + mu)) - y)
+    def filled(nu: float) -> np.ndarray:
+        return np.maximum(0.0, np.sqrt(bm * y / (cost + nu)) - y)
 
-    delta = 1e-12 * (1.0 + float(bc.min()))
-    lo = -float(bc.min()) + delta
-    for _ in range(8):
-        if filled(lo).sum() > target:
+    lo = float(bm[cheapest] * y[cheapest] / (y[cheapest] + target) ** 2)
+    hi = float((bm / y - cost).max())
+    # filled(lo) sums to at least target and filled(hi) to zero.
+    while True:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mid < hi:
             break
-        delta /= 1000.0
-        lo = -float(bc.min()) + delta
-    hi = float((bm / y - bc).max())
-    # filled(hi) is identically zero, so the root lies in (lo, hi].
-    width_tol = 1e-15 * max(1.0, abs(lo), abs(hi))
-    for _ in range(200):
-        if hi - lo <= width_tol:
-            break
-        mid = 0.5 * (lo + hi)
         if filled(mid).sum() > target:
             lo = mid
         else:
             hi = mid
-    x = filled(0.5 * (lo + hi))
+    x = filled(lo)
     total = float(x.sum())
-    if abs(total - target) > BR_SUM_RTOL * target or total <= 0.0:
-        raise ValidationError("best-response bisection missed its fleet-sum tolerance")
+    if not abs(total - target) <= BR_SUM_RTOL * target:
+        raise NumericalError("best-response bisection missed its fleet-sum tolerance")
     return x * (target / total)
 
 
 def best_response(spec: GameSpec, player: str, rival: Allocation) -> Allocation:
-    """Optimal feasible reply to a fixed rival allocation."""
+    """Optimal feasible reply to a fixed rival allocation, by water filling
+    (_water_fill); NumericalError when the fill misses its fleet-sum tolerance."""
     if rival.owner != opponent(player):
         raise ValidationError(
             f"rival allocation owner {rival.owner!r} does not oppose player {player!r}"
@@ -266,7 +270,7 @@ def duals_from_gradients(spec: GameSpec, joint: JointStrategy) -> DualCertificat
         grad = raw_utility_gradient(spec, own, joint.of(opponent(player)).values)
         lams[player] = -float(grad.max())
         nu = -lams[player] - grad
-        nu[own > SUPPORT_RTOL * spec.fleet_of(player)] = 0.0
+        nu[~empty_components(spec.fleet_of(player), own)] = 0.0
         nus[player] = nu
     return DualCertificate(lams["a"], lams["b"], nus["a"], nus["b"])
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import fleetcontest as fc
+from fleetcontest import verify
 from fleetcontest.cli import cli_main
 
 
@@ -90,6 +91,33 @@ class TestSolve:
         path.write_text(fc.format_config(spec))
         assert cli_main(["solve", str(path)]) == 2
         assert "error: price solve leaves player 'b' infeasible" in capsys.readouterr().err
+
+    def test_a_small_fleet_beside_a_large_charging_cost_is_certified(self, tmp_path, capsys):
+        """The best response's water level would cancel against beta_c if it
+        were not shifted by the cheapest cost."""
+        path = tmp_path / "one.cfg"
+        path.write_text(fc.format_config(one_region_wide_spec()))
+        assert cli_main(["solve", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "ne_residual = " in captured.out and captured.err == ""
+
+    def test_a_failing_certificate_prints_no_half_result(self, two_region_config, capsys,
+                                                         monkeypatch):
+        def explode(spec, y, target):
+            raise fc.NumericalError("synthetic water fill")
+
+        monkeypatch.setattr(verify, "_water_fill", explode)
+        assert cli_main(["solve", two_region_config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: synthetic water fill" in captured.err
+
+
+def one_region_wide_spec():
+    """A ±2.25-decade spec whose fleet a is 5e-5 of the rival's mass."""
+    return fc.GameSpec((fc.RegionParams(730.43957470279338, 5063.2706106353207,
+                                        1154.0769945716861),),
+                       fleet_a=6.1594260574539499, fleet_b=120558.08142384748)
 
 
 class TestArgumentHandling:
@@ -202,6 +230,14 @@ class TestVerify:
         assert "FAIL" not in out
         for name in ("feasibility", "ne_residual", "kkt_residual", "grid_agreement"):
             assert name in out
+
+    def test_a_small_fleet_beside_a_large_charging_cost_passes(self, tmp_path, capsys):
+        spec = one_region_wide_spec()
+        path = tmp_path / "twice.cfg"
+        path.write_text(fc.format_config(fc.GameSpec(spec.regions * 2, spec.fleet_a,
+                                                     spec.fleet_b)))
+        assert cli_main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out.count("PASS") == 4
 
     def test_needs_two_regions(self, four_region_config, capsys):
         assert cli_main(["verify", four_region_config]) == 1

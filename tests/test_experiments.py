@@ -609,6 +609,24 @@ class TestSolveBytes:
             "22ec73eb6aeae057a2328f1f1bff8cc9958d5bdcd7cd59b178f87db252e3e015")
 
 
+class TestSolvedSpecsCertify:
+    def test_every_solved_spec_has_a_small_ne_residual(self):
+        """Every spec TestSolveBytes solves, the wide-range ones included,
+        has two best responses that gain at most 1e-9 of its payoff scale."""
+        by_m = {}
+        for spec in TestSolveBytes.specs():
+            by_m.setdefault(spec.m, []).append(spec)
+        checked = 0
+        for specs in by_m.values():
+            for spec, result in zip(specs, fc.solve_batch(specs)):
+                if isinstance(result, fc.FleetContestError):
+                    continue
+                scale = sum(abs(fc.utility(spec, p, result.strategy)) for p in fc.PLAYERS)
+                assert result.ne_residual <= 1e-9 * (scale + 1.0)
+                checked += 1
+        assert checked == 960
+
+
 class TestFleetSweep:
     def test_rival_growth_never_helps(self):
         values = np.linspace(200.0, 4000.0, 20)

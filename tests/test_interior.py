@@ -284,7 +284,7 @@ class TestInteriorEquilibrium:
 
 def contests(bm, eps, cost, mu_a, mu_b):
     """interior._contests for one spec: its allocations (2 x m) and parts."""
-    terms = interior._ContestTerms.of(bm[None], eps[None], cost[None])
+    terms = interior._contest_terms(bm[None], eps[None], cost[None])
     x, parts = interior._contests(terms, np.array([[[mu_a], [mu_b]]]))
     return x[0], parts
 
@@ -325,7 +325,7 @@ class TestContests:
             cost = spec.beta_c - spec.beta_c.min()
             levels = 10.0 ** rng.uniform(-1.0, 2.0, 2)
             x, parts = contests(spec.beta_m, spec.eps, cost, *levels)
-            terms = interior._ContestTerms.of(spec.beta_m[None], spec.eps[None], cost[None])
+            terms = interior._contest_terms(spec.beta_m[None], spec.eps[None], cost[None])
             jac = np.reshape(interior._contest_jacobian(x[None], terms, parts), (2, 2))
             for k in range(2):
                 h = 1e-6 * levels[k]
