@@ -608,6 +608,34 @@ class TestSolveBytes:
         assert hashlib.sha256(repr(fingerprints).encode()).hexdigest() == (
             "22ec73eb6aeae057a2328f1f1bff8cc9958d5bdcd7cd59b178f87db252e3e015")
 
+    @staticmethod
+    def wide_specs():
+        """150 specs for each m = 1..8 with every parameter log-uniform over
+        12 decades around the box, a tenth of the charging costs zero."""
+        rng = np.random.default_rng(6)
+
+        def draw(centre, size):
+            return centre * 10.0 ** rng.uniform(-6.0, 6.0, size)
+
+        return {m: [_spec(draw(1e4, m), draw(100.0, m) * (rng.random(m) < 0.9), draw(100.0, m),
+                          draw(1000.0, 1)[0], draw(1000.0, 1)[0]) for _ in range(150)]
+                for m in range(1, 9)}
+
+    def test_solve_batch_over_six_decades(self):
+        """The ±6-decade set reaches the searches' stop branches: evaluation
+        caps, math exceptions, steps lost to underflow. Each batch entry is
+        its solo solve, and the entries' fingerprints are pinned."""
+        fingerprints = []
+        for specs in self.wide_specs().values():
+            batch = [fingerprint(result) for result in fc.solve_batch(specs)]
+            assert batch == [solo_fingerprint(spec) for spec in specs]
+            fingerprints += batch
+        kinds = Counter(f[0] if isinstance(f[0], str) else f[5] for f in fingerprints)
+        assert kinds == {"interior": 147, "boundary": 845, "A1": 48, "A2": 55, "B1": 6, "B2": 8,
+                         "NumericalError": 91}
+        assert hashlib.sha256(repr(fingerprints).encode()).hexdigest() == (
+            "c317218380599b01f6ace2b916efa8321e81444a2a213f745d19c3fbafda7ad1")
+
 
 class TestSolvedSpecsCertify:
     def test_every_solved_spec_has_a_small_ne_residual(self):

@@ -367,3 +367,26 @@ class TestPriceSolve:
             np.testing.assert_allclose(x[0], expected.strategy.alloc_a.values, rtol=0, atol=1e-9)
             np.testing.assert_allclose(x[1], expected.strategy.alloc_b.values, rtol=0, atol=1e-9)
             assert duals.lambda_a == pytest.approx(expected.duals.lambda_a, rel=1e-12)
+
+    def test_iterations_count_every_contest_evaluation(self, monkeypatch):
+        """A boundary solve's iterations are its _contests calls: the price
+        solve makes no kernel call that it does not count."""
+        calls = []
+        kernel = interior._contests
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(interior, "_contests", counted)
+        rng = np.random.default_rng(34)
+        checked = 0
+        while checked < 280:
+            spec = random_spec(rng, int(rng.integers(2, 9)))
+            calls.clear()
+            result = fc.solve_spec(spec)
+            if result.location == "interior":
+                assert calls == []
+                continue
+            assert result.iterations == len(calls) > 0
+            checked += 1
