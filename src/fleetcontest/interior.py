@@ -15,6 +15,11 @@ themselves. Fixing both water levels splits the game into one-region
 contests, each with a closed-form equilibrium whatever its support, and
 Newton on the two fleet-sum equations finds the levels
 (_solve_prices). _solve_stack accepts or fails each row of a batch once.
+
+Both the root find and the price Newton run one scalar search per row,
+in lockstep (_lockstep): each step evaluates the kernel once for every
+row, and each row decides its next trial from its own row alone, in
+math, so a batch entry is bit for bit the spec solved alone.
 """
 
 import math
@@ -100,7 +105,7 @@ def _balance(terms: tuple, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Region masses at the given gaps = offsets - t, and the t-derivative
     of their sum, for each row of a stack.
 
-    The unchecked kernel of the root find and the public mass balance;
+    The unchecked kernel of the root find and mass_balance_derivative;
     one square root serves both outputs. terms comes from _balance_terms.
     Every discriminant must be positive, as it is for positive gaps.
     """
@@ -141,12 +146,11 @@ def _contests(terms: tuple, mu: np.ndarray) -> tuple[np.ndarray, tuple]:
     w = t * t / bm
     x = price[:, ::-1] * w - eps
     active = x > 0.0
-    if not active.all():
-        # A player whose rival is out holds its lone amount. Where both formulas
-        # fail, lone entry does not pay either, so the region stays empty.
-        x = np.where(active[:, ::-1], x, np.sqrt(bm_eps / price) - eps)
-        active = x > 0.0
-        x = np.where(active, x, 0.0)
+    # A player whose rival is out holds its lone amount. Where both formulas
+    # fail, lone entry does not pay either, so the region stays empty.
+    x = np.where(active[:, ::-1], x, np.sqrt(bm_eps / price) - eps)
+    active = x > 0.0
+    x = np.where(active, x, 0.0)
     return x, (price, root, t, w, active)
 
 
@@ -180,10 +184,7 @@ def mass_balance(spec: GameSpec, offsets, t: float) -> float:
     discriminant is nonnegative and t hits no offset exactly.
     """
     gaps, disc = _checked_gaps(spec, offsets, t)
-    if disc.min() > 0.0:
-        kappa, _ = _balance(_balance_terms(spec.beta_m, spec.eps), gaps)
-    else:
-        kappa = (spec.beta_m + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * gaps)
+    kappa = (spec.beta_m + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * gaps)
     return float(kappa.sum() - (spec.fleet_a + spec.fleet_b + spec.eps.sum()))
 
 
@@ -195,6 +196,71 @@ def mass_balance_derivative(spec: GameSpec, offsets, t: float) -> float:
     return float(_balance(_balance_terms(spec.beta_m, spec.eps), gaps)[1])
 
 
+def _lockstep(searches: list, evaluate) -> list:
+    """Run one search per row of a stack in lockstep and return their results.
+
+    Each search is a generator: it yields a trial, is sent the whole
+    evaluation of all rows' trials, and returns its result. Each step
+    makes one evaluate call for every row while any search is live; a
+    row that has finished keeps its last trial. A search reads only its
+    own row and decides in math, whose log1p, expm1, exp and log can
+    differ from numpy's in the last bit, so a row's result is its solo
+    solve's, whatever rows stand beside it.
+    """
+    trials = [next(search) for search in searches]
+    results = [None] * len(searches)
+    live = [(i, search.send) for i, search in enumerate(searches)]
+    while live:
+        evaluation = evaluate(trials)
+        going = []
+        for i, send in live:
+            try:
+                trials[i] = send(evaluation)
+                going.append((i, send))
+            except StopIteration as stop:
+                results[i] = stop.value
+        live = going
+    return results
+
+
+def _root_search(i: int, bm: float, eps: float, mass: float, b: float, c: float):
+    """Row i's search for the gap g to its pole, as _multiplier_sums describes.
+
+    bm and eps are the pole region's, b and c the row's sums of beta_m and
+    sqrt(beta_m eps). Returns the last gap, the evaluations and the residual.
+    """
+    try:
+        low = bm * (mass + eps) / (mass * mass)
+        high = ((c + math.sqrt(c * c + 4.0 * b * mass)) / (2.0 * mass)) ** 2
+    except (ZeroDivisionError, OverflowError):
+        low = high = 0.0  # As when mass * mass overflows: the row is tried at the pole.
+    g = low
+    evaluations = 0
+    while True:
+        totals, slopes = yield g
+        evaluations += 1
+        total = totals[i]
+        residual = total - mass
+        if residual == 0.0 or evaluations == _MAX_EVALUATIONS:
+            break
+        if residual > 0.0:
+            low = g
+        else:
+            high = g
+        try:
+            step = math.log1p(residual / mass) * total / (g * slopes[i])
+            if math.log(low / g) < step < math.log(high / g):
+                g_next = g + g * math.expm1(step)
+            else:
+                g_next = math.sqrt(low) * math.sqrt(high)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            break  # At the pole, or beyond what math represents: the row stops.
+        if not low < g_next < high:
+            break
+        g = g_next
+    return g, evaluations, residual
+
+
 def _multiplier_sums(
     bm: np.ndarray, eps: np.ndarray, offsets: np.ndarray, mass: np.ndarray
 ) -> tuple[list, np.ndarray, list, list]:
@@ -202,8 +268,7 @@ def _multiplier_sums(
 
     bm, eps and offsets are N x m, mass (fleet_a + fleet_b + sum(eps))
     has length N. Returns, row by row, the roots, the region masses at
-    the roots (N x m), the evaluations and the residuals; a row's
-    evaluations count the kernel calls made while it was searching.
+    the roots (N x m), the evaluations and the residuals.
 
     The search runs in the pole gap g = pole - t > 0, where the total
     region mass falls from +inf to 0. Region gaps are formed as
@@ -219,62 +284,26 @@ def _multiplier_sums(
     does not depend on a stopping tolerance. A row whose bracket or step
     leaves the range of a double stops where it is; at the pole its
     residual is infinite and fails the root check.
-
-    One kernel call evaluates every row at once; a stopped row keeps its
-    gap, so later calls give it the same masses again. The step and
-    bracket decisions are made per row in math, whose log1p and expm1
-    can differ from numpy's in the last bit, so a row's root does not
-    depend on the rows beside it.
     """
     pole_region = offsets.argmin(axis=1)
     pole = offsets.min(axis=1)
     shifts = offsets - pole[:, None]
-    masses = mass.tolist()
-    b, c = bm.sum(axis=1).tolist(), np.sqrt(bm * eps).sum(axis=1).tolist()
-    lows, highs = [], []
-    for bm_i, eps_i, j, mass_i, b_i, c_i in zip(
-        bm.tolist(), eps.tolist(), pole_region.tolist(), masses, b, c
-    ):
-        try:
-            lows.append(bm_i[j] * (mass_i + eps_i[j]) / (mass_i * mass_i))
-            highs.append(((c_i + math.sqrt(c_i * c_i + 4.0 * b_i * mass_i)) / (2.0 * mass_i)) ** 2)
-        except (ZeroDivisionError, OverflowError):
-            lows.append(0.0)  # As when mass * mass overflows: the row is tried at the pole.
-            highs.append(0.0)
-    gs = lows[:]
-    g = np.array(gs)[:, None]  # The gaps of gs as the kernel's column.
-    evaluations = [0] * len(lows)
-    residuals = [0.0] * len(lows)
-    live = range(len(lows))
     terms = _balance_terms(bm, eps)
-    while live:
-        kappa, slopes = _balance(terms, shifts + g)
-        totals, slopes = kappa.sum(axis=1).tolist(), slopes.tolist()
-        going = []
-        for i in live:
-            evaluations[i] += 1
-            g_i, low, high, mass_i, total = gs[i], lows[i], highs[i], masses[i], totals[i]
-            residual = residuals[i] = total - mass_i
-            if residual == 0.0 or evaluations[i] == _MAX_EVALUATIONS:
-                continue
-            if residual > 0.0:
-                low = lows[i] = g_i
-            else:
-                high = highs[i] = g_i
-            try:
-                step = math.log1p(residual / mass_i) * total / (g_i * slopes[i])
-                if math.log(low / g_i) < step < math.log(high / g_i):
-                    g_next = g_i + g_i * math.expm1(step)
-                else:
-                    g_next = math.sqrt(low) * math.sqrt(high)
-            except (ZeroDivisionError, OverflowError, ValueError):
-                continue  # At the pole, or beyond what math represents: the row stops.
-            if low < g_next < high:
-                gs[i] = g[i, 0] = g_next
-                going.append(i)
-        live = going
-    roots = [p - g_i for p, g_i in zip(pole.tolist(), gs)]
-    return roots, kappa, evaluations, residuals
+    kappa = None
+
+    def evaluate(gaps):
+        nonlocal kappa
+        kappa, slopes = _balance(terms, shifts + np.array(gaps)[:, None])
+        return kappa.sum(axis=1).tolist(), slopes.tolist()
+
+    searches = [_root_search(i, bm_i[j], eps_i[j], mass_i, b, c)
+                for i, (bm_i, eps_i, j, mass_i, b, c) in enumerate(zip(
+                    bm.tolist(), eps.tolist(), pole_region.tolist(), mass.tolist(),
+                    bm.sum(axis=1).tolist(), np.sqrt(bm * eps).sum(axis=1).tolist()))]
+    gaps, evaluations, residuals = zip(*_lockstep(searches, evaluate))
+    roots = [p - g for p, g in zip(pole.tolist(), gaps)]
+    # The last evaluation holds every row at its final gap.
+    return roots, kappa, list(evaluations), list(residuals)
 
 
 @_quiet
@@ -408,7 +437,7 @@ def _interior_candidates(stack: SpecStack) -> _Solution:
     x, lambdas = _interior_point(stack, kappa)
     inside = ~empty_components(fleets, x).any(axis=(1, 2))
     closed = inside.tolist()
-    if any(closed):
+    if any(closed):  # Skipping the fleet-sum test saves about 1.7% of a boundary solve_spec.
         closed = (inside & _meet_fleets(fleets, x, np.isfinite(lambdas))).tolist()
     errors = [_root_error(r, total) for r, total in zip(residuals, mass.tolist())]
     return _Solution(roots, kappa, residuals, x, lambdas, np.zeros(x.shape),
@@ -450,6 +479,67 @@ def reconstruct_duals(spec: GameSpec, trace: InteriorSolveTrace) -> DualCertific
     return DualCertificate(*lambdas[0].tolist(), zeros, zeros)
 
 
+def _fleet_errors(sums: list, fleet_a: float, fleet_b: float) -> tuple[tuple, float]:
+    """A row's relative fleet-sum errors and their merit, the squared norm."""
+    err_a, err_b = sums[0] / fleet_a - 1.0, sums[1] / fleet_b - 1.0
+    if err_a == -1.0 or err_b == -1.0:  # A player active nowhere leaves the Jacobian singular.
+        return (err_a, err_b), math.inf
+    return (err_a, err_b), err_a * err_a + err_b * err_b
+
+
+def _newton_search(i: int, terms: tuple, levels: tuple, lowest: float, fleet_a: float,
+                   fleet_b: float, rounding: float):
+    """Row i's Newton on its water levels, as _solve_prices describes.
+
+    An evaluation holds x, the parts, the fleet sums and a list caching the
+    Jacobian of every row. Returns the accepted levels, their larger fleet-sum
+    error, the evaluations, and the accepting evaluation's x, prices and
+    active flags in row i.
+    """
+    evaluations = 0
+    for levels in (levels, (lowest, lowest)):
+        held = yield levels
+        evaluations += 1
+        errors, merit = _fleet_errors(held[2][i], fleet_a, fleet_b)
+        if merit != math.inf:
+            break  # Else retry at the floor, where both players are active in the cheapest region.
+    fresh = True  # The last evaluation set the state; its Newton direction is not formed.
+    while True:
+        mu_a, mu_b = levels
+        if fresh:
+            if evaluations >= _MAX_EVALUATIONS or merit <= rounding:
+                break
+            x, parts, _, jac = held
+            if not jac:
+                jac += _contest_jacobian(x, terms, parts)
+            j_aa, j_ab, j_ba, j_bb = jac[i]
+            det = j_aa * j_bb - j_ab * j_ba
+            if not det > 0.0:
+                break  # Positive whenever both players are active somewhere, bar rounding.
+            f_a, f_b = errors[0] * fleet_a, errors[1] * fleet_b
+            d_a = (j_ab * f_b - j_bb * f_a) / det
+            d_b = (j_ba * f_a - j_aa * f_b) / det
+            reach = max(abs(d_a) / mu_a, abs(d_b) / mu_b)
+            if not reach > 0.0:
+                break  # A step lost to underflow leaves nothing to try.
+            step = min(1.0, _MAX_LOG_STEP / reach)
+        trial = (mu_a * math.exp(step * d_a / mu_a), mu_b * math.exp(step * d_b / mu_b))
+        if trial[0] == mu_a and trial[1] == mu_b:
+            break
+        evaluation = yield trial
+        evaluations += 1
+        trial_errors, trial_merit = _fleet_errors(evaluation[2][i], fleet_a, fleet_b)
+        fresh = trial_merit < merit
+        if fresh:
+            levels, errors, merit, held = trial, trial_errors, trial_merit, evaluation
+        elif evaluations < _MAX_EVALUATIONS:
+            step *= 0.5
+        else:
+            break
+    x, (price, _, _, _, active), _, _ = held
+    return levels, max(abs(errors[0]), abs(errors[1])), evaluations, x[i], price[i], active[i]
+
+
 def _solve_prices(stack: SpecStack, lambdas) -> tuple:
     """The equilibrium for any support, by Newton on the two water levels.
 
@@ -466,11 +556,6 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
     fleet-sum error falls. A row stops once both fleet sums are met to
     the rounding of an m-term sum, or when no double is left to try.
 
-    One kernel call evaluates every row at once, each at its own trial
-    levels (a stopped row at its final ones); the steps, backtracking
-    and stops are decided per row in math, so a row's result does not
-    depend on the rows beside it.
-
     Returns the allocations (N x 2 x m), the multipliers lambda (N x 2)
     and nu (N x 2 x m), and per row its kernel evaluations and the larger
     relative fleet-sum error of its levels, for the caller to accept or
@@ -478,118 +563,33 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
     region holds exactly its fleet there.
     """
     bm, bc, eps, fleets = stack
-    n, m = bm.shape
     floor_cost = bc.min(axis=1)
     terms = _contest_terms(bm, eps, bc - floor_cost[:, None])
-    floors, fleet_rows = floor_cost.tolist(), fleets.tolist()
-    lowest = [
-        bm_i[j] * eps_i[j] / (fleet_a + fleet_b + eps_i[j]) ** 2
-        for bm_i, eps_i, j, (fleet_a, fleet_b) in zip(
-            bm.tolist(), eps.tolist(), bc.argmin(axis=1).tolist(), fleet_rows
-        )
-    ]
-    rounding = 4.0 * m * _ULP
+    floors = floor_cost.tolist()
+    rounding = 4.0 * bm.shape[1] * _ULP
     rounding *= rounding
 
     def evaluate(levels):
         x, parts = _contests(terms, np.array(levels)[:, :, None])
-        errors = [
-            (sum_a / fleet_a - 1.0, sum_b / fleet_b - 1.0)
-            for (sum_a, sum_b), (fleet_a, fleet_b) in zip(x.sum(axis=2).tolist(), fleet_rows)
-        ]
-        return x, parts, errors
+        return x, parts, x.sum(axis=2).tolist(), []
 
-    def merit(err_a: float, err_b: float) -> float:
-        # A player active nowhere would leave the Jacobian singular.
-        if err_a == -1.0 or err_b == -1.0:
-            return math.inf
-        return err_a * err_a + err_b * err_b
-
-    levels = [
-        (max(f - l_a, low), max(f - l_b, low))
-        for f, (l_a, l_b), low in zip(floors, lambdas, lowest)
-    ]
-    x, parts, errors = evaluate(levels)
-    evaluations = [1] * n
-    merits = [merit(*e) for e in errors]
-    if math.inf in merits:
-        # At the floor both players are active in the cheapest region.
-        for i, mt in enumerate(merits):
-            if mt == math.inf:
-                levels[i] = (lowest[i], lowest[i])
-                evaluations[i] += 1
-        x, parts, errors = evaluate(levels)
-        merits = [merit(*e) for e in errors]
-    # A row's accepted state: its levels, fleet-sum errors and merit, and
-    # the evaluation that holds its allocations. levels[i] is the row's
-    # pending trial, else its state's levels.
-    states = list(zip(levels, errors, merits))
-    held = [(x, parts)] * n
-    fresh = range(n)  # Rows whose state the last evaluation set.
-    moves = {}  # Row -> its Newton direction and the step of its next trial.
-    while True:
-        fresh = [i for i in fresh
-                 if evaluations[i] < _MAX_EVALUATIONS and not states[i][2] <= rounding]
-        if fresh:
-            jac = _contest_jacobian(x, terms, parts)
-        for i in fresh:
-            (mu_a, mu_b), (err_a, err_b), _ = states[i]
-            j_aa, j_ab, j_ba, j_bb = jac[i]
-            det = j_aa * j_bb - j_ab * j_ba
-            if not det > 0.0:
-                continue  # Positive whenever both players are active somewhere, bar rounding.
-            fleet_a, fleet_b = fleet_rows[i]
-            f_a, f_b = err_a * fleet_a, err_b * fleet_b
-            d_a = (j_ab * f_b - j_bb * f_a) / det
-            d_b = (j_ba * f_a - j_aa * f_b) / det
-            reach = max(abs(d_a) / mu_a, abs(d_b) / mu_b)
-            if not reach > 0.0:
-                continue  # A step lost to underflow leaves nothing to try.
-            moves[i] = (d_a, d_b, min(1.0, _MAX_LOG_STEP / reach))
-        for i, (d_a, d_b, step) in list(moves.items()):
-            mu_a, mu_b = states[i][0]
-            trial = (mu_a * math.exp(step * d_a / mu_a), mu_b * math.exp(step * d_b / mu_b))
-            if trial[0] == mu_a and trial[1] == mu_b:
-                levels[i] = states[i][0]
-                del moves[i]
-            else:
-                levels[i] = trial
-        if not moves:
-            break
-        x, parts, errors = evaluate(levels)
-        fresh = []
-        for i, (d_a, d_b, step) in list(moves.items()):
-            evaluations[i] += 1
-            mt = merit(*errors[i])
-            if mt < states[i][2]:
-                states[i] = (levels[i], errors[i], mt)
-                held[i] = (x, parts)
-                fresh.append(i)
-                del moves[i]
-            elif evaluations[i] < _MAX_EVALUATIONS:
-                moves[i] = (d_a, d_b, step * 0.5)
-            else:
-                levels[i] = states[i][0]
-                del moves[i]
-
-    if all(h is held[0] for h in held):
-        x, (price, _, _, _, active) = held[0]
-    else:
-        x = np.array([h[0][i] for i, h in enumerate(held)])
-        price = np.array([h[1][0][i] for i, h in enumerate(held)])
-        active = np.array([h[1][4][i] for i, h in enumerate(held)])
+    searches = []
+    for i, (f, (l_a, l_b), bm_i, eps_i, j, (fleet_a, fleet_b)) in enumerate(zip(
+            floors, lambdas, bm.tolist(), eps.tolist(), bc.argmin(axis=1).tolist(),
+            fleets.tolist())):
+        lowest = bm_i[j] * eps_i[j] / (fleet_a + fleet_b + eps_i[j]) ** 2
+        start = (max(f - l_a, lowest), max(f - l_b, lowest))
+        searches.append(_newton_search(i, terms, start, lowest, fleet_a, fleet_b, rounding))
+    levels, fleet_errors, evaluations, x, price, active = zip(*_lockstep(searches, evaluate))
+    x, price, active = np.array(x), np.array(price), np.array(active)
     # A player active in one region holds its whole fleet there.
-    for i, (flags_i, fleets_i) in enumerate(zip(active.tolist(), fleet_rows)):
-        for player, (flags, fleet) in enumerate(zip(flags_i, fleets_i)):
-            if flags.count(True) == 1:
-                x[i, player, flags.index(True)] = fleet
+    x = np.where(active & (active.sum(axis=2, keepdims=True) == 1), fleets[:, :, None], x)
     # An inactive player's multiplier is its price less its marginal payoff.
     total = x[:, :1] + x[:, 1:] + eps[:, None]
     gain = bm[:, None] * (x[:, ::-1] + eps[:, None]) / (total * total)
     nu = np.where(active, 0.0, np.maximum(price - gain, 0.0))
-    lambdas = [(f - mu_a, f - mu_b) for f, ((mu_a, mu_b), _, _) in zip(floors, states)]
-    fleet_errors = [max(abs(err_a), abs(err_b)) for _, (err_a, err_b), _ in states]
-    return x, np.array(lambdas), nu, evaluations, fleet_errors
+    lambdas = [(f - mu_a, f - mu_b) for f, (mu_a, mu_b) in zip(floors, levels)]
+    return x, np.array(lambdas), nu, list(evaluations), list(fleet_errors)
 
 
 def _price_error(fleet_error: float, finite, lambdas, nu, x, fleets) -> FleetContestError:
@@ -632,7 +632,7 @@ def _solve_stack(stack: SpecStack) -> _Solution:
     priced = stack if len(rows) == len(errors) else stack.take(rows)
     starts = [lambdas[i].tolist() for i in rows]
     p_x, p_lambdas, p_nu, p_evaluations, fleet_errors = _solve_prices(priced, starts)
-    if priced is stack:
+    if priced is stack:  # Skipping take and the scatter saves about 5% of a boundary solve_spec.
         x, lambdas, nu = p_x, p_lambdas, p_nu
     else:
         x[rows], lambdas[rows], nu[rows] = p_x, p_lambdas, p_nu
