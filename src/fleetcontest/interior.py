@@ -213,10 +213,11 @@ def _lockstep(searches: list, evaluate) -> list:
     while live:
         evaluation = evaluate(trials)
         going = []
-        for i, send in live:
+        for row in live:
+            i, send = row
             try:
                 trials[i] = send(evaluation)
-                going.append((i, send))
+                going.append(row)
             except StopIteration as stop:
                 results[i] = stop.value
         live = going
@@ -565,7 +566,6 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
     bm, bc, eps, fleets = stack
     floor_cost = bc.min(axis=1)
     terms = _contest_terms(bm, eps, bc - floor_cost[:, None])
-    floors = floor_cost.tolist()
     rounding = 4.0 * bm.shape[1] * _ULP
     rounding *= rounding
 
@@ -575,7 +575,7 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
 
     searches = []
     for i, (f, (l_a, l_b), bm_i, eps_i, j, (fleet_a, fleet_b)) in enumerate(zip(
-            floors, lambdas, bm.tolist(), eps.tolist(), bc.argmin(axis=1).tolist(),
+            floor_cost.tolist(), lambdas, bm.tolist(), eps.tolist(), bc.argmin(axis=1).tolist(),
             fleets.tolist())):
         lowest = bm_i[j] * eps_i[j] / (fleet_a + fleet_b + eps_i[j]) ** 2
         start = (max(f - l_a, lowest), max(f - l_b, lowest))
@@ -588,8 +588,7 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
     total = x[:, :1] + x[:, 1:] + eps[:, None]
     gain = bm[:, None] * (x[:, ::-1] + eps[:, None]) / (total * total)
     nu = np.where(active, 0.0, np.maximum(price - gain, 0.0))
-    lambdas = [(f - mu_a, f - mu_b) for f, (mu_a, mu_b) in zip(floors, levels)]
-    return x, np.array(lambdas), nu, list(evaluations), list(fleet_errors)
+    return x, floor_cost[:, None] - np.array(levels), nu, list(evaluations), list(fleet_errors)
 
 
 def _price_error(fleet_error: float, finite, lambdas, nu, x, fleets) -> FleetContestError:

@@ -98,11 +98,6 @@ def time_sweeps(sides: dict) -> dict:
     return times
 
 
-def quartiles(values: list) -> tuple:
-    q1, q2, q3 = statistics.quantiles(values, n=4)
-    return q1, q2, q3
-
-
 def main(argv: list) -> int:
     if len(argv) != 3:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -132,7 +127,7 @@ def main(argv: list) -> int:
         line = f"  {kind:4}: parent {statistics.median(base) * 1e3:6.1f}"
         for name in ("change", "control"):
             ratios = [t / b for t, b in zip(times[name, kind], base)]
-            q1, q2, q3 = quartiles(ratios)
+            q1, q2, q3 = statistics.quantiles(ratios, n=4)
             line += (f"  {name} {statistics.median(times[name, kind]) * 1e3:6.1f}"
                      f" ({q2:.3f} [{q1:.3f}, {q3:.3f}])")
         print(line)
