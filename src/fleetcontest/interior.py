@@ -290,11 +290,12 @@ def _multiplier_sums(
     pole = offsets.min(axis=1)
     shifts = offsets - pole[:, None]
     terms = _balance_terms(bm, eps)
-    kappa = None
+    kappa, column = None, np.empty((len(mass), 1))
 
     def evaluate(gaps):
         nonlocal kappa
-        kappa, slopes = _balance(terms, shifts + np.array(gaps)[:, None])
+        column[:, 0] = gaps  # Cheaper than a new array at every step.
+        kappa, slopes = _balance(terms, shifts + column)
         return kappa.sum(axis=1).tolist(), slopes.tolist()
 
     searches = [_root_search(i, bm_i[j], eps_i[j], mass_i, b, c)
