@@ -290,12 +290,11 @@ def _multiplier_sums(
     pole = offsets.min(axis=1)
     shifts = offsets - pole[:, None]
     terms = _balance_terms(bm, eps)
-    kappa, column = None, np.empty((len(mass), 1))
+    kappa = None
 
     def evaluate(gaps):
         nonlocal kappa
-        column[:, 0] = gaps  # Cheaper than a new array at every step.
-        kappa, slopes = _balance(terms, shifts + column)
+        kappa, slopes = _balance(terms, shifts + np.array(gaps)[:, None])
         return kappa.sum(axis=1).tolist(), slopes.tolist()
 
     searches = [_root_search(i, bm_i[j], eps_i[j], mass_i, b, c)
