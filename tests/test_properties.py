@@ -5,18 +5,21 @@ tests/helpers.py and beyond it: beta_m in [1e2, 1e6], beta_c zero or in
 [0.1, 5e3], epsilon in [1, 5e3], fleets in [10, 5e4], for 1 to 8
 regions. Every property holds to 1e-10 of the fleet concerned. Runs are
 derandomized so that a failure replays exactly. A batch solve must
-give each spec's solo solve bit for bit.
+give each spec's solo solve bit for bit, and the pruned grid scan the
+full grid's brute force, over six decades around the kernel's box.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fleetcontest as fc
+from fleetcontest._kernels import two_region_scan
 from helpers import fingerprint, solo_fingerprint
+from test_kernels import brute_force_scan
 
 PROPERTY_RTOL = 1e-10
 
@@ -149,3 +152,42 @@ def test_an_empty_batch_solves_to_nothing():
 def test_a_batch_needs_one_region_count():
     with pytest.raises(fc.ShapeError):
         fc.solve_batch([fc.two_region_spec(1.0), fc.four_region_spec(1.0)])
+
+
+def around(lo, hi, decades=6.0):
+    """Log-uniform over [lo, hi] widened by the given decades at each end."""
+    return log_uniform(lo * 10.0**-decades, hi * 10.0**decades)
+
+
+@st.composite
+def grid_cases(draw):
+    """Grid-kernel arguments over six decades around the box of test_kernels.random_case."""
+    return dict(
+        bm1=draw(around(1e3, 2e5)),
+        bm2=draw(around(1e3, 2e5)),
+        bc1=draw(st.one_of(st.just(0.0), around(0.1, 500.0))),
+        bc2=draw(st.one_of(st.just(0.0), around(0.1, 500.0))),
+        e1=draw(around(10.0, 500.0)),
+        e2=draw(around(10.0, 500.0)),
+        xa=draw(around(100.0, 5000.0)),
+        xb=draw(around(100.0, 5000.0)),
+        na=draw(st.integers(1, 80)),
+        nb=draw(st.integers(1, 80)),
+    )
+
+
+# The smallest max-regret, 8.1, is far above b's regret two cells off
+# its peaks, so b's spans double on both sides of most rows, three times
+# on some.
+WIDENING = dict(bm1=92679.13952147325, bm2=157775.0367221308, bc1=231.23465901806122,
+                bc2=262.8926213680891, e1=285.1910809062327, e2=194.2675815167838,
+                xa=2098.703339685668, xb=376.97045894346417, na=16, nb=69)
+
+
+@CHECKED
+@given(grid_cases())
+@example(WIDENING)
+@example(dict(WIDENING, na=3, nb=80))
+@example(dict(WIDENING, na=80, nb=3))
+def test_grid_scan_matches_the_full_grid(case):
+    assert two_region_scan(**case) == brute_force_scan(**case)
