@@ -19,6 +19,10 @@ Workloads, all timed as one call per operation:
 - The 1000-point `four` sweep over alpha in [1, 20] and `two` sweep over
   [1, 50], each with its CSV. The line reads each side's median time and
   the median and quartiles of the round-by-round ratios.
+- grid_equilibrium on 20 two-region box specs at the CLI's step,
+  max(fleet) / 2000, read as the sum of per-spec minima like the solves,
+  and on two_region_spec(1.0) at step 0.5 (a 2000 x 4000 grid), read
+  like the sweeps. Both sides must return the same grid points.
 """
 
 import gc
@@ -32,6 +36,7 @@ import numpy as np
 
 SOLVE_ROUNDS = 60
 SWEEP_ROUNDS = 30
+GRID_ROUNDS = 10
 SWEEPS = {"four": (1.0, 20.0), "two": (1.0, 50.0)}
 
 
@@ -46,11 +51,11 @@ def load(checkout: str, name: str):
     return module
 
 
-def box_specs(fc, seed: int = 12345) -> list:
-    """20 specs for each m = 3..8 from the oracles' parameter box."""
+def box_specs(fc, seed: int = 12345, counts=range(3, 9)) -> list:
+    """20 specs for each region count m in counts from the oracles' parameter box."""
     rng = np.random.default_rng(seed)
     specs = []
-    for m in range(3, 9):
+    for m in counts:
         for _ in range(20):
             regions = tuple(
                 fc.RegionParams(float(rng.uniform(1e3, 2e5)), float(rng.uniform(0.0, 500.0)),
@@ -82,6 +87,28 @@ def time_solves(sides: dict) -> dict:
     return best
 
 
+def grid_cases(fc) -> list:
+    """(spec, step) pairs: the two-region box specs at the CLI's step, then the large grid."""
+    cases = [(spec, max(spec.fleet_a, spec.fleet_b) / 2000.0)
+             for spec in box_specs(fc, seed=2000, counts=(2,))]
+    return cases + [(fc.two_region_spec(1.0), 0.5)]
+
+
+def time_grids(sides: dict) -> dict:
+    """Per side, per grid case, the time of each of GRID_ROUNDS rounds."""
+    cases = {name: grid_cases(fc) for name, fc in sides.items()}
+    times = {name: [[] for _ in c] for name, c in cases.items()}
+    names = list(sides)
+    for r in range(GRID_ROUNDS):
+        gc.collect()
+        order = names[r % len(names):] + names[:r % len(names)]
+        for k in range(len(cases[names[0]])):
+            for name in order:
+                grid, (spec, step) = sides[name].grid_equilibrium, cases[name][k]
+                times[name][k].append(elapsed(lambda: grid(spec, step)))
+    return times
+
+
 def time_sweeps(sides: dict) -> dict:
     """Per side and sweep kind, the time of each round's sweep with its CSV."""
     times = {(name, kind): [] for name in sides for kind in SWEEPS}
@@ -98,6 +125,25 @@ def time_sweeps(sides: dict) -> dict:
     return times
 
 
+def minima_line(label: str, sums: dict) -> str:
+    """Each side's summed seconds as the parent's ms and the others' ratios to it."""
+    return (f"  {label}: parent {sums['parent'] * 1e3:7.2f} ms"
+            f"  change/parent {sums['change'] / sums['parent']:.3f}"
+            f"  control/parent {sums['control'] / sums['parent']:.3f}")
+
+
+def paired_line(label: str, times: dict) -> str:
+    """Each side's median ms, with the median and quartiles of its round-by-round ratios."""
+    base = times["parent"]
+    line = f"  {label}: parent {statistics.median(base) * 1e3:6.1f}"
+    for name in ("change", "control"):
+        ratios = [t / b for t, b in zip(times[name], base)]
+        q1, q2, q3 = statistics.quantiles(ratios, n=4)
+        line += (f"  {name} {statistics.median(times[name]) * 1e3:6.1f}"
+                 f" ({q2:.3f} [{q1:.3f}, {q3:.3f}])")
+    return line
+
+
 def main(argv: list) -> int:
     if len(argv) != 3:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -109,28 +155,32 @@ def main(argv: list) -> int:
         print("the change tags the box specs differently from the parent", file=sys.stderr)
         return 1
     interior = [tag == "interior" for tag in tags["parent"]]
+    points = {name: [(o.strategy.alloc_a.values.tolist(), o.strategy.alloc_b.values.tolist(),
+                      o.eps_ne) for o in (fc.grid_equilibrium(*case) for case in grid_cases(fc))]
+              for name, fc in sides.items()}
+    if points["change"] != points["parent"]:
+        print("the change returns other grid points than the parent", file=sys.stderr)
+        return 1
 
     best = time_solves(sides)
     print(f"solve_spec, sum of per-spec minima over {SOLVE_ROUNDS} rounds:")
     for label, keep in (("interior", True), ("boundary", False)):
         sums = {name: sum(t for t, inside in zip(times, interior) if inside == keep)
                 for name, times in best.items()}
-        print(f"  {label:8} ({interior.count(keep):3} specs): parent {sums['parent'] * 1e3:7.2f} ms"
-              f"  change/parent {sums['change'] / sums['parent']:.3f}"
-              f"  control/parent {sums['control'] / sums['parent']:.3f}")
+        print(minima_line(f"{label:8} ({interior.count(keep):3} specs)", sums))
 
     times = time_sweeps(sides)
     print(f"1000-point sweeps with CSV, {SWEEP_ROUNDS} rounds (median ms; paired ratio"
           " median [quartiles]):")
     for kind in SWEEPS:
-        base = times["parent", kind]
-        line = f"  {kind:4}: parent {statistics.median(base) * 1e3:6.1f}"
-        for name in ("change", "control"):
-            ratios = [t / b for t, b in zip(times[name, kind], base)]
-            q1, q2, q3 = statistics.quantiles(ratios, n=4)
-            line += (f"  {name} {statistics.median(times[name, kind]) * 1e3:6.1f}"
-                     f" ({q2:.3f} [{q1:.3f}, {q3:.3f}])")
-        print(line)
+        print(paired_line(f"{kind:4}", {name: times[name, kind] for name in sides}))
+
+    grids = time_grids(sides)
+    print(f"grid_equilibrium, {GRID_ROUNDS} rounds:")
+    sums = {name: sum(min(t) for t in runs[:-1]) for name, runs in grids.items()}
+    print(minima_line(f"box specs ({len(grids['parent']) - 1} specs, sum of per-spec minima)", sums))
+    print(paired_line("2000 x 4000 (median ms; paired ratio median [quartiles])",
+                      {name: runs[-1] for name, runs in grids.items()}))
     return 0
 
 
