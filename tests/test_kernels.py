@@ -178,31 +178,28 @@ def test_row_blocks_bound_memory():
     assert peak < 32 * 2**20
 
 
+# The case of test_payoffs_flat_to_rounding_match_brute_force.
+FLAT = dict(
+    bm1=1.315983480903408e-10, bm2=2.684150589770447e-10,
+    bc1=5.427827079572237, bc2=5.427827079572244,
+    e1=890.7994921040937, e2=33.96448942760579,
+    xa=677.5806911994487, xb=336.66382083160374, na=87, nb=141,
+)
+
 
 def test_one_row_blocks_scan_whole_row_spans():
     # With block=1 a whole-row span exceeds a chunk's cell budget and
     # must be scanned as a chunk of its own.
-    case = dict(
-        bm1=1.315983480903408e-10, bm2=2.684150589770447e-10,
-        bc1=5.427827079572237, bc2=5.427827079572244,
-        e1=890.7994921040937, e2=33.96448942760579,
-        xa=677.5806911994487, xb=336.66382083160374, na=87, nb=141,
-    )
-    assert _grid_py.two_region_scan(**case, block=1) == brute_force_scan(**case)
+    assert _grid_py.two_region_scan(**FLAT, block=1) == brute_force_scan(**FLAT)
+
 
 def test_whole_row_spans_bound_memory():
-    # The flat-payoff case above on a finer grid: no peak of b is
-    # certified, so every row's span is the whole row and the pass
-    # visits every cell, chunk by chunk.
-    case = dict(
-        bm1=1.315983480903408e-10, bm2=2.684150589770447e-10,
-        bc1=5.427827079572237, bc2=5.427827079572244,
-        e1=890.7994921040937, e2=33.96448942760579,
-        xa=677.5806911994487, xb=336.66382083160374, na=1000, nb=2000,
-    )
+    # The flat case on a finer grid: no peak of b is certified, so every
+    # row's span is the whole row and the pass visits every cell, chunk
+    # by chunk.
     tracemalloc.start()
     try:
-        result = two_region_scan(**case)
+        result = two_region_scan(**dict(FLAT, na=1000, nb=2000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -177,8 +177,7 @@ def grid_cases(draw):
 
 
 # The smallest max-regret, 8.1, is far above b's regret two cells off
-# its peaks, so b's spans double on both sides of most rows, three times
-# on some.
+# its peaks, so b's spans double twice on each side of six of the 17 rows.
 WIDENING = dict(bm1=92679.13952147325, bm2=157775.0367221308, bc1=231.23465901806122,
                 bc2=262.8926213680891, e1=285.1910809062327, e2=194.2675815167838,
                 xa=2098.703339685668, xb=376.97045894346417, na=16, nb=69)
