@@ -1,12 +1,15 @@
 """Best responses, residuals, the concavity certificate, and the grid oracle."""
 
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import fleetcontest as fc
 from fleetcontest import verify
 from fleetcontest.verify import GRID_MAX_CELLS, _result, duals_from_gradients
-from helpers import random_feasible_point, random_spec
+from helpers import fingerprint, random_feasible_point, random_spec
 
 
 class TestBestResponse:
@@ -328,3 +331,49 @@ class TestLazyNeResidual:
         out = fc.interior_equilibrium(spec)
         with pytest.raises(fc.ValidationError, match="unknown location tag 'inside'"):
             _result(spec, out.strategy, "inside")
+
+
+class TestCheckBytes:
+    """The bytes of the checks over a seeded set of points, pinned so that a
+    change to kkt_residual, ne_residual, duals_from_gradients or
+    iterated_best_response that moves any value shows.
+
+    For each m = 1..8 the set holds 12 box specs, each checked at its
+    solve_spec equilibrium (interior or boundary) and at a random feasible
+    point, which is no equilibrium.
+    """
+
+    @staticmethod
+    def checks(spec, joint, duals):
+        own = duals_from_gradients(spec, joint)
+        values = [fc.kkt_residual(spec, joint, own), fc.ne_residual(spec, joint)]
+        if duals is not None:
+            values.append(fc.kkt_residual(spec, joint, duals))
+        return (np.array(values + [own.lambda_a, own.lambda_b]).tobytes(),
+                own.nu_a.tobytes(), own.nu_b.tobytes())
+
+    def test_residuals_and_gradient_duals(self):
+        rng = np.random.default_rng(20261019)
+        digests = []
+        locations = Counter()
+        for m in range(1, 9):
+            for _ in range(12):
+                spec = random_spec(rng, m)
+                result = fc.solve_spec(spec)
+                locations[result.location] += 1
+                digests.append(self.checks(spec, result.strategy, result.duals))
+                digests.append(self.checks(spec, random_feasible_point(rng, spec), None))
+        assert locations == {"interior": 39, "boundary": 55, "A1": 1, "A2": 1}
+        assert hashlib.sha256(repr(digests).encode()).hexdigest() == (
+            "a5e80e32064e277110d78fac3bf168eebba4a6ad03d69453146876bcacf74217")
+
+    def test_iterated_best_response(self):
+        rng = np.random.default_rng(3)
+        digests = []
+        for spec in (fc.four_region_spec(1.0), fc.two_region_spec(45.0), random_spec(rng, 3)):
+            result = fc.iterated_best_response(spec)
+            digests.append(fingerprint(result) + (result.converged,))
+        assert [d[5:] for d in digests] == [
+            ("interior", 28, None, True), ("A2", 29, None, True), ("boundary", 31, None, True)]
+        assert hashlib.sha256(repr(digests).encode()).hexdigest() == (
+            "508cae55cdd64f89c4b39db9703fbad05f208c6439779966596b7c71d6f028fb")
