@@ -1,4 +1,4 @@
-"""Joint two-region grid scan.
+"""The grid oracle's joint two-region scan, in numpy.
 
 Each player's payoff is strictly concave along its own grid axis, so its
 best-response value for every opponent cell comes from a binary search
@@ -6,11 +6,14 @@ instead of a joint pass. The regret at b's best-response cell of each of
 a's rows seeds an upper bound on the smallest max-regret. b's regret is
 convex along its own axis, so in each row only a span of cells around
 that best response can stay within the bound; one fused pass over those
-spans, in chunks of bounded size, then computes the regrets.
+spans, in chunks of bounded size, then computes the regrets. This is the
+package's one kernel; fleetcontest.KERNEL_BACKEND names it "python".
 """
 
 import numpy as np
 
+#: Rows per pass of the full scan of a column whose peak is not certified; a
+#: chunk of the regret pass holds at most half as many rows of cells.
 _BLOCK = 16
 
 #: Half-width of the window searched exhaustively around each binary-search peak,
@@ -24,7 +27,7 @@ def _payoff(own, rem, other, rem_other, bm1, bm2, bc1, bc2, e1, e2):
     return own * (bm1 / d1 - bc1) + rem * (bm2 / d2 - bc2)
 
 
-def _best_response_values(own, rem, other, rem_other, tol, block, *params):
+def _best_response_values(own, rem, other, rem_other, tol, *params):
     """Largest payoff over the own grid axis, for each opponent cell.
 
     A binary search on the sign of the forward difference finds each
@@ -60,8 +63,8 @@ def _best_response_values(own, rem, other, rem_other, tol, block, *params):
     cols = np.flatnonzero(~certified)
     if cols.size:
         best[cols] = -np.inf
-        for lo in range(0, n + 1, block):
-            rows = slice(lo, lo + block)
+        for lo in range(0, n + 1, _BLOCK):
+            rows = slice(lo, lo + _BLOCK)
             u = _payoff(own[rows, None], rem[rows, None], other[cols], rem_other[cols], *params)
             best[cols] = np.maximum(best[cols], u.max(axis=0))
     return best, peak, certified
@@ -101,7 +104,7 @@ def _regrets(grid, ia, ib, bm1, bm2, bc1, bc2, e1, e2):
     return regret_a, regret_b
 
 
-def two_region_scan(bm1, bm2, bc1, bc2, e1, e2, xa, xb, na, nb, block=_BLOCK):
+def two_region_scan(bm1, bm2, bc1, bc2, e1, e2, xa, xb, na, nb):
     """Return (ia, ib, eps) minimizing the larger unilateral grid regret.
 
     na and nb are cell counts per player, so the joint grid has
@@ -120,8 +123,7 @@ def two_region_scan(bm1, bm2, bc1, bc2, e1, e2, xa, xb, na, nb, block=_BLOCK):
     cell beyond the edge above eps0. A row whose peak is not certified
     spans the whole row. Only the spans are scanned, so the result is
     that of the full scan bit for bit. They are scanned in chunks of
-    whole spans, at most block * (nb + 1) / 2 cells or one span, which
-    take about the memory of block full rows of a blocked pass, so
+    whole spans, at most _BLOCK * (nb + 1) / 2 cells or one span, so
     memory stays bounded on large grids.
     """
     params = (bm1, bm2, bc1, bc2, e1, e2)
@@ -134,8 +136,8 @@ def two_region_scan(bm1, bm2, bc1, bc2, e1, e2, xa, xb, na, nb, block=_BLOCK):
     # at most fleet * (beta_m / epsilon + |beta_c|) in size.
     scale = max(xa, xb) * (bm1 / e1 + bm2 / e2 + abs(bc1) + abs(bc2))
     tol = 64.0 * np.finfo(float).eps * scale
-    br_a, _, _ = _best_response_values(za, rem_a, zb, rem_b, tol, block, *params)
-    br_b, peak, certified = _best_response_values(zb, rem_b, za, rem_a, tol, block, *params)
+    br_a, _, _ = _best_response_values(za, rem_a, zb, rem_b, tol, *params)
+    br_b, peak, certified = _best_response_values(zb, rem_b, za, rem_a, tol, *params)
     grid = (za, rem_a, zb, rem_b, br_a, br_b)
 
     rows = np.arange(na + 1)
@@ -161,7 +163,7 @@ def two_region_scan(bm1, bm2, bc1, bc2, e1, e2, xa, xb, na, nb, block=_BLOCK):
     counts = last - first + 1
     ends = np.cumsum(counts)
     shift = first - (ends - counts)
-    cap = block * (nb + 1) // 2
+    cap = _BLOCK * (nb + 1) // 2
     best_eps = np.inf
     best_ia = 0
     best_ib = 0

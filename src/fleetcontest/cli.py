@@ -16,7 +16,7 @@ from .experiments import (
     reference_rows,
     solve_spec,
 )
-from .game import is_feasible, opponent, raw_utility_gradient, utility
+from .game import is_feasible, raw_utility_gradient, utility
 from .verify import GRID_MAX_CELLS, grid_equilibrium, kkt_residual
 
 
@@ -97,14 +97,8 @@ def _cmd_verify(args) -> int:
         )
     )
 
-    grad_scale = 1.0
-    for player in ("a", "b"):
-        grad = raw_utility_gradient(
-            spec,
-            result.strategy.of(player).values,
-            result.strategy.of(opponent(player)).values,
-        )
-        grad_scale = max(grad_scale, float(np.abs(grad).max()))
+    x = np.array([result.strategy.alloc_a.values, result.strategy.alloc_b.values])
+    grad_scale = max(1.0, float(np.abs(raw_utility_gradient(spec, x, x[::-1])).max()))
     kkt = kkt_residual(spec, result.strategy, result.duals)
     kkt_tol = 1e-8 * grad_scale
     checks.append(("kkt_residual", kkt <= kkt_tol, f"{kkt:.3e} <= {kkt_tol:.3e}"))

@@ -124,19 +124,13 @@ def kkt_residual(spec: GameSpec, joint: JointStrategy, duals: DualCertificate) -
     _require_feasible(spec, joint)
     if duals.nu_a.size != spec.m or duals.nu_b.size != spec.m:
         raise ValidationError("dual certificate region count does not match the spec")
-    worst = 0.0
-    for player in ("a", "b"):
-        own = joint.of(player).values
-        rival = joint.of(opponent(player)).values
-        grad = raw_utility_gradient(spec, own, rival)
-        nu = duals.nu_of(player)
-        stationarity = grad + duals.lambda_of(player) + nu
-        worst = max(worst, float(np.abs(stationarity).max()))
-        worst = max(worst, abs(float(own.sum()) - spec.fleet_of(player)))
-        worst = max(worst, max(0.0, -float(own.min())))
-        worst = max(worst, max(0.0, -float(nu.min())))
-        worst = max(worst, float(np.abs(nu * own).max()))
-    return worst
+    x = np.array([joint.alloc_a.values, joint.alloc_b.values])
+    nu = np.array([duals.nu_a, duals.nu_b])
+    lambdas = np.array([[duals.lambda_a], [duals.lambda_b]])
+    stationarity = raw_utility_gradient(spec, x, x[::-1]) + lambdas + nu
+    fleet_gap = x.sum(axis=1) - [spec.fleet_a, spec.fleet_b]
+    return max(0.0, float(np.abs(stationarity).max()), float(np.abs(fleet_gap).max()),
+               -float(x.min()), -float(nu.min()), float(np.abs(nu * x).max()))
 
 
 @dataclass(frozen=True)
@@ -263,16 +257,12 @@ def duals_from_gradients(spec: GameSpec, joint: JointStrategy) -> DualCertificat
     it belongs.
     """
     _require_feasible(spec, joint)
-    lams = {}
-    nus = {}
-    for player in ("a", "b"):
-        own = joint.of(player).values
-        grad = raw_utility_gradient(spec, own, joint.of(opponent(player)).values)
-        lams[player] = -float(grad.max())
-        nu = -lams[player] - grad
-        nu[~empty_components(spec.fleet_of(player), own)] = 0.0
-        nus[player] = nu
-    return DualCertificate(lams["a"], lams["b"], nus["a"], nus["b"])
+    x = np.array([joint.alloc_a.values, joint.alloc_b.values])
+    grad = raw_utility_gradient(spec, x, x[::-1])
+    top = grad.max(axis=1)
+    nu = top[:, None] - grad
+    nu[~empty_components([spec.fleet_a, spec.fleet_b], x)] = 0.0
+    return DualCertificate(*(-top).tolist(), *nu)
 
 
 def _result(spec: GameSpec, strategy: JointStrategy, location: str, converged: bool = True,
@@ -313,11 +303,11 @@ def iterated_best_response(
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
-        reply_a = best_response(spec, "a", Allocation(x_b, "b")).values
+        reply_a = _water_fill(spec, x_b + spec.eps, spec.fleet_a)
         new_a = (1.0 - damping) * x_a + damping * reply_a
         movement = float(np.abs(new_a - x_a).max())
         x_a = new_a
-        reply_b = best_response(spec, "b", Allocation(x_a, "a")).values
+        reply_b = _water_fill(spec, x_a + spec.eps, spec.fleet_b)
         new_b = (1.0 - damping) * x_b + damping * reply_b
         movement = max(movement, float(np.abs(new_b - x_b).max()))
         x_b = new_b

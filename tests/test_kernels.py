@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import fleetcontest as fc
-from fleetcontest._kernels import BACKEND, _grid_py, two_region_scan
+from fleetcontest import _kernels
+from fleetcontest._kernels import two_region_scan
 
 
 def naive_scan(bm1, bm2, bc1, bc2, e1, e2, xa, xb, na, nb):
@@ -91,7 +92,6 @@ def random_case(rng):
 
 
 def test_backend_is_reported():
-    assert BACKEND == "python"
     assert fc.KERNEL_BACKEND == "python"
 
 
@@ -100,7 +100,7 @@ def test_matches_naive_reference():
     for _ in range(40):
         case = random_case(rng)
         expected = naive_scan(**case)
-        got = _grid_py.two_region_scan(**case)
+        got = two_region_scan(**case)
         assert (got[0], got[1]) == (expected[0], expected[1])
         assert got[2] == expected[2]
 
@@ -113,13 +113,15 @@ def test_exact_tie_resolves_first_in_row_major_order():
     assert naive_scan(8.0, 8.0, 0.0, 0.0, 1.0, 1.0, 4.0, 4.0, 4, 4) == (2, 2, 0.0)
 
 
-def test_blocked_path_is_block_size_invariant():
+def test_blocked_path_is_block_size_invariant(monkeypatch):
     rng = np.random.default_rng(81)
     for _ in range(10):
         case = random_case(rng)
         case["na"] = int(rng.integers(5, 14))
-        whole = _grid_py.two_region_scan(**case, block=512)
-        tiny = _grid_py.two_region_scan(**case, block=3)
+        monkeypatch.setattr(_kernels, "_BLOCK", 512)
+        whole = two_region_scan(**case)
+        monkeypatch.setattr(_kernels, "_BLOCK", 3)
+        tiny = two_region_scan(**case)
         assert whole == tiny
 
 
@@ -154,17 +156,20 @@ def test_matches_brute_force_on_exact_tie():
         assert two_region_scan(**case) == brute_force_scan(**case)
 
 
+#: beta_m is so small that rounding noise swamps the curvature, so the
+#: computed payoffs are not unimodal.
+FLAT = dict(
+    bm1=1.315983480903408e-10, bm2=2.684150589770447e-10,
+    bc1=5.427827079572237, bc2=5.427827079572244,
+    e1=890.7994921040937, e2=33.96448942760579,
+    xa=677.5806911994487, xb=336.66382083160374, na=87, nb=141,
+)
+
+
 def test_payoffs_flat_to_rounding_match_brute_force():
-    # beta_m is so small that rounding noise swamps the curvature, so the
-    # computed payoffs are not unimodal; a window around the binary-search
-    # peak alone misses the maxima here and reports a negative regret.
-    case = dict(
-        bm1=1.315983480903408e-10, bm2=2.684150589770447e-10,
-        bc1=5.427827079572237, bc2=5.427827079572244,
-        e1=890.7994921040937, e2=33.96448942760579,
-        xa=677.5806911994487, xb=336.66382083160374, na=87, nb=141,
-    )
-    assert two_region_scan(**case) == brute_force_scan(**case)
+    # A window around the binary-search peak alone misses the maxima here
+    # and reports a negative regret.
+    assert two_region_scan(**FLAT) == brute_force_scan(**FLAT)
 
 
 def test_row_blocks_bound_memory():
@@ -178,19 +183,11 @@ def test_row_blocks_bound_memory():
     assert peak < 32 * 2**20
 
 
-# The case of test_payoffs_flat_to_rounding_match_brute_force.
-FLAT = dict(
-    bm1=1.315983480903408e-10, bm2=2.684150589770447e-10,
-    bc1=5.427827079572237, bc2=5.427827079572244,
-    e1=890.7994921040937, e2=33.96448942760579,
-    xa=677.5806911994487, xb=336.66382083160374, na=87, nb=141,
-)
-
-
-def test_one_row_blocks_scan_whole_row_spans():
-    # With block=1 a whole-row span exceeds a chunk's cell budget and
+def test_one_row_blocks_scan_whole_row_spans(monkeypatch):
+    # With _BLOCK = 1 a whole-row span exceeds a chunk's cell budget and
     # must be scanned as a chunk of its own.
-    assert _grid_py.two_region_scan(**FLAT, block=1) == brute_force_scan(**FLAT)
+    monkeypatch.setattr(_kernels, "_BLOCK", 1)
+    assert two_region_scan(**FLAT) == brute_force_scan(**FLAT)
 
 
 def test_whole_row_spans_bound_memory():

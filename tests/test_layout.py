@@ -65,6 +65,7 @@ def test_the_lower_layers_import_only_what_is_below_them():
     assert graph["errors"] == set()
     assert graph["game"] == {"errors"}
     assert graph["result"] == {"errors", "game"}
+    assert graph["_kernels"] == set()
 
 
 def test_no_private_name_crosses_modules_but_the_listed_ones():
