@@ -299,20 +299,12 @@ def iterated_best_response(
     m = spec.m
     x_a = np.full(m, spec.fleet_a / m)
     x_b = np.full(m, spec.fleet_b / m)
-    converged = False
-    iterations = 0
-    for _ in range(max_iters):
-        iterations += 1
-        reply_a = _water_fill(spec, x_b + spec.eps, spec.fleet_a)
-        new_a = (1.0 - damping) * x_a + damping * reply_a
-        movement = float(np.abs(new_a - x_a).max())
-        x_a = new_a
-        reply_b = _water_fill(spec, x_a + spec.eps, spec.fleet_b)
-        new_b = (1.0 - damping) * x_b + damping * reply_b
-        movement = max(movement, float(np.abs(new_b - x_b).max()))
-        x_b = new_b
+    for iterations in range(1, max_iters + 1):
+        new_a = (1.0 - damping) * x_a + damping * _water_fill(spec, x_b + spec.eps, spec.fleet_a)
+        new_b = (1.0 - damping) * x_b + damping * _water_fill(spec, new_a + spec.eps, spec.fleet_b)
+        movement = max(float(np.abs(new_a - x_a).max()), float(np.abs(new_b - x_b).max()))
+        x_a, x_b = new_a, new_b
         if movement < tol:
-            converged = True
             break
 
     for x, fleet in ((x_a, spec.fleet_a), (x_b, spec.fleet_b)):
@@ -322,6 +314,6 @@ def iterated_best_response(
         spec,
         joint_from_arrays(x_a, x_b),
         location_tags(np.array([[spec.fleet_a, spec.fleet_b]]), np.array([[x_a, x_b]]))[0],
-        converged=converged,
+        converged=movement < tol,
         iterations=iterations,
     )
