@@ -418,12 +418,6 @@ class _Solution(NamedTuple):
                                   self.residuals[i], self.evaluations[i])
 
 
-def _meet_fleets(fleets: np.ndarray, x: np.ndarray, finite: np.ndarray) -> np.ndarray:
-    """Rows whose N x 2 mask finite holds and whose allocations pass is_feasible's
-    fleet-sum test; each row sum adds in is_feasible's order, to the same bits."""
-    return (finite & (np.abs(x.sum(axis=2) - fleets) <= FEASIBILITY_RTOL * fleets)).all(axis=1)
-
-
 def _interior_candidates(stack: SpecStack) -> _Solution:
     """The closed-form interior candidates of a stack, as a _Solution with nu zero.
 
@@ -439,7 +433,9 @@ def _interior_candidates(stack: SpecStack) -> _Solution:
     inside = ~empty_components(fleets, x).any(axis=(1, 2))
     closed = inside.tolist()
     if any(closed):  # Skipping the fleet-sum test saves about 1.7% of a boundary solve_spec.
-        closed = (inside & _meet_fleets(fleets, x, np.isfinite(lambdas))).tolist()
+        # is_feasible's test: each row sum adds in is_feasible's order, to the same bits.
+        meet = np.abs(x.sum(axis=2) - fleets) <= FEASIBILITY_RTOL * fleets
+        closed = (inside & (np.isfinite(lambdas) & meet).all(axis=1)).tolist()
     errors = [_root_error(r, total) for r, total in zip(residuals, mass.tolist())]
     return _Solution(roots, kappa, residuals, x, lambdas, np.zeros(x.shape),
                      ["interior"] * len(roots), evaluations, closed, errors)
@@ -591,24 +587,27 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
     return x, floor_cost[:, None] - np.array(levels), nu, list(evaluations), list(fleet_errors)
 
 
-def _price_error(fleet_error: float, finite, lambdas, nu, x, fleets) -> FleetContestError:
-    """Why a price row the stacked checks rejected fails: the first of its fleet sums
-    missing BALANCE_RTOL, a multiplier not finite, an allocation missing FEASIBILITY_RTOL."""
+def _price_error(fleet_error: float, finite: bool, lambdas, nu, sums,
+                 fleets) -> FleetContestError | None:
+    """A price row's verdict: None when it is accepted, else the error of the first
+    check it fails. Its levels' fleet-sum error must meet BALANCE_RTOL, its
+    multipliers be finite, and each allocation's sum pass is_feasible's test."""
     if not fleet_error <= BALANCE_RTOL:
         return NumericalError(
             f"price solve fleet-sum error {fleet_error!r} exceeds tolerance {BALANCE_RTOL!r}"
         )
-    if not finite.all():
+    if not finite:
         try:
             DualCertificate(*lambdas, *nu)  # Raises with its own message.
         except ValidationError as exc:
             return exc
-    for player, total, fleet in zip("ab", x.sum(axis=1).tolist(), fleets.tolist()):
+    for player, total, fleet in zip("ab", sums, fleets):
         if not abs(total - fleet) <= FEASIBILITY_RTOL * fleet:
             return NumericalError(
                 f"price solve leaves player {player!r} infeasible: fleet-sum error "
                 f"{abs(total - fleet) / fleet!r} exceeds tolerance {FEASIBILITY_RTOL!r}"
             )
+    return None
 
 
 @_quiet
@@ -618,10 +617,8 @@ def _solve_stack(stack: SpecStack) -> _Solution:
     The interior candidates come first (_interior_candidates). Each row
     they leave open, with a root within BALANCE_RTOL, goes to Newton on
     the water levels from its candidate's multipliers (_solve_prices,
-    whose allocations are never negative). It is accepted when its
-    fleet-sum error meets BALANCE_RTOL, its multipliers are finite and
-    its fleet sums pass is_feasible's test, and fails as _price_error
-    says otherwise. Each row's outcome is its solo solve's.
+    whose allocations are never negative), and _price_error gives its
+    verdict. Each row's outcome is its solo solve's.
     """
     solution = _interior_candidates(stack)
     *_, x, lambdas, nu, tags, evaluations, closed, errors = solution
@@ -635,11 +632,10 @@ def _solve_stack(stack: SpecStack) -> _Solution:
         x, lambdas, nu = p_x, p_lambdas, p_nu
     else:
         x[rows], lambdas[rows], nu[rows] = p_x, p_lambdas, p_nu
-    finite = np.isfinite(p_lambdas) & np.isfinite(p_nu).all(axis=2)
-    accepted = _meet_fleets(priced.fleets, p_x, finite).tolist()
+    finite = (np.isfinite(p_lambdas) & np.isfinite(p_nu).all(axis=2)).all(axis=1).tolist()
+    sums, fleets = p_x.sum(axis=2).tolist(), priced.fleets.tolist()
     for k, (i, tag) in enumerate(zip(rows, location_tags(priced.fleets, p_x))):
         tags[i], evaluations[i] = tag, p_evaluations[k]
-        if not (accepted[k] and fleet_errors[k] <= BALANCE_RTOL):
-            errors[i] = _price_error(fleet_errors[k], finite[k], p_lambdas[k], p_nu[k], p_x[k],
-                                     priced.fleets[k])
+        errors[i] = _price_error(fleet_errors[k], finite[k], p_lambdas[k], p_nu[k], sums[k],
+                                 fleets[k])
     return solution._replace(x=x, lambdas=lambdas, nu=nu)
