@@ -23,6 +23,11 @@ Workloads, all timed as one call per operation:
   max(fleet) / 2000, read as the sum of per-spec minima like the solves,
   and on two_region_spec(1.0) at step 0.5 (a 2000 x 4000 grid), read
   like the sweeps. Both sides must return the same grid points.
+- The steps of `fleetcontest verify` on 20 two-region box configs: parse,
+  solve_two_region, kkt_residual, ne_residual, duals_from_gradients and
+  grid_equilibrium at the CLI's step, read as the sum of per-config
+  minima, once with the grid oracle and once without it. Both sides must
+  return the same values.
 """
 
 import gc
@@ -37,6 +42,7 @@ import numpy as np
 SOLVE_ROUNDS = 60
 SWEEP_ROUNDS = 30
 GRID_ROUNDS = 10
+VERIFY_ROUNDS = 20
 SWEEPS = {"four": (1.0, 20.0), "two": (1.0, 50.0)}
 
 
@@ -72,19 +78,22 @@ def elapsed(call) -> float:
     return time.perf_counter() - start
 
 
-def time_solves(sides: dict) -> dict:
-    """Per side, per spec, the fastest solve_spec over SOLVE_ROUNDS rounds."""
-    specs = {name: box_specs(fc) for name, fc in sides.items()}
-    best = {name: [float("inf")] * len(s) for name, s in specs.items()}
+def time_cases(sides: dict, cases: dict, run, rounds: int) -> dict:
+    """Per side, per case, the time of run(fc, case) in each round.
+
+    cases holds each side's own list of cases. Within a case the sides
+    take turns, in an order that rotates from round to round.
+    """
+    times = {name: [[] for _ in c] for name, c in cases.items()}
     names = list(sides)
-    for r in range(SOLVE_ROUNDS):
+    for r in range(rounds):
         gc.collect()
         order = names[r % len(names):] + names[:r % len(names)]
-        for k in range(len(specs[names[0]])):
+        for k in range(len(cases[names[0]])):
             for name in order:
-                solve, spec = sides[name].solve_spec, specs[name][k]
-                best[name][k] = min(best[name][k], elapsed(lambda: solve(spec)))
-    return best
+                fc, case = sides[name], cases[name][k]
+                times[name][k].append(elapsed(lambda: run(fc, case)))
+    return times
 
 
 def grid_cases(fc) -> list:
@@ -94,19 +103,25 @@ def grid_cases(fc) -> list:
     return cases + [(fc.two_region_spec(1.0), 0.5)]
 
 
-def time_grids(sides: dict) -> dict:
-    """Per side, per grid case, the time of each of GRID_ROUNDS rounds."""
-    cases = {name: grid_cases(fc) for name, fc in sides.items()}
-    times = {name: [[] for _ in c] for name, c in cases.items()}
-    names = list(sides)
-    for r in range(GRID_ROUNDS):
-        gc.collect()
-        order = names[r % len(names):] + names[:r % len(names)]
-        for k in range(len(cases[names[0]])):
-            for name in order:
-                grid, (spec, step) = sides[name].grid_equilibrium, cases[name][k]
-                times[name][k].append(elapsed(lambda: grid(spec, step)))
-    return times
+def verify_steps(fc, text: str, grid: bool = True) -> list:
+    """The steps of `fleetcontest verify` on one config text, as one list of floats."""
+    spec = fc.parse_config(text)
+    result = fc.solve_two_region(spec)
+    strategy = result.strategy
+    duals = fc.duals_from_gradients(spec, strategy)
+    values = [*strategy.alloc_a.values.tolist(), *strategy.alloc_b.values.tolist(),
+              fc.kkt_residual(spec, strategy, result.duals), fc.ne_residual(spec, strategy),
+              duals.lambda_a, duals.lambda_b, *duals.nu_a.tolist(), *duals.nu_b.tolist()]
+    if grid:
+        oracle = fc.grid_equilibrium(spec, max(spec.fleet_a, spec.fleet_b) / 2000.0)
+        values += [*oracle.strategy.alloc_a.values.tolist(),
+                   *oracle.strategy.alloc_b.values.tolist(), oracle.eps_ne]
+    return values
+
+
+def verify_configs(fc) -> list:
+    """20 two-region box configs, as config texts."""
+    return [fc.format_config(spec) for spec in box_specs(fc, seed=2100, counts=(2,))]
 
 
 def time_sweeps(sides: dict) -> dict:
@@ -161,11 +176,18 @@ def main(argv: list) -> int:
     if points["change"] != points["parent"]:
         print("the change returns other grid points than the parent", file=sys.stderr)
         return 1
+    configs = {name: verify_configs(fc) for name, fc in sides.items()}
+    checked = {name: np.array([verify_steps(sides[name], text) for text in texts]).tobytes()
+               for name, texts in configs.items()}
+    if checked["change"] != checked["parent"]:
+        print("the change returns other verify values than the parent", file=sys.stderr)
+        return 1
 
-    best = time_solves(sides)
+    best = time_cases(sides, {name: box_specs(fc) for name, fc in sides.items()},
+                      lambda fc, spec: fc.solve_spec(spec), SOLVE_ROUNDS)
     print(f"solve_spec, sum of per-spec minima over {SOLVE_ROUNDS} rounds:")
     for label, keep in (("interior", True), ("boundary", False)):
-        sums = {name: sum(t for t, inside in zip(times, interior) if inside == keep)
+        sums = {name: sum(min(t) for t, inside in zip(times, interior) if inside == keep)
                 for name, times in best.items()}
         print(minima_line(f"{label:8} ({interior.count(keep):3} specs)", sums))
 
@@ -175,12 +197,20 @@ def main(argv: list) -> int:
     for kind in SWEEPS:
         print(paired_line(f"{kind:4}", {name: times[name, kind] for name in sides}))
 
-    grids = time_grids(sides)
+    grids = time_cases(sides, {name: grid_cases(fc) for name, fc in sides.items()},
+                       lambda fc, case: fc.grid_equilibrium(*case), GRID_ROUNDS)
     print(f"grid_equilibrium, {GRID_ROUNDS} rounds:")
     sums = {name: sum(min(t) for t in runs[:-1]) for name, runs in grids.items()}
     print(minima_line(f"box specs ({len(grids['parent']) - 1} specs, sum of per-spec minima)", sums))
     print(paired_line("2000 x 4000 (median ms; paired ratio median [quartiles])",
                       {name: runs[-1] for name, runs in grids.items()}))
+
+    print(f"verify steps on {len(configs['parent'])} configs, sum of per-config minima over"
+          f" {VERIFY_ROUNDS} rounds:")
+    for label, grid in (("with the grid oracle", True), ("without it", False)):
+        times = time_cases(sides, configs, lambda fc, text: verify_steps(fc, text, grid),
+                           VERIFY_ROUNDS)
+        print(minima_line(label, {name: sum(min(t) for t in runs) for name, runs in times.items()}))
     return 0
 
 
