@@ -68,8 +68,6 @@ from .interior import (
     interior_equilibrium,
     mass_balance,
     mass_balance_derivative,
-    reconstruct_duals,
-    solve_multiplier_sum,
 )
 from .result import EquilibriumResult, InteriorSolveTrace
 from .verify import (

@@ -58,7 +58,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_alpha_crit(args) -> int:
-    value = detect_alpha_crit(args.lo, args.hi, args.step)
+    value = detect_alpha_crit(args.lo, args.hi)
     if value is None:
         print(f"no transition to a single-region equilibrium in [{args.lo:g}, {args.hi:g}]")
         return 0
@@ -67,7 +67,7 @@ def _cmd_alpha_crit(args) -> int:
 
 
 def _cmd_fleet_opt(args) -> int:
-    print(_fmt(detect_optimal_fleet(args.lo, args.hi, args.step)))
+    print(_fmt(detect_optimal_fleet(args.lo, args.hi)))
     return 0
 
 
@@ -126,9 +126,6 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 2
 
 
-_STEP_HELP = "accepted for older scripts: must be finite and > 0, but sets no scan"
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fleetcontest",
@@ -150,13 +147,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha-crit", help="detect where the equilibrium collapses into region 1")
     p.add_argument("--lo", type=float, default=1.0)
     p.add_argument("--hi", type=float, default=50.0)
-    p.add_argument("--step", type=float, default=0.1, help=_STEP_HELP)
     p.set_defaults(run=_cmd_alpha_crit)
 
     p = sub.add_parser("fleet-opt", help="find the payoff-maximizing b fleet size")
     p.add_argument("--lo", type=float, default=200.0)
     p.add_argument("--hi", type=float, default=4000.0)
-    p.add_argument("--step", type=float, default=1.0, help=_STEP_HELP)
     p.set_defaults(run=_cmd_fleet_opt)
 
     p = sub.add_parser("table1", help="print the four reference scenario rows")

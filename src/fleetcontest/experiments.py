@@ -9,13 +9,14 @@ from .game import (
     GameSpec,
     JointStrategy,
     RegionParams,
+    _quiet,
     empty_components,
     joint_from_arrays,
     stack_specs,
     stacked_utilities,
     utility,
 )
-from .interior import _quiet, _solve_stack
+from .interior import _solve_stack
 from .result import EquilibriumResult
 
 

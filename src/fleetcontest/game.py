@@ -26,6 +26,11 @@ FEASIBILITY_RTOL = 1e-11
 #: Components at or below this fraction of the owner's fleet are empty.
 SUPPORT_RTOL = 1e-9
 
+#: The solve's stages and verify's checks run with numpy's floating-point
+#: warnings off, so a row or point that overflows fails its own checks alone,
+#: whatever the warning filters.
+_quiet = np.errstate(all="ignore")
+
 
 def empty_components(fleets, x) -> np.ndarray:
     """The support rule: the components of x at or below SUPPORT_RTOL of
@@ -33,6 +38,19 @@ def empty_components(fleets, x) -> np.ndarray:
     against x (..., 2, m), or one fleet against its player's m values.
     """
     return np.asarray(x) <= SUPPORT_RTOL * np.asarray(fleets)[..., None]
+
+
+def fleet_sums_met(fleets, x: np.ndarray) -> np.ndarray:
+    """The fleet-sum rule: each allocation in x sums to its owner's fleet to
+    within FEASIBILITY_RTOL of that fleet. fleets is (..., 2) (fleet_a,
+    fleet_b) against x (..., 2, m), or one fleet against its player's m values.
+    """
+    return abs(x.sum(-1) - fleets) <= FEASIBILITY_RTOL * fleets
+
+
+def _fleet_sum_miss(total: float, fleet: float) -> str:
+    """How an allocation summing to total breaks the fleet-sum rule."""
+    return f"fleet-sum error {abs(total - fleet) / fleet!r} exceeds tolerance {FEASIBILITY_RTOL!r}"
 
 
 def opponent(player: str) -> str:
@@ -244,12 +262,6 @@ class DualCertificate:
             nu.setflags(write=False)
             object.__setattr__(self, name, nu)
 
-    def nu_of(self, player: str) -> np.ndarray:
-        return self.nu_a if player == "a" else self.nu_b
-
-    def lambda_of(self, player: str) -> float:
-        return self.lambda_a if player == "a" else self.lambda_b
-
 
 class SpecStack(NamedTuple):
     """The parameters of N specs with one region count, one row per spec.
@@ -282,18 +294,15 @@ def stack_specs(specs) -> SpecStack:
 
 
 def is_feasible(spec: GameSpec, alloc: Allocation) -> bool:
-    """True when alloc is nonnegative and sums to its owner's fleet.
-
-    The sum may miss the fleet by FEASIBILITY_RTOL times the fleet.
-    """
+    """True when alloc is nonnegative and meets the fleet-sum rule
+    (fleet_sums_met) for its owner's fleet."""
     if alloc.values.size != spec.m:
         raise ValidationError(
             f"allocation covers {alloc.values.size} regions, spec has {spec.m}"
         )
     if (alloc.values < 0).any():
         return False
-    fleet = spec.fleet_of(alloc.owner)
-    return abs(alloc.values.sum() - fleet) <= FEASIBILITY_RTOL * fleet
+    return fleet_sums_met(spec.fleet_of(alloc.owner), alloc.values)
 
 
 def _require_feasible(spec: GameSpec, joint: JointStrategy) -> None:

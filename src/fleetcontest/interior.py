@@ -30,12 +30,14 @@ import numpy as np
 
 from .errors import DomainError, FleetContestError, NumericalError, ValidationError
 from .game import (
-    FEASIBILITY_RTOL,
     DualCertificate,
     GameSpec,
     JointStrategy,
     SpecStack,
+    _fleet_sum_miss,
+    _quiet,
     empty_components,
+    fleet_sums_met,
     joint_from_arrays,
     stack_specs,
 )
@@ -58,19 +60,6 @@ _MAX_LOG_STEP = 2.0
 
 _ULP = float(np.finfo(float).eps)
 
-#: The solve's stages run with numpy's floating-point warnings off, so a row
-#: that overflows fails its own checks alone, whatever the warning filters.
-_quiet = np.errstate(all="ignore")
-
-
-def _offsets_array(spec: GameSpec, offsets) -> np.ndarray:
-    out = np.asarray(offsets, dtype=float).reshape(-1)
-    if out.size != spec.m:
-        raise ValidationError(f"expected {spec.m} offsets, got {out.size}")
-    if not np.isfinite(out).all():
-        raise ValidationError("offsets must be finite")
-    return out
-
 
 def _checked_gaps(spec: GameSpec, offsets, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Validated gaps offsets - t and their discriminants.
@@ -78,7 +67,11 @@ def _checked_gaps(spec: GameSpec, offsets, t: float) -> tuple[np.ndarray, np.nda
     Raises DomainError at a pole and beyond the domain edge; discriminants
     in [-_DISC_CLAMP_RTOL * beta_m**2, 0] are on the edge.
     """
-    offsets = _offsets_array(spec, offsets)
+    offsets = np.asarray(offsets, dtype=float).reshape(-1)
+    if offsets.size != spec.m:
+        raise ValidationError(f"expected {spec.m} offsets, got {offsets.size}")
+    if not np.isfinite(offsets).all():
+        raise ValidationError("offsets must be finite")
     t = float(t)
     if not math.isfinite(t):
         raise ValidationError("t must be finite")
@@ -307,26 +300,6 @@ def _multiplier_sums(
     return roots, kappa, list(evaluations), list(residuals)
 
 
-@_quiet
-def solve_multiplier_sum(spec: GameSpec, offsets=None) -> float:
-    """Solve mass_balance(spec, offsets, t) = 0 for t.
-
-    offsets defaults to 2 * beta_c, the interior-equilibrium case.
-    """
-    if offsets is None:
-        arr = 2.0 * spec.beta_c
-    else:
-        arr = _offsets_array(spec, offsets)
-    mass = spec.fleet_a + spec.fleet_b + float(spec.eps.sum())
-    roots, _, _, residuals = _multiplier_sums(
-        spec.beta_m[None], spec.eps[None], arr[None], np.array([mass])
-    )
-    error = _root_error(residuals[0], mass)
-    if error is not None:
-        raise error
-    return roots[0]
-
-
 def _root_error(residual: float, mass: float) -> NumericalError | None:
     """The NumericalError of a root whose residual misses BALANCE_RTOL * mass."""
     if abs(residual) <= BALANCE_RTOL * mass:
@@ -424,7 +397,8 @@ def _interior_candidates(stack: SpecStack) -> _Solution:
     One root find and one closed form serve every row; a row whose root
     misses BALANCE_RTOL carries its NumericalError. closed accepts a
     candidate with no empty component (which implies is_feasible's sign
-    test), finite multipliers and both fleet sums within is_feasible's.
+    test), finite multipliers and both fleet sums meeting the fleet-sum
+    rule (game.fleet_sums_met).
     """
     bm, bc, eps, fleets = stack
     mass = fleets[:, 0] + fleets[:, 1] + eps.sum(axis=1)
@@ -433,9 +407,7 @@ def _interior_candidates(stack: SpecStack) -> _Solution:
     inside = ~empty_components(fleets, x).any(axis=(1, 2))
     closed = inside.tolist()
     if any(closed):  # Skipping the fleet-sum test saves about 1.7% of a boundary solve_spec.
-        # is_feasible's test: each row sum adds in is_feasible's order, to the same bits.
-        meet = np.abs(x.sum(axis=2) - fleets) <= FEASIBILITY_RTOL * fleets
-        closed = (inside & (np.isfinite(lambdas) & meet).all(axis=1)).tolist()
+        closed = (inside & (np.isfinite(lambdas) & fleet_sums_met(fleets, x)).all(axis=1)).tolist()
     errors = [_root_error(r, total) for r, total in zip(residuals, mass.tolist())]
     return _Solution(roots, kappa, residuals, x, lambdas, np.zeros(x.shape),
                      ["interior"] * len(roots), evaluations, closed, errors)
@@ -464,16 +436,6 @@ def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
     return InteriorOutcome(
         strategy=joint_from_arrays(*x), duals=duals, trace=trace, not_interior=marker
     )
-
-
-def reconstruct_duals(spec: GameSpec, trace: InteriorSolveTrace) -> DualCertificate:
-    """Multipliers of an interior solve, recomputed from the region masses."""
-    kappa = np.asarray(trace.region_mass, dtype=float)
-    if kappa.size != spec.m:
-        raise ValidationError("trace region count does not match the spec")
-    _, lambdas = _interior_point(stack_specs([spec]), kappa[None])
-    zeros = np.zeros(spec.m)
-    return DualCertificate(*lambdas[0].tolist(), zeros, zeros)
 
 
 def _fleet_errors(sums: list, fleet_a: float, fleet_b: float) -> tuple[tuple, float]:
@@ -573,7 +535,10 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
     for i, (f, (l_a, l_b), bm_i, eps_i, j, (fleet_a, fleet_b)) in enumerate(zip(
             floor_cost.tolist(), lambdas, bm.tolist(), eps.tolist(), bc.argmin(axis=1).tolist(),
             fleets.tolist())):
-        lowest = bm_i[j] * eps_i[j] / (fleet_a + fleet_b + eps_i[j]) ** 2
+        try:
+            lowest = bm_i[j] * eps_i[j] / (fleet_a + fleet_b + eps_i[j]) ** 2
+        except ZeroDivisionError:
+            lowest = math.inf  # The square underflows to 0: the row fails its fleet sums alone.
         start = (max(f - l_a, lowest), max(f - l_b, lowest))
         searches.append(_newton_search(i, terms, start, lowest, fleet_a, fleet_b, rounding))
     levels, fleet_errors, evaluations, x, price, active = zip(*_lockstep(searches, evaluate))
@@ -587,11 +552,12 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
     return x, floor_cost[:, None] - np.array(levels), nu, list(evaluations), list(fleet_errors)
 
 
-def _price_error(fleet_error: float, finite: bool, lambdas, nu, sums,
+def _price_error(fleet_error: float, finite: bool, lambdas, nu, met, sums,
                  fleets) -> FleetContestError | None:
     """A price row's verdict: None when it is accepted, else the error of the first
     check it fails. Its levels' fleet-sum error must meet BALANCE_RTOL, its
-    multipliers be finite, and each allocation's sum pass is_feasible's test."""
+    multipliers be finite, and each allocation meet the fleet-sum rule: met holds
+    game.fleet_sums_met of the row, and sums its allocations' sums."""
     if not fleet_error <= BALANCE_RTOL:
         return NumericalError(
             f"price solve fleet-sum error {fleet_error!r} exceeds tolerance {BALANCE_RTOL!r}"
@@ -601,11 +567,10 @@ def _price_error(fleet_error: float, finite: bool, lambdas, nu, sums,
             DualCertificate(*lambdas, *nu)  # Raises with its own message.
         except ValidationError as exc:
             return exc
-    for player, total, fleet in zip("ab", sums, fleets):
-        if not abs(total - fleet) <= FEASIBILITY_RTOL * fleet:
+    for player, ok, total, fleet in zip("ab", met, sums, fleets):
+        if not ok:
             return NumericalError(
-                f"price solve leaves player {player!r} infeasible: fleet-sum error "
-                f"{abs(total - fleet) / fleet!r} exceeds tolerance {FEASIBILITY_RTOL!r}"
+                f"price solve leaves player {player!r} infeasible: {_fleet_sum_miss(total, fleet)}"
             )
     return None
 
@@ -633,9 +598,10 @@ def _solve_stack(stack: SpecStack) -> _Solution:
     else:
         x[rows], lambdas[rows], nu[rows] = p_x, p_lambdas, p_nu
     finite = (np.isfinite(p_lambdas) & np.isfinite(p_nu).all(axis=2)).all(axis=1).tolist()
+    met = fleet_sums_met(priced.fleets, p_x).tolist()
     sums, fleets = p_x.sum(axis=2).tolist(), priced.fleets.tolist()
     for k, (i, tag) in enumerate(zip(rows, location_tags(priced.fleets, p_x))):
         tags[i], evaluations[i] = tag, p_evaluations[k]
-        errors[i] = _price_error(fleet_errors[k], finite[k], p_lambdas[k], p_nu[k], sums[k],
-                                 fleets[k])
+        errors[i] = _price_error(fleet_errors[k], finite[k], p_lambdas[k], p_nu[k], met[k],
+                                 sums[k], fleets[k])
     return solution._replace(x=x, lambdas=lambdas, nu=nu)

@@ -24,6 +24,7 @@ from .game import (
     DualCertificate,
     GameSpec,
     JointStrategy,
+    _quiet,
     _require_feasible,
     _require_nonnegative,
     empty_components,
@@ -95,6 +96,7 @@ def best_response(spec: GameSpec, player: str, rival: Allocation) -> Allocation:
     return Allocation(_water_fill(spec, rival.values + spec.eps, spec.fleet_of(player)), player)
 
 
+@_quiet
 def ne_residual(spec: GameSpec, joint: JointStrategy) -> float:
     """Largest unilateral payoff improvement available to either player.
 
@@ -114,6 +116,7 @@ def ne_residual(spec: GameSpec, joint: JointStrategy) -> float:
     return worst
 
 
+@_quiet
 def kkt_residual(spec: GameSpec, joint: JointStrategy, duals: DualCertificate) -> float:
     """Largest absolute violation of the stationarity and complementarity system.
 
@@ -142,9 +145,6 @@ class ConcavityCertificate:
     computed by block algebra and cross-checked against the closed form.
     """
 
-    block_aa: np.ndarray
-    block_bb: np.ndarray
-    block_cross: np.ndarray
     matrix: np.ndarray
     schur: np.ndarray
     max_eigenvalue: float
@@ -166,12 +166,10 @@ def concavity_certificate(spec: GameSpec, joint: JointStrategy) -> ConcavityCert
     bb = -2.0 * spec.beta_m * (x_a + spec.eps) / cubes
     cross = -2.0 * spec.beta_m * spec.eps / cubes
 
-    block_aa = np.diag(aa)
-    block_bb = np.diag(bb)
-    block_cross = np.diag(cross)
-    matrix = np.block([[2.0 * block_aa, block_cross], [block_cross, 2.0 * block_bb]])
+    d_aa, d_bb, d_ab = np.diag(aa), np.diag(bb), np.diag(cross)
+    matrix = np.block([[2.0 * d_aa, d_ab], [d_ab, 2.0 * d_bb]])
 
-    schur = 2.0 * block_bb - 0.5 * block_cross @ np.linalg.inv(block_aa) @ block_cross
+    schur = 2.0 * d_bb - 0.5 * d_ab @ np.linalg.inv(d_aa) @ d_ab
     closed = -spec.beta_m * (4.0 * x_a + spec.eps * (4.0 - spec.eps / (spec.eps + x_b))) / cubes
     gap = np.abs(np.diag(schur) - closed)
     allowed = SCHUR_RTOL * np.maximum(1.0, np.abs(closed))
@@ -186,9 +184,6 @@ def concavity_certificate(spec: GameSpec, joint: JointStrategy) -> ConcavityCert
     max_eigenvalue = float(eig_max.max())
 
     return ConcavityCertificate(
-        block_aa=block_aa,
-        block_bb=block_bb,
-        block_cross=block_cross,
         matrix=matrix,
         schur=schur,
         max_eigenvalue=max_eigenvalue,
@@ -246,6 +241,7 @@ def grid_equilibrium(spec: GameSpec, step: float) -> GridOracleResult:
     return GridOracleResult(strategy=strategy, step=step, eps_ne=float(eps_ne))
 
 
+@_quiet
 def duals_from_gradients(spec: GameSpec, joint: JointStrategy) -> DualCertificate:
     """Multipliers read off the payoff gradients at a feasible point.
 
@@ -265,14 +261,6 @@ def duals_from_gradients(spec: GameSpec, joint: JointStrategy) -> DualCertificat
     return DualCertificate(*(-top).tolist(), *nu)
 
 
-def _result(spec: GameSpec, strategy: JointStrategy, location: str, converged: bool = True,
-            iterations: int = 0) -> EquilibriumResult:
-    """The EquilibriumResult of iterated_best_response; rejects an infeasible
-    strategy, and reads the duals off the payoff gradients."""
-    duals = duals_from_gradients(spec, strategy)
-    return EquilibriumResult(strategy, duals, location, spec, None, converged, iterations)
-
-
 def iterated_best_response(
     spec: GameSpec,
     damping: float = 0.5,
@@ -287,7 +275,8 @@ def iterated_best_response(
     Components at or below tol are then set to zero, so that a component
     the iteration could not tell from zero counts as empty, and each
     allocation is rescaled to its fleet. The location tag then follows
-    the support, by the rule solve_spec uses (result.location_tags).
+    the support, by the rule solve_spec uses (result.location_tags), and
+    the duals are read off the payoff gradients (duals_from_gradients).
     """
     if not 0.0 < damping <= 1.0:
         raise ValidationError(f"damping must be in (0, 1], got {damping!r}")
@@ -310,10 +299,7 @@ def iterated_best_response(
     for x, fleet in ((x_a, spec.fleet_a), (x_b, spec.fleet_b)):
         x[x <= tol] = 0.0
         x *= fleet / x.sum()
-    return _result(
-        spec,
-        joint_from_arrays(x_a, x_b),
-        location_tags(np.array([[spec.fleet_a, spec.fleet_b]]), np.array([[x_a, x_b]]))[0],
-        converged=movement < tol,
-        iterations=iterations,
-    )
+    strategy = joint_from_arrays(x_a, x_b)
+    location = location_tags(np.array([[spec.fleet_a, spec.fleet_b]]), np.array([[x_a, x_b]]))[0]
+    return EquilibriumResult(strategy, duals_from_gradients(spec, strategy), location, spec,
+                             None, movement < tol, iterations)

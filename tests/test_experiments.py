@@ -446,6 +446,18 @@ class TestSolveBatch:
         with pytest.raises(fc.NumericalError, match="price solve fleet-sum error inf"):
             fc.solve_spec(spec)
 
+    def test_a_price_floor_out_of_range_fails_alone(self):
+        """The square in the price solve's floor, beta_m eps / (fleet_a +
+        fleet_b + eps)**2, underflows to 0. The row fails its own fleet-sum
+        check, and the row beside it is its solo solve."""
+        bad = fc.GameSpec((fc.RegionParams(9.4159350734622729e-16, 8.560281087105067e+103,
+                                           1.335174384372226e-09),
+                           fc.RegionParams(3.7321254433290278e-14, 0.0, 2.3393322954142982e-254)),
+                          2.2156047314736835e-260, 6.0766271537670385e-213)
+        results = fc.solve_batch([fc.two_region_spec(45.0), bad])
+        assert isinstance(results[1], fc.FleetContestError)
+        assert fingerprint(results[0]) == solo_fingerprint(fc.two_region_spec(45.0))
+
     def test_a_price_row_that_misses_feasibility_fails_as_numerical(self):
         """The price solve's own tolerance is met, is_feasible's is not: the
         row fails with a NumericalError naming b, and its neighbour is its
@@ -467,8 +479,6 @@ class TestSolveBatch:
             assert [fingerprint(result) for result in fc.solve_batch(specs)] == expected
             with pytest.raises(fc.NumericalError, match="root residual"):
                 fc.interior_equilibrium(failing_root_spec())
-            with pytest.raises(fc.NumericalError, match="root residual"):
-                fc.solve_multiplier_sum(failing_root_spec())
         assert expected[1][0] == "NumericalError"
 
     def test_the_solve_builds_no_interior_outcome(self, monkeypatch):

@@ -126,14 +126,6 @@ class TestAllocation:
 
 
 class TestDualCertificate:
-    def test_accessors(self):
-        d = fc.DualCertificate(lambda_a=-1.0, lambda_b=2.0,
-                               nu_a=np.array([0.0, 1.0]),
-                               nu_b=np.array([0.0, 0.0]))
-        assert d.lambda_of("a") == -1.0
-        assert d.lambda_of("b") == 2.0
-        np.testing.assert_array_equal(d.nu_of("a"), [0.0, 1.0])
-
     def test_rejects_negative_slack(self):
         with pytest.raises(fc.ValidationError):
             fc.DualCertificate(lambda_a=0.0, lambda_b=0.0,

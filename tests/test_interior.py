@@ -9,7 +9,7 @@ import fleetcontest as fc
 from fleetcontest import interior
 from fleetcontest.experiments import _fleet_spec
 from fleetcontest.game import stack_specs
-from fleetcontest.interior import BALANCE_RTOL, _balance, _balance_terms, solve_multiplier_sum
+from fleetcontest.interior import BALANCE_RTOL, _balance, _balance_terms
 from helpers import random_spec
 
 
@@ -95,13 +95,23 @@ class TestMassBalance:
         with pytest.raises(fc.ValidationError):
             fc.mass_balance(spec, np.array([3.0, 4.0]), 1.0)
 
+    def test_a_slightly_negative_discriminant_clamps_to_the_edge(self):
+        """At t just beyond the domain edge (t = 28 here) the discriminant is
+        about -5e-5, inside the clamp window [-1e-12 * beta_m**2, 0) =
+        [-1e-4, 0): its square root counts as 0, so the region mass is
+        beta_m / (2 gap)."""
+        spec = fc.GameSpec((fc.RegionParams(1e4, 1.5, 100.0),), 10.0, 20.0)
+        t = 28.000000000012502
+        value = fc.mass_balance(spec, [3.0], t)
+        assert value == pytest.approx(1e4 / (2.0 * (3.0 - t)) - 130.0, rel=1e-12)
+
 
 class TestMultiplierSum:
     def test_root_satisfies_balance(self):
         rng = np.random.default_rng(12)
         for _ in range(60):
             spec = random_spec(rng, m=int(rng.integers(1, 5)))
-            root = solve_multiplier_sum(spec)
+            root = fc.interior_equilibrium(spec).trace.multiplier_sum
             mass = spec.fleet_a + spec.fleet_b + float(spec.eps.sum())
             assert abs(fc.mass_balance(spec, 2.0 * spec.beta_c, root)) <= 1e-10 * mass
             assert root < 2.0 * spec.beta_c.min()
@@ -111,13 +121,8 @@ class TestMultiplierSum:
         spec = twin_region_spec()
         total = spec.fleet_a + spec.fleet_b + 2.0 * 37.0
         expected = 2.0 * 12.0 - 2.0 * 1000.0 * (total + 2.0 * 37.0) / total ** 2
-        assert solve_multiplier_sum(spec) == pytest.approx(expected, rel=1e-12)
-
-    def test_explicit_offsets_override_default(self):
-        spec = single_region_spec()
-        root_default = solve_multiplier_sum(spec)
-        assert solve_multiplier_sum(spec, offsets=2.0 * spec.beta_c) == root_default
-        assert solve_multiplier_sum(spec, offsets=np.array([10.0])) != root_default
+        assert fc.interior_equilibrium(spec).trace.multiplier_sum == pytest.approx(
+            expected, rel=1e-12)
 
 
 def _evaluations(spec):
@@ -247,7 +252,7 @@ class TestInteriorEquilibrium:
                 scale = 1.0 + float(np.abs(grad).max())
                 assert grad.max() - grad.min() <= 1e-8 * scale
                 # the multiplier is the negated payoff slope at the optimum
-                lam = out.duals.lambda_of(player)
+                lam = getattr(out.duals, f"lambda_{player}")
                 assert abs(grad[0] + lam) <= 1e-7 * (1.0 + abs(lam))
         assert checked >= 50
 
@@ -273,13 +278,6 @@ class TestInteriorEquilibrium:
         assert out.not_interior.strictly_outside
         players = {player for player, _, _ in out.not_interior.items}
         assert players <= set(fc.PLAYERS)
-
-    def test_reconstruct_duals_round_trip(self):
-        spec = fc.two_region_spec(7.5)
-        out = fc.interior_equilibrium(spec)
-        rebuilt = fc.reconstruct_duals(spec, out.trace)
-        assert rebuilt.lambda_a == out.duals.lambda_a
-        assert rebuilt.lambda_b == out.duals.lambda_b
 
 
 def contests(bm, eps, cost, mu_a, mu_b):
@@ -345,6 +343,15 @@ class TestContests:
 
 
 class TestPriceSolve:
+    def test_a_row_with_non_finite_multipliers_gets_the_certificate_error(self):
+        """A row that meets BALANCE_RTOL but carries a NaN multiplier fails with
+        the message DualCertificate gives it."""
+        nu = np.zeros((2, 2))
+        error = interior._price_error(0.0, False, [math.nan, 1.0], nu, [True, True],
+                                      [10.0, 20.0], [10.0, 20.0])
+        assert isinstance(error, fc.ValidationError)
+        assert str(error) == "lambda_a must be finite, got nan"
+
     def test_evaluations_bounded_on_box_boundary_specs(self):
         rng = np.random.default_rng(33)
         counts = []

@@ -8,7 +8,10 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fleetcontest"
 #: The private names one module may import from another: (importer, source, name).
 PRIVATE_CROSSINGS = {
     ("experiments", "interior", "_solve_stack"),
-    ("experiments", "interior", "_quiet"),
+    ("experiments", "game", "_quiet"),
+    ("interior", "game", "_quiet"),
+    ("interior", "game", "_fleet_sum_miss"),
+    ("verify", "game", "_quiet"),
     ("verify", "game", "_require_feasible"),
     ("verify", "game", "_require_nonnegative"),
     ("cli", "config", "_fmt"),
@@ -93,3 +96,17 @@ def test_only_game_reads_the_support_tolerance():
                         or isinstance(node, ast.Attribute) and node.attr == "SUPPORT_RTOL"):
                     readers.add((module, getattr(top, "name", None)))
     assert readers <= {("verify", "import"), ("verify", "iterated_best_response")}
+
+
+def test_only_game_reads_the_feasibility_tolerance():
+    """The fleet-sum rule is game.fleet_sums_met, and the words of its
+    failure are game._fleet_sum_miss; no other module reads FEASIBILITY_RTOL."""
+    readers = {
+        module
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.alias) and node.name == "FEASIBILITY_RTOL"
+        or isinstance(node, ast.Name) and node.id == "FEASIBILITY_RTOL"
+        or isinstance(node, ast.Attribute) and node.attr == "FEASIBILITY_RTOL"
+    }
+    assert readers == {"game"}

@@ -1,6 +1,8 @@
 """Best responses, residuals, the concavity certificate, and the grid oracle."""
 
 import hashlib
+import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 import fleetcontest as fc
 from fleetcontest import verify
-from fleetcontest.verify import GRID_MAX_CELLS, _result, duals_from_gradients
+from fleetcontest.verify import GRID_MAX_CELLS, duals_from_gradients
 from helpers import fingerprint, random_feasible_point, random_spec
 
 
@@ -82,6 +84,27 @@ class TestNeResidual:
         spec = fc.two_region_spec(1.0)
         with pytest.raises(fc.ValidationError):
             fc.ne_residual(spec, fc.joint_from_arrays([1.0, 2.0], [3.0, 4.0]))
+
+
+class TestChecksWithWarningsAsErrors:
+    def test_an_overflowing_point_gives_each_check_its_own_outcome(self):
+        """At this spec's equilibrium the payoff gradients overflow. Each
+        check runs with numpy's warnings off, as the solve does, so it
+        gives the same outcome whatever the warning filters."""
+        spec = fc.GameSpec((fc.RegionParams(7.345269843594429e+28, 0.0, 1.7378038277019078e-135),
+                            fc.RegionParams(2.2567208412511633e+148, 6.3301073505391105e+258,
+                                            1.6601170155576148e-239),
+                            fc.RegionParams(6.414489494846485e+53, 1.1248621257159202e+178,
+                                            2.720579431810738e+30)),
+                           5.5396387871221076e+32, 41.12484561396345)
+        result = fc.solve_spec(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fc.NumericalError, match="best-response bisection missed"):
+                fc.ne_residual(spec, result.strategy)
+            assert fc.kkt_residual(spec, result.strategy, result.duals) == math.inf
+            with pytest.raises(fc.ValidationError, match="lambda_a must be finite"):
+                duals_from_gradients(spec, result.strategy)
 
 
 class TestKktResidual:
@@ -213,11 +236,10 @@ class TestDualsFromGradients:
         for player in ("a", "b"):
             grad = fc.utility_gradient(spec, player, result.strategy)
             x = result.strategy.of(player).values
-            assert duals.lambda_of(player) == -float(grad.max())
-            nu = duals.nu_of(player)
+            lam, nu = getattr(duals, f"lambda_{player}"), getattr(duals, f"nu_{player}")
+            assert lam == -float(grad.max())
             empty = x <= 1e-9 * spec.fleet_of(player)
-            np.testing.assert_allclose(
-                nu[empty], (-duals.lambda_of(player) - grad)[empty], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(nu[empty], (-lam - grad)[empty], rtol=0, atol=1e-12)
             assert np.all(nu[~empty] == 0.0)
 
     def test_complementary_slackness_at_solved_points(self):
@@ -227,7 +249,7 @@ class TestDualsFromGradients:
             result = fc.solve_two_region(spec)
             duals = duals_from_gradients(spec, result.strategy)
             for player in ("a", "b"):
-                nu = duals.nu_of(player)
+                nu = getattr(duals, f"nu_{player}")
                 x = result.strategy.of(player).values
                 bound = 1e-8 * spec.fleet_of(player) * max(float(nu.max()), 1e-30)
                 assert float((nu * x).max()) <= max(bound, 1e-12)
@@ -320,17 +342,18 @@ class TestLazyNeResidual:
         assert first == eager(spec, result.strategy)
 
     def test_result_rejects_an_infeasible_strategy(self):
+        """iterated_best_response reads its result's duals with duals_from_gradients,
+        which rejects an infeasible strategy."""
         spec = fc.two_region_spec(1.0)
-        duals = fc.interior_equilibrium(spec).duals
         joint = fc.joint_from_arrays([1.0, 2.0], [3.0, 4.0])
-        with pytest.raises(fc.ValidationError):
-            _result(spec, joint, "interior")
+        with pytest.raises(fc.ValidationError, match="allocation of player 'a' is infeasible"):
+            duals_from_gradients(spec, joint)
 
     def test_result_rejects_an_unknown_location(self):
         spec = fc.two_region_spec(1.0)
         out = fc.interior_equilibrium(spec)
         with pytest.raises(fc.ValidationError, match="unknown location tag 'inside'"):
-            _result(spec, out.strategy, "inside")
+            fc.EquilibriumResult(out.strategy, out.duals, "inside", spec)
 
 
 class TestCheckBytes:
