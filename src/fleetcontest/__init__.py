@@ -16,9 +16,6 @@ from .boundary import (
     enumerate_candidates,
     family_strategy,
     pinned_best_response,
-    slope_bounds_region1_empty,
-    slope_bounds_region2_empty,
-    solve_two_region,
 )
 from .config import emit_csv, format_config, parse_config
 from .errors import (
@@ -41,6 +38,7 @@ from .experiments import (
     reference_rows,
     solve_batch,
     solve_spec,
+    solve_two_region,
     two_region_spec,
 )
 from .game import (
@@ -50,7 +48,6 @@ from .game import (
     GameSpec,
     JointStrategy,
     RegionParams,
-    charging_cost,
     is_feasible,
     joint_from_arrays,
     market_share,
@@ -73,7 +70,6 @@ from .result import EquilibriumResult, InteriorSolveTrace
 from .verify import (
     ConcavityCertificate,
     GridOracleResult,
-    best_response,
     concavity_certificate,
     duals_from_gradients,
     grid_equilibrium,

@@ -13,12 +13,13 @@ The free player's payoff slope along its segment is strictly decreasing,
 so its best reply z* follows from the slope's endpoint signs or a scalar
 root. A family is an equilibrium exactly when the pinned player's
 multiplier on its empty region comes out nonnegative; that check is the
-certification below. B families reduce to A families with the fleet
-sizes swapped.
+certification below. B families are A families with the players
+swapped.
 
-Solving does not enumerate the families: solve_two_region is the shared
-solve_spec behind a region-count check, and the enumeration here is the
-independent route the tests and the acceptance gate compare it with.
+Solving does not enumerate the families, and this module imports no
+solver: experiments.solve_two_region is solve_spec behind a region-count
+check, and the enumeration here is the independent route the tests and
+the acceptance gate compare it with.
 """
 
 from dataclasses import dataclass
@@ -27,9 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ShapeError, ValidationError
-from .experiments import solve_spec
 from .game import GameSpec, JointStrategy, joint_from_arrays, opponent, raw_utility_gradient
-from .result import FAMILIES, EquilibriumResult
+from .result import FAMILIES
 
 #: Certification accepts nu down to -CERT_RTOL * (1 + the summed |gradient| of the
 #: pinned player).
@@ -121,22 +121,6 @@ def _family_slope(family: str):
     return _slope_region1_empty if family.endswith("1") else _slope_region2_empty
 
 
-def slope_bounds_region1_empty(spec: GameSpec) -> tuple[float, float]:
-    """Slope of b's payoff along family A1 at z = 0 and z = fleet_b.
-
-    The pair brackets the best reply: lower bound >= 0 sends all of b to
-    region 1, upper bound <= 0 keeps b out of it, and a sign change puts
-    a unique root strictly inside. The first value always exceeds the
-    second.
-    """
-    return _endpoint_slopes(_slope_region1_empty, _params(spec))
-
-
-def slope_bounds_region2_empty(spec: GameSpec) -> tuple[float, float]:
-    """Slope of b's payoff along family A2 at z = 0 and z = fleet_b."""
-    return _endpoint_slopes(_slope_region2_empty, _params(spec))
-
-
 def pinned_best_response(spec: GameSpec, family: str) -> float:
     """Best region-1 mass z* of the free player within one family."""
     p = _family_view(spec, family)
@@ -150,19 +134,19 @@ def pinned_best_response(spec: GameSpec, family: str) -> float:
 
 
 def family_strategy(spec: GameSpec, family: str, z: float) -> JointStrategy:
-    """Joint strategy of a family at free-player mass z."""
+    """Joint strategy of a family at free-player mass z; a B family is the
+    A family's layout with the players swapped."""
     _check_family(family)
     z = float(z)
-    free_fleet = spec.fleet_b if family.startswith("A") else spec.fleet_a
+    fleets = (spec.fleet_a, spec.fleet_b)
+    pinned_fleet, free_fleet = fleets if family.startswith("A") else fleets[::-1]
     if not 0.0 <= z <= free_fleet:
         raise ValidationError(f"z={z!r} is outside [0, {free_fleet}]")
-    if family == "A1":
-        return joint_from_arrays([0.0, spec.fleet_a], [z, spec.fleet_b - z])
-    if family == "A2":
-        return joint_from_arrays([spec.fleet_a, 0.0], [z, spec.fleet_b - z])
-    if family == "B1":
-        return joint_from_arrays([z, spec.fleet_a - z], [0.0, spec.fleet_b])
-    return joint_from_arrays([z, spec.fleet_a - z], [spec.fleet_b, 0.0])
+    pinned = [0.0, pinned_fleet] if family.endswith("1") else [pinned_fleet, 0.0]
+    free = [z, free_fleet - z]
+    if family.startswith("A"):
+        return joint_from_arrays(pinned, free)
+    return joint_from_arrays(free, pinned)
 
 
 @dataclass(frozen=True)
@@ -245,13 +229,3 @@ def _distinct_certified(spec: GameSpec, candidates) -> list[BoundaryCandidate]:
             distinct.append(cand)
     return distinct
 
-
-def solve_two_region(spec: GameSpec) -> EquilibriumResult:
-    """The unique equilibrium of a two-region game, by the shared solve_spec.
-
-    Raises ShapeError for any other region count. The boundary families
-    above are the oracle this solve is checked against, not part of it.
-    """
-    if spec.m != 2:
-        raise ShapeError(f"solve_two_region needs exactly two regions, spec has {spec.m}")
-    return solve_spec(spec)

@@ -5,7 +5,6 @@ import sys
 
 import numpy as np
 
-from .boundary import solve_two_region
 from .config import _fmt, emit_csv, parse_config
 from .errors import GridSizeError, NumericalError, ValidationError
 from .experiments import (
@@ -15,6 +14,7 @@ from .experiments import (
     detect_optimal_fleet,
     reference_rows,
     solve_spec,
+    solve_two_region,
 )
 from .game import is_feasible, raw_utility_gradient, utility
 from .verify import GRID_MAX_CELLS, grid_equilibrium, kkt_residual

@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass
 
-from .errors import FleetContestError, ValidationError
+from .errors import FleetContestError, ShapeError, ValidationError
 from .game import (
     DualCertificate,
     GameSpec,
@@ -116,6 +116,18 @@ def solve_spec(spec: GameSpec) -> EquilibriumResult:
     if isinstance(result, FleetContestError):
         raise result
     return result
+
+
+def solve_two_region(spec: GameSpec) -> EquilibriumResult:
+    """The unique equilibrium of a two-region game, by solve_spec.
+
+    Raises ShapeError for any other region count. The boundary families
+    of the boundary module are the oracle this solve is checked against,
+    not part of it.
+    """
+    if spec.m != 2:
+        raise ShapeError(f"solve_two_region needs exactly two regions, spec has {spec.m}")
+    return solve_spec(spec)
 
 
 @_quiet

@@ -26,9 +26,10 @@ FEASIBILITY_RTOL = 1e-11
 #: Components at or below this fraction of the owner's fleet are empty.
 SUPPORT_RTOL = 1e-9
 
-#: The solve's stages and verify's checks run with numpy's floating-point
-#: warnings off, so a row or point that overflows fails its own checks alone,
-#: whatever the warning filters.
+#: The solve's stages, verify's checks and the raw payoffs run with numpy's
+#: floating-point warnings off, so a row or point that overflows fails its own
+#: checks alone, whatever the warning filters. Use it as a decorator: one
+#: np.errstate cannot be entered twice with `with`.
 _quiet = np.errstate(all="ignore")
 
 
@@ -53,13 +54,18 @@ def _fleet_sum_miss(total: float, fleet: float) -> str:
     return f"fleet-sum error {abs(total - fleet) / fleet!r} exceeds tolerance {FEASIBILITY_RTOL!r}"
 
 
+def _pick(player: str, of_a, of_b):
+    """of_a for player "a", of_b for "b"; ValidationError for any other tag."""
+    if player == "a":
+        return of_a
+    if player == "b":
+        return of_b
+    raise ValidationError(f"unknown player tag {player!r}")
+
+
 def opponent(player: str) -> str:
     """Return the other player's tag."""
-    if player == "a":
-        return "b"
-    if player == "b":
-        return "a"
-    raise ValidationError(f"unknown player tag {player!r}")
+    return _pick(player, "b", "a")
 
 
 def _check_finite(name: str, value: float) -> float:
@@ -168,11 +174,7 @@ class GameSpec:
         return out
 
     def fleet_of(self, player: str) -> float:
-        if player == "a":
-            return self.fleet_a
-        if player == "b":
-            return self.fleet_b
-        raise ValidationError(f"unknown player tag {player!r}")
+        return _pick(player, self.fleet_a, self.fleet_b)
 
     def swapped(self) -> "GameSpec":
         """Same regions with the two fleet sizes exchanged."""
@@ -202,10 +204,6 @@ class Allocation:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @property
-    def total(self) -> float:
-        return float(self.values.sum())
-
 
 @dataclass(frozen=True)
 class JointStrategy:
@@ -225,11 +223,7 @@ class JointStrategy:
         return int(self.alloc_a.values.size)
 
     def of(self, player: str) -> Allocation:
-        if player == "a":
-            return self.alloc_a
-        if player == "b":
-            return self.alloc_b
-        raise ValidationError(f"unknown player tag {player!r}")
+        return _pick(player, self.alloc_a, self.alloc_b)
 
 
 def joint_from_arrays(x_a, x_b) -> JointStrategy:
@@ -339,14 +333,7 @@ def profit_loss(region: RegionParams, x_a: float, x_b: float) -> float:
     return region.beta_m * region.epsilon / (x_a + x_b + region.epsilon)
 
 
-def charging_cost(region: RegionParams, own: float) -> float:
-    """Linear charging cost in one region: beta_c * own."""
-    own = _check_finite("own", own)
-    if own < 0:
-        raise ValidationError("allocations must be >= 0")
-    return region.beta_c * own
-
-
+@_quiet
 def raw_utility(spec: GameSpec, own: np.ndarray, rival: np.ndarray) -> float:
     """Total payoff for raw allocation vectors, no feasibility check.
 
@@ -359,6 +346,7 @@ def raw_utility(spec: GameSpec, own: np.ndarray, rival: np.ndarray) -> float:
     return float(np.sum(own * (spec.beta_m / totals - spec.beta_c)))
 
 
+@_quiet
 def raw_utility_gradient(spec: GameSpec, own: np.ndarray, rival: np.ndarray) -> np.ndarray:
     """Gradient of raw_utility in the own allocation."""
     own = np.asarray(own, dtype=float)

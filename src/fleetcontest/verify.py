@@ -20,7 +20,6 @@ from .errors import (
 )
 from .game import (
     SUPPORT_RTOL,
-    Allocation,
     DualCertificate,
     GameSpec,
     JointStrategy,
@@ -28,9 +27,7 @@ from .game import (
     _require_feasible,
     _require_nonnegative,
     empty_components,
-    is_feasible,
     joint_from_arrays,
-    opponent,
     raw_utility,
     raw_utility_gradient,
 )
@@ -39,6 +36,9 @@ from .result import EquilibriumResult, location_tags
 #: Relative (to the player's fleet) tolerance of the best-response fleet sum
 #: before the exact rescale.
 BR_SUM_RTOL = 1e-9
+
+#: Rounds after which iterated_best_response stops unconverged.
+_IBR_MAX_ROUNDS = 2000
 
 #: Per-player cell cap and joint point cap for the grid oracle.
 GRID_MAX_CELLS = 100_000
@@ -84,18 +84,6 @@ def _water_fill(spec: GameSpec, y: np.ndarray, target: float) -> np.ndarray:
     return x * (target / total)
 
 
-def best_response(spec: GameSpec, player: str, rival: Allocation) -> Allocation:
-    """Optimal feasible reply to a fixed rival allocation, by water filling
-    (_water_fill); NumericalError when the fill misses its fleet-sum tolerance."""
-    if rival.owner != opponent(player):
-        raise ValidationError(
-            f"rival allocation owner {rival.owner!r} does not oppose player {player!r}"
-        )
-    if not is_feasible(spec, rival):
-        raise ValidationError("rival allocation is infeasible")
-    return Allocation(_water_fill(spec, rival.values + spec.eps, spec.fleet_of(player)), player)
-
-
 @_quiet
 def ne_residual(spec: GameSpec, joint: JointStrategy) -> float:
     """Largest unilateral payoff improvement available to either player.
@@ -107,12 +95,11 @@ def ne_residual(spec: GameSpec, joint: JointStrategy) -> float:
     """
     _require_feasible(spec, joint)
     worst = -math.inf
-    for player in ("a", "b"):
-        own = joint.of(player).values
-        rival = joint.of(opponent(player))
-        current = raw_utility(spec, own, rival.values)
-        reply = _water_fill(spec, rival.values + spec.eps, float(own.sum()))
-        worst = max(worst, raw_utility(spec, reply, rival.values) - current)
+    x_a, x_b = joint.alloc_a.values, joint.alloc_b.values
+    for own, rival in ((x_a, x_b), (x_b, x_a)):
+        current = raw_utility(spec, own, rival)
+        reply = _water_fill(spec, rival + spec.eps, float(own.sum()))
+        worst = max(worst, raw_utility(spec, reply, rival) - current)
     return worst
 
 
@@ -155,6 +142,7 @@ class ConcavityCertificate:
 SCHUR_RTOL = 1e-10
 
 
+@_quiet
 def concavity_certificate(spec: GameSpec, joint: JointStrategy) -> ConcavityCertificate:
     """Evaluate the concavity certificate at one nonnegative joint point."""
     _require_nonnegative(spec, joint)
@@ -261,36 +249,26 @@ def duals_from_gradients(spec: GameSpec, joint: JointStrategy) -> DualCertificat
     return DualCertificate(*(-top).tolist(), *nu)
 
 
-def iterated_best_response(
-    spec: GameSpec,
-    damping: float = 0.5,
-    max_iters: int = 2000,
-    tol: float | None = None,
-) -> EquilibriumResult:
-    """Damped alternating best responses from the uniform split.
+def iterated_best_response(spec: GameSpec) -> EquilibriumResult:
+    """Alternating best responses from the uniform split, each damped by half.
 
     Stops when the largest componentwise movement in one round falls
-    below tol (default SUPPORT_RTOL times the larger fleet). Hitting
-    max_iters flags converged=False on the result instead of raising.
-    Components at or below tol are then set to zero, so that a component
-    the iteration could not tell from zero counts as empty, and each
-    allocation is rescaled to its fleet. The location tag then follows
-    the support, by the rule solve_spec uses (result.location_tags), and
-    the duals are read off the payoff gradients (duals_from_gradients).
+    below tol, SUPPORT_RTOL times the larger fleet. After
+    _IBR_MAX_ROUNDS rounds it stops anyway and flags converged=False on
+    the result instead of raising. Components at or below tol are then
+    set to zero, so that a component the iteration could not tell from
+    zero counts as empty, and each allocation is rescaled to its fleet.
+    The location tag then follows the support, by the rule solve_spec
+    uses (result.location_tags), and the duals are read off the payoff
+    gradients (duals_from_gradients).
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValidationError(f"damping must be in (0, 1], got {damping!r}")
-    if max_iters < 1:
-        raise ValidationError("max_iters must be >= 1")
-    if tol is None:
-        tol = SUPPORT_RTOL * max(spec.fleet_a, spec.fleet_b)
-
+    tol = SUPPORT_RTOL * max(spec.fleet_a, spec.fleet_b)
     m = spec.m
     x_a = np.full(m, spec.fleet_a / m)
     x_b = np.full(m, spec.fleet_b / m)
-    for iterations in range(1, max_iters + 1):
-        new_a = (1.0 - damping) * x_a + damping * _water_fill(spec, x_b + spec.eps, spec.fleet_a)
-        new_b = (1.0 - damping) * x_b + damping * _water_fill(spec, new_a + spec.eps, spec.fleet_b)
+    for iterations in range(1, _IBR_MAX_ROUNDS + 1):
+        new_a = 0.5 * x_a + 0.5 * _water_fill(spec, x_b + spec.eps, spec.fleet_a)
+        new_b = 0.5 * x_b + 0.5 * _water_fill(spec, new_a + spec.eps, spec.fleet_b)
         movement = max(float(np.abs(new_a - x_a).max()), float(np.abs(new_b - x_b).max()))
         x_a, x_b = new_a, new_b
         if movement < tol:

@@ -43,21 +43,21 @@ class TestSlopeBounds:
         rng = np.random.default_rng(4)
         for _ in range(300):
             spec = random_spec(rng)
-            v_upper, v_lower = fc.slope_bounds_region1_empty(spec)
-            w_upper, w_lower = fc.slope_bounds_region2_empty(spec)
+            v_upper, v_lower = _endpoint_slopes(_slope_region1_empty, _params(spec))
+            w_upper, w_lower = _endpoint_slopes(_slope_region2_empty, _params(spec))
             assert v_upper > v_lower
             assert w_upper > w_lower
 
     def test_frozen_values_at_high_charging_scale(self):
         spec = fc.two_region_spec(41.0)
-        upper, lower = fc.slope_bounds_region2_empty(spec)
+        upper, lower = _endpoint_slopes(_slope_region2_empty, _params(spec))
         assert upper == pytest.approx(425.0128888125107, rel=1e-12)
         assert lower == pytest.approx(4.006243496357968, rel=1e-12)
 
     def test_shape_error_off_two_regions(self):
         spec = fc.four_region_spec(1.0)
         with pytest.raises(fc.ShapeError):
-            fc.slope_bounds_region1_empty(spec)
+            _params(spec)
 
 
 class TestPinnedBestResponse:
@@ -86,7 +86,7 @@ class TestPinnedBestResponse:
             fleet_a=100.0,
             fleet_b=100.0,
         )
-        upper, lower = fc.slope_bounds_region1_empty(spec)
+        upper, _ = _endpoint_slopes(_slope_region1_empty, _params(spec))
         assert upper <= 0.0
         assert fc.pinned_best_response(spec, "A1") == 0.0
 
@@ -168,9 +168,8 @@ class TestCertify:
         # At the region-1 corner of A2, nu is the endpoint slope bound plus
         # the pinned player's own crowding term.
         spec = fc.two_region_spec(41.0)
-        _, lower = fc.slope_bounds_region2_empty(spec)
-        expected = lower + 1000.0 * 35000.0 / 3100.0 ** 2
         cand = fc.certify(spec, "A2", spec.fleet_b)
+        expected = cand.slope_lower + 1000.0 * 35000.0 / 3100.0 ** 2
         assert cand.nu_check == pytest.approx(expected, rel=1e-12)
 
     def test_zero_endpoint_certificate(self):
@@ -220,12 +219,12 @@ class TestCertify:
                 view = spec if family.startswith("A") else spec.swapped()
                 p = _params(view)
                 if family.endswith("1"):
-                    upper, lower = fc.slope_bounds_region1_empty(view)
+                    upper, lower = _endpoint_slopes(_slope_region1_empty, p)
                     at_zero = (p.xb - p.xa) * p.bm2 / (p.xa + p.xb + p.e2) ** 2 - upper
                     at_fleet = (-p.bm1 * p.xb / (p.xb + p.e1) ** 2 - lower
                                 - p.bm2 * p.xa / (p.xa + p.e2) ** 2)
                 else:
-                    upper, lower = fc.slope_bounds_region2_empty(view)
+                    upper, lower = _endpoint_slopes(_slope_region2_empty, p)
                     at_zero = (upper - p.bm1 * p.xa / (p.xa + p.e1) ** 2
                                - p.bm2 * p.xb / (p.xb + p.e2) ** 2)
                     at_fleet = (p.xb - p.xa) * p.bm1 / (p.xa + p.xb + p.e1) ** 2 + lower

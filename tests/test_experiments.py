@@ -78,7 +78,7 @@ class TestSolveSpec:
     def test_four_regions_solve_interior(self):
         result = fc.solve_spec(fc.four_region_spec(1.0))
         assert result.location == "interior"
-        assert result.strategy.alloc_a.total == pytest.approx(1000.0, rel=1e-12)
+        assert result.strategy.alloc_a.values.sum() == pytest.approx(1000.0, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [4.0, 8.0, 20.0])
     def test_four_regions_in_units_scaled_by_1e5(self, alpha):
@@ -217,7 +217,7 @@ class TestSolveSpecAnyRegionCount:
         outcome = fc.interior_equilibrium(spec)
         assert outcome.is_interior
         for player in fc.PLAYERS:
-            total = outcome.strategy.of(player).total
+            total = outcome.strategy.of(player).values.sum()
             assert abs(total - spec.fleet_of(player)) <= FEASIBILITY_RTOL * spec.fleet_of(player)
         result = fc.solve_spec(spec)
         assert result.location == "interior"

@@ -98,10 +98,6 @@ class TestGameSpec:
 
 
 class TestAllocation:
-    def test_total(self):
-        alloc = fc.Allocation(values=np.array([1.0, 2.5]), owner="a")
-        assert alloc.total == 3.5
-
     def test_rejects_bad_owner_and_values(self):
         with pytest.raises(fc.ValidationError):
             fc.Allocation(values=np.array([1.0]), owner="x")
@@ -163,7 +159,6 @@ def test_market_share_and_profit_loss_by_hand():
     denom = own + rival + 100.0
     assert fc.market_share(region, own, rival) == pytest.approx(35000.0 * own / denom)
     assert fc.profit_loss(region, own, rival) == pytest.approx(35000.0 * 100.0 / denom)
-    assert fc.charging_cost(region, own) == pytest.approx(2226.0)
 
 
 def test_revenue_splits_conserve_the_region_scale():

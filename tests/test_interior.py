@@ -263,8 +263,8 @@ class TestInteriorEquilibrium:
             out = fc.interior_equilibrium(spec)
             if not out.is_interior:
                 continue
-            assert out.strategy.alloc_a.total == pytest.approx(spec.fleet_a, rel=1e-12)
-            assert out.strategy.alloc_b.total == pytest.approx(spec.fleet_b, rel=1e-12)
+            assert out.strategy.alloc_a.values.sum() == pytest.approx(spec.fleet_a, rel=1e-12)
+            assert out.strategy.alloc_b.values.sum() == pytest.approx(spec.fleet_b, rel=1e-12)
             assert np.all(out.strategy.alloc_a.values > 0)
             assert np.all(out.strategy.alloc_b.values > 0)
 

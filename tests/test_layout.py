@@ -71,6 +71,13 @@ def test_the_lower_layers_import_only_what_is_below_them():
     assert graph["_kernels"] == set()
 
 
+def test_the_oracles_import_no_solver():
+    """boundary and verify cross-check the solve, so neither is built on it."""
+    graph = _graph()
+    for oracle in ("boundary", "verify"):
+        assert not graph[oracle] & {"interior", "experiments"}, oracle
+
+
 def test_no_private_name_crosses_modules_but_the_listed_ones():
     crossings = {
         (module, source, name)
@@ -83,7 +90,7 @@ def test_no_private_name_crosses_modules_but_the_listed_ones():
 
 def test_only_game_reads_the_support_tolerance():
     """The support rule is game.empty_components; iterated_best_response's
-    default stopping tolerance is the one other reader."""
+    stopping tolerance is the one other reader."""
     readers = set()
     for module, tree in _trees().items():
         if module == "game":

@@ -5,11 +5,13 @@ tests/helpers.py and beyond it: beta_m in [1e2, 1e6], beta_c zero or in
 [0.1, 5e3], epsilon in [1, 5e3], fleets in [10, 5e4], for 1 to 8
 regions. Every property holds to 1e-10 of the fleet concerned. Runs are
 derandomized so that a failure replays exactly. A batch solve must
-give each spec's solo solve bit for bit, and the pruned grid scan the
-full grid's brute force, over six decades around the kernel's box.
+give each spec's solo solve bit for bit, also over the whole double
+range, and the pruned grid scan the full grid's brute force, over six
+decades around the kernel's box.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,20 +131,40 @@ def test_a_common_charging_cost_leaves_the_allocations(spec, c):
     assert_close(shifted_b, x_b, spec.fleet_b)
 
 
+def whole_range_specs(m):
+    """Specs of m regions whose parameters are 10**e, e uniform over [-300,
+    300], drawn as one list (much faster to draw than one float each); a
+    beta_c whose e is below -150, a quarter of them, is zero instead."""
+    def build(e):
+        p = [10.0**x for x in e]
+        regions = tuple(fc.RegionParams(p[j], p[m + j] if e[m + j] >= -150.0 else 0.0, p[2 * m + j])
+                        for j in range(m))
+        return fc.GameSpec(regions, p[-2], p[-1])
+
+    return st.lists(st.floats(-300.0, 300.0), min_size=3 * m + 2, max_size=3 * m + 2).map(build)
+
+
 @st.composite
-def batches(draw):
-    """One to six specs that share a region count of 1 to 8."""
+def batches(draw, make=specs):
+    """One to six specs from make that share a region count of 1 to 8."""
     m = draw(st.integers(1, 8))
-    return draw(st.lists(specs(m), min_size=1, max_size=6))
+    return draw(st.lists(make(m), min_size=1, max_size=6))
 
 
 @CHECKED
-@given(batches())
-def test_a_batch_solves_each_spec_as_alone(batch):
-    results = fc.solve_batch(batch)
-    assert len(results) == len(batch)
-    for spec, result in zip(batch, results):
-        assert fingerprint(result) == solo_fingerprint(spec)
+@given(batches(), batches(whole_range_specs))
+def test_a_batch_solves_each_spec_as_alone(batch, whole_range_batch):
+    """Also over the whole double range, where most rows fail: each entry
+    is a result or the error its own row raised, and no numpy warning
+    escapes even when warnings are errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in (batch, whole_range_batch):
+            results = fc.solve_batch(rows)
+            assert len(results) == len(rows)
+            for spec, result in zip(rows, results):
+                assert isinstance(result, (fc.EquilibriumResult, fc.FleetContestError))
+                assert fingerprint(result) == solo_fingerprint(spec)
 
 
 def test_an_empty_batch_solves_to_nothing():

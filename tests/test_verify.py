@@ -14,28 +14,32 @@ from fleetcontest.verify import GRID_MAX_CELLS, duals_from_gradients
 from helpers import fingerprint, random_feasible_point, random_spec
 
 
+def water_fill_reply(spec, rival):
+    """Player a's best reply to rival, by the water fill the checks use."""
+    return verify._water_fill(spec, rival + spec.eps, spec.fleet_a)
+
+
 class TestBestResponse:
     def test_single_region_sends_everything(self):
         spec = fc.GameSpec(
             regions=(fc.RegionParams(100.0, 2.0, 5.0),), fleet_a=7.0, fleet_b=3.0)
-        reply = fc.best_response(spec, "a", fc.Allocation(np.array([3.0]), "b"))
-        assert reply.values[0] == pytest.approx(7.0, rel=1e-12)
-        assert reply.owner == "a"
+        reply = water_fill_reply(spec, np.array([3.0]))
+        assert reply[0] == pytest.approx(7.0, rel=1e-12)
 
     def test_reply_to_published_rival(self):
         spec = fc.two_region_spec(1.0)
-        reply = fc.best_response(spec, "a", fc.Allocation(np.array([453.0, 1547.0]), "b"))
-        np.testing.assert_allclose(reply.values, [222.6, 777.4], atol=0.1)
+        reply = water_fill_reply(spec, np.array([453.0, 1547.0]))
+        np.testing.assert_allclose(reply, [222.6, 777.4], atol=0.1)
 
     def test_water_level_equalizes_active_gradients(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             spec = random_spec(rng, m=int(rng.integers(1, 5)))
-            rival = random_feasible_point(rng, spec).alloc_b
-            reply = fc.best_response(spec, "a", rival)
-            assert reply.values.sum() == pytest.approx(spec.fleet_a, rel=1e-12)
-            grad = fc.raw_utility_gradient(spec, reply.values, rival.values)
-            active = reply.values > 1e-9 * spec.fleet_a
+            rival = random_feasible_point(rng, spec).alloc_b.values
+            reply = water_fill_reply(spec, rival)
+            assert reply.sum() == pytest.approx(spec.fleet_a, rel=1e-12)
+            grad = fc.raw_utility_gradient(spec, reply, rival)
+            active = reply > 1e-9 * spec.fleet_a
             scale = 1.0 + float(np.abs(grad).max())
             assert grad[active].max() - grad[active].min() <= 1e-9 * scale
             # inactive regions cannot offer a better marginal payoff
@@ -45,19 +49,11 @@ class TestBestResponse:
         rng = np.random.default_rng(60)
         for _ in range(20):
             spec = random_spec(rng)
-            rival = random_feasible_point(rng, spec).alloc_b
-            reply = fc.best_response(spec, "a", rival)
-            u_reply = fc.raw_utility(spec, reply.values, rival.values)
+            rival = random_feasible_point(rng, spec).alloc_b.values
+            u_reply = fc.raw_utility(spec, water_fill_reply(spec, rival), rival)
             for _ in range(500):
                 other = rng.dirichlet(np.ones(spec.m)) * spec.fleet_a
-                assert u_reply - fc.raw_utility(spec, other, rival.values) >= -1e-9
-
-    def test_rejects_mismatched_or_infeasible_rival(self):
-        spec = fc.two_region_spec(1.0)
-        with pytest.raises(fc.ValidationError):
-            fc.best_response(spec, "a", fc.Allocation(np.array([500.0, 500.0]), "a"))
-        with pytest.raises(fc.ValidationError):
-            fc.best_response(spec, "a", fc.Allocation(np.array([1.0, 1.0]), "b"))
+                assert u_reply - fc.raw_utility(spec, other, rival) >= -1e-9
 
 
 class TestNeResidual:
@@ -89,8 +85,8 @@ class TestNeResidual:
 class TestChecksWithWarningsAsErrors:
     def test_an_overflowing_point_gives_each_check_its_own_outcome(self):
         """At this spec's equilibrium the payoff gradients overflow. Each
-        check runs with numpy's warnings off, as the solve does, so it
-        gives the same outcome whatever the warning filters."""
+        check and payoff runs with numpy's warnings off, as the solve does,
+        so it gives the same outcome whatever the warning filters."""
         spec = fc.GameSpec((fc.RegionParams(7.345269843594429e+28, 0.0, 1.7378038277019078e-135),
                             fc.RegionParams(2.2567208412511633e+148, 6.3301073505391105e+258,
                                             1.6601170155576148e-239),
@@ -105,6 +101,11 @@ class TestChecksWithWarningsAsErrors:
             assert fc.kkt_residual(spec, result.strategy, result.duals) == math.inf
             with pytest.raises(fc.ValidationError, match="lambda_a must be finite"):
                 duals_from_gradients(spec, result.strategy)
+            assert math.isnan(fc.utility(spec, "a", result.strategy))
+            assert np.isinf(fc.utility_gradient(spec, "a", result.strategy)).any()
+            certificate = fc.concavity_certificate(spec, result.strategy)
+            assert math.isnan(certificate.max_eigenvalue)
+            assert not certificate.negative_definite
 
 
 class TestKktResidual:
@@ -289,19 +290,11 @@ class TestIteratedBestResponse:
         assert fc.iterated_best_response(spec).location == "A2"
         assert fc.solve_spec(spec).location == "A2"
 
-    def test_iteration_budget_flags_no_convergence(self):
-        result = fc.iterated_best_response(fc.two_region_spec(5.0), max_iters=1)
+    def test_iteration_budget_flags_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(verify, "_IBR_MAX_ROUNDS", 1)
+        result = fc.iterated_best_response(fc.two_region_spec(5.0))
         assert not result.converged
         assert result.iterations == 1
-
-    def test_parameter_validation(self):
-        spec = fc.two_region_spec(1.0)
-        with pytest.raises(fc.ValidationError):
-            fc.iterated_best_response(spec, damping=0.0)
-        with pytest.raises(fc.ValidationError):
-            fc.iterated_best_response(spec, damping=1.5)
-        with pytest.raises(fc.ValidationError):
-            fc.iterated_best_response(spec, max_iters=0)
 
 
 def _spec(regions, fleet_a, fleet_b):
