@@ -2,6 +2,10 @@
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
+
+import numpy as np
 
 from .errors import FleetContestError, ShapeError, ValidationError
 from .game import (
@@ -9,6 +13,7 @@ from .game import (
     GameSpec,
     JointStrategy,
     RegionParams,
+    SpecStack,
     _quiet,
     empty_components,
     joint_from_arrays,
@@ -20,39 +25,82 @@ from .interior import _solve_stack
 from .result import EquilibriumResult
 
 
+@dataclass(frozen=True)
+class _Path:
+    """A scenario as an affine path: the spec at theta in [lo, hi] has the
+    parameters base + theta * slope.
+
+    base and slope are rows of (beta_m, beta_c, epsilon) for each region,
+    then (fleet_a, fleet_b). message is the range error, naming the
+    parameter and formatted with theta.
+    """
+
+    message: str
+    lo: float
+    hi: float
+    base: tuple[float, ...]
+    slope: tuple[float, ...]
+
+    def check(self, theta) -> float:
+        """theta as a float; ValidationError with the message unless lo <= theta <= hi."""
+        theta = float(theta)
+        if not self.lo <= theta <= self.hi:
+            raise ValidationError(self.message.format(theta))
+        return theta
+
+    @cached_property
+    def _fixed(self) -> list[RegionParams | None]:
+        """Per region, None where the slope moves it, else the one
+        RegionParams every theta shares, since b + theta * 0.0 is b for
+        every theta that check lets through. Building those once keeps a
+        view as cheap as the spec written out: RegionParams' checks are
+        most of its cost."""
+        return [None if any(self.slope[j:j + 3]) else RegionParams(*self.base[j:j + 3])
+                for j in range(0, len(self.base) - 2, 3)]
+
+    def spec(self, theta) -> GameSpec:
+        """The spec at theta, formed in plain floats."""
+        theta = self.check(theta)
+        p = [b + theta * s for b, s in zip(self.base, self.slope)]
+        return GameSpec([fixed or RegionParams(*p[3 * j:3 * j + 3])
+                         for j, fixed in enumerate(self._fixed)], p[-2], p[-1])
+
+    def stack(self, thetas: list[float]) -> SpecStack:
+        """The specs at thetas, all inside [lo, hi], formed as one array
+        operation; bit for bit stack_specs of their specs."""
+        rows = np.add(self.base, np.multiply.outer(thetas, self.slope))
+        beta_m, beta_c, eps = rows[:, :-2].reshape(len(thetas), -1, 3).transpose(2, 0, 1).copy()
+        return SpecStack(beta_m, beta_c, eps, rows[:, -2:].copy())
+
+
+# Four regions; the charging prices of regions 2 and 3 are 3 alpha and 5 alpha.
+_FOUR = _Path("alpha must be in [1, 20], got {!r}", 1.0, 20.0,
+              (35_000.0, 5.0, 50.0, 50_000.0, 0.0, 100.0, 100_000.0, 0.0, 120.0,
+               180_000.0, 50.0, 200.0, 1000.0, 2000.0),
+              (0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+
+# Two regions; region 2's charging price is 10 alpha.
+_TWO = _Path("alpha must be in [1, 50], got {!r}", 1.0, 50.0,
+             (35_000.0, 10.0, 100.0, 120_000.0, 0.0, 300.0, 1000.0, 2000.0),
+             (0.0, 0.0, 0.0, 0.0, 10.0, 0.0, 0.0, 0.0))
+
+# The two-region scenario at alpha = 3, with b's fleet as the parameter.
+_FLEET = _Path("fleet_b values must be within (200.0, 4000.0), got {!r}", 200.0, 4000.0,
+               (35_000.0, 10.0, 100.0, 120_000.0, 30.0, 300.0, 1000.0, 0.0),
+               (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0))
+
+
 def four_region_spec(alpha: float) -> GameSpec:
     """Four-region scenario with charging prices scaled by alpha in [1, 20].
 
     Regions 2 and 3 carry the scaled prices; regions 1 and 4 stay fixed.
     """
-    alpha = float(alpha)
-    if not 1.0 <= alpha <= 20.0:
-        raise ValidationError(f"alpha must be in [1, 20], got {alpha!r}")
-    return GameSpec(
-        regions=(
-            RegionParams(beta_m=35_000.0, beta_c=5.0, epsilon=50.0),
-            RegionParams(beta_m=50_000.0, beta_c=3.0 * alpha, epsilon=100.0),
-            RegionParams(beta_m=100_000.0, beta_c=5.0 * alpha, epsilon=120.0),
-            RegionParams(beta_m=180_000.0, beta_c=50.0, epsilon=200.0),
-        ),
-        fleet_a=1000.0,
-        fleet_b=2000.0,
-    )
+    return _FOUR.spec(alpha)
 
 
 def two_region_spec(alpha: float) -> GameSpec:
     """Two-region scenario with region 2's charging price scaled by alpha in [1, 50]."""
-    alpha = float(alpha)
-    if not 1.0 <= alpha <= 50.0:
-        raise ValidationError(f"alpha must be in [1, 50], got {alpha!r}")
-    return GameSpec(
-        regions=(
-            RegionParams(beta_m=35_000.0, beta_c=10.0, epsilon=100.0),
-            RegionParams(beta_m=120_000.0, beta_c=10.0 * alpha, epsilon=300.0),
-        ),
-        fleet_a=1000.0,
-        fleet_b=2000.0,
-    )
+    return _TWO.spec(alpha)
 
 
 @dataclass(frozen=True)
@@ -73,8 +121,8 @@ class SweepRecord:
     error: str | None = None
 
 
-def _failed(parameter: float, exc: FleetContestError) -> SweepRecord:
-    return SweepRecord(parameter, None, None, None, None, None, error=str(exc))
+def _failed(parameter: float, message: str) -> SweepRecord:
+    return SweepRecord(parameter, None, None, None, None, None, error=message)
 
 
 def _result(solution, i: int, spec: GameSpec) -> EquilibriumResult:
@@ -131,36 +179,38 @@ def solve_two_region(spec: GameSpec) -> EquilibriumResult:
 
 
 @_quiet
-def _sweep(build, parameters) -> list[SweepRecord]:
-    """The records of the specs build makes from parameters, in their order.
+def _sweep_stack(parameters, stack: SpecStack) -> list[SweepRecord]:
+    """The records of the specs stacked in stack, one per parameter, in order.
 
-    The specs are solved as one stack, and each record reads its row and
-    one stacked payoff evaluation. A spec that cannot be built or solved
-    gives a record with its error message.
+    The stack is solved at once, and each record reads its row and one
+    stacked payoff evaluation. A row that fails gives a record with its
+    error message.
     """
-    parameters = [float(p) for p in parameters]
-    records = [None] * len(parameters)
-    specs, built = [], []
-    for k, parameter in enumerate(parameters):
-        try:
-            specs.append(build(parameter))
-            built.append(k)
-        except FleetContestError as exc:
-            records[k] = _failed(parameter, exc)
-    if not specs:
-        return records
-    stack = stack_specs(specs)
     solution = _solve_stack(stack)
     payoffs = stacked_utilities(stack, solution.x).tolist()
-    for i, (k, error) in enumerate(zip(built, solution.errors)):
+    records = []
+    for i, (parameter, error) in enumerate(zip(parameters, solution.errors)):
         if error is not None:
-            records[k] = _failed(parameters[k], error)
+            records.append(_failed(parameter, str(error)))
             continue
-        (x_a, x_b), (u_a, u_b) = solution.x[i], payoffs[i]
         t_lambda = solution.roots[i] if solution.closed[i] else None
-        records[k] = SweepRecord(parameters[k], joint_from_arrays(x_a, x_b), u_a, u_b,
-                                 solution.tags[i], t_lambda)
+        records.append(SweepRecord(parameter, joint_from_arrays(*solution.x[i]), *payoffs[i],
+                                   solution.tags[i], t_lambda))
     return records
+
+
+def _path_sweep(path: _Path, parameters) -> list[SweepRecord]:
+    """The records of path's specs at parameters, in their order.
+
+    The points inside the path's range are solved as one stack; each
+    point outside it, or NaN, gives a record with its range error.
+    """
+    parameters = [float(p) for p in parameters]
+    inside = [path.lo <= p <= path.hi for p in parameters]
+    thetas = list(compress(parameters, inside))
+    solved = iter(_sweep_stack(thetas, path.stack(thetas)) if thetas else ())
+    return [next(solved) if ok else _failed(p, path.message.format(p))
+            for p, ok in zip(parameters, inside)]
 
 
 def alpha_sweep(kind: str, alphas) -> list[SweepRecord]:
@@ -170,13 +220,10 @@ def alpha_sweep(kind: str, alphas) -> list[SweepRecord]:
     never abort the sweep: an alpha outside the scenario's range, or a
     solve that fails, gives a record that carries the error message.
     """
-    if kind == "four":
-        build = four_region_spec
-    elif kind == "two":
-        build = two_region_spec
-    else:
-        raise ValidationError(f"kind must be 'four' or 'two', got {kind!r}")
-    return _sweep(build, alphas)
+    for name, path in (("four", _FOUR), ("two", _TWO)):
+        if kind == name:
+            return _path_sweep(path, alphas)
+    raise ValidationError(f"kind must be 'four' or 'two', got {kind!r}")
 
 
 def _check_step(step: float) -> None:
@@ -199,7 +246,7 @@ def detect_alpha_crit(lo: float = 1.0, hi: float = 50.0, step: float = 0.1) -> f
     finite and positive but sets no scan; it is kept for callers.
     """
     lo, hi, step = float(lo), float(hi), float(step)
-    if not 1.0 <= lo < hi <= 50.0:
+    if not _TWO.lo <= lo < hi <= _TWO.hi:
         raise ValidationError(f"need 1 <= lo < hi <= 50, got lo={lo!r}, hi={hi!r}")
     _check_step(step)
     spec = two_region_spec(hi)
@@ -212,14 +259,6 @@ def detect_alpha_crit(lo: float = 1.0, hi: float = 50.0, step: float = 0.1) -> f
     return max(lo, hi - margin / slope)
 
 
-_FLEET_RANGE = (200.0, 4000.0)
-
-
-def _fleet_spec(fleet_b: float) -> GameSpec:
-    base = two_region_spec(3.0)
-    return GameSpec(regions=base.regions, fleet_a=1000.0, fleet_b=fleet_b)
-
-
 def fleet_sweep(fleet_b_values) -> list[SweepRecord]:
     """Solve the fixed two-region scenario over a sequence of b-fleet sizes.
 
@@ -228,13 +267,7 @@ def fleet_sweep(fleet_b_values) -> list[SweepRecord]:
     errors, a value outside [200, 4000], or NaN, raises ValidationError
     before any point is solved.
     """
-    values = [float(v) for v in fleet_b_values]
-    for value in values:
-        if not _FLEET_RANGE[0] <= value <= _FLEET_RANGE[1]:
-            raise ValidationError(
-                f"fleet_b values must be within {_FLEET_RANGE}, got {value!r}"
-            )
-    return _sweep(_fleet_spec, values)
+    return _path_sweep(_FLEET, [_FLEET.check(v) for v in fleet_b_values])
 
 
 def detect_optimal_fleet(lo: float = 200.0, hi: float = 4000.0, step: float = 1.0) -> float:
@@ -246,12 +279,12 @@ def detect_optimal_fleet(lo: float = 200.0, hi: float = 4000.0, step: float = 1.
     but sets no scan; it is kept for callers.
     """
     lo, hi, step = float(lo), float(hi), float(step)
-    if not _FLEET_RANGE[0] <= lo < hi <= _FLEET_RANGE[1]:
-        raise ValidationError(f"need {_FLEET_RANGE[0]} <= lo < hi <= {_FLEET_RANGE[1]}")
+    if not _FLEET.lo <= lo < hi <= _FLEET.hi:
+        raise ValidationError(f"need {_FLEET.lo} <= lo < hi <= {_FLEET.hi}")
     _check_step(step)
 
     def payoff(fleet_b: float) -> float:
-        spec = _fleet_spec(fleet_b)
+        spec = _FLEET.spec(fleet_b)
         return utility(spec, "b", solve_spec(spec).strategy)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -200,7 +200,7 @@ def grid_equilibrium(spec: GameSpec, step: float) -> GridOracleResult:
         raise ShapeError("grid oracle needs exactly two regions")
     step = float(step)
     if not math.isfinite(step) or step <= 0.0:
-        raise ValidationError(f"step must be > 0, got {step!r}")
+        raise ValidationError(f"step must be finite and > 0, got {step!r}")
     cells_a = spec.fleet_a / step
     cells_b = spec.fleet_b / step
     # The same test as round(cells) > GRID_MAX_CELLS, but safe for an

@@ -9,7 +9,7 @@ import pytest
 
 import fleetcontest as fc
 from fleetcontest import experiments, interior
-from fleetcontest.game import FEASIBILITY_RTOL
+from fleetcontest.game import FEASIBILITY_RTOL, stack_specs
 from helpers import fingerprint, random_spec, relative_kkt, solo_fingerprint
 
 
@@ -59,15 +59,66 @@ class TestScenarioBuilders:
         np.testing.assert_array_equal(spec.beta_c, [10.0, 410.0])
         np.testing.assert_array_equal(spec.eps, [100.0, 300.0])
 
+    def test_fleet_parameters(self):
+        spec = experiments._FLEET.spec(1754.0)
+        assert spec.regions == fc.two_region_spec(3.0).regions
+        assert (spec.fleet_a, spec.fleet_b) == (1000.0, 1754.0)
+
     def test_alpha_ranges(self):
-        with pytest.raises(fc.ValidationError):
+        with pytest.raises(fc.ValidationError, match=r"^alpha must be in \[1, 20\], got 0.5$"):
             fc.four_region_spec(0.5)
-        with pytest.raises(fc.ValidationError):
+        with pytest.raises(fc.ValidationError, match=r"^alpha must be in \[1, 20\], got 20.5$"):
             fc.four_region_spec(20.5)
-        with pytest.raises(fc.ValidationError):
+        with pytest.raises(fc.ValidationError, match=r"^alpha must be in \[1, 50\], got 0.0$"):
             fc.two_region_spec(0.0)
-        with pytest.raises(fc.ValidationError):
+        with pytest.raises(fc.ValidationError, match=r"^alpha must be in \[1, 50\], got 50.1$"):
             fc.two_region_spec(50.1)
+
+
+PATHS = {"four": experiments._FOUR, "two": experiments._TWO, "fleet": experiments._FLEET}
+
+
+class TestScenarioPaths:
+    """Each scenario is an affine path; its stack and its one-spec views agree."""
+
+    @pytest.mark.parametrize("name,points", [("four", 1901), ("two", 4901), ("fleet", 3801)])
+    def test_stack_is_the_stack_of_its_one_spec_views(self, name, points):
+        path = PATHS[name]
+        thetas = np.linspace(path.lo, path.hi, points).tolist()
+        assert thetas[0] == path.lo and thetas[-1] == path.hi
+        stack = path.stack(thetas)
+        for built, stacked in zip(stack, stack_specs([path.spec(t) for t in thetas])):
+            assert built.dtype == stacked.dtype and built.shape == stacked.shape
+            assert built.flags.c_contiguous
+            assert built.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("kind,alpha,message", [
+        ("four", 25.0, "alpha must be in [1, 20], got 25.0"),
+        ("four", 0.999, "alpha must be in [1, 20], got 0.999"),
+        ("four", float("nan"), "alpha must be in [1, 20], got nan"),
+        ("two", 50.1, "alpha must be in [1, 50], got 50.1"),
+        ("two", float("-inf"), "alpha must be in [1, 50], got -inf"),
+        ("two", float("nan"), "alpha must be in [1, 50], got nan"),
+    ])
+    def test_an_alpha_off_the_path_gives_its_message(self, kind, alpha, message):
+        with pytest.raises(fc.ValidationError) as raised:
+            PATHS[kind].spec(alpha)
+        assert str(raised.value) == message
+        records = fc.alpha_sweep(kind, [1.0, alpha, 20.0])
+        assert [r.error for r in records] == [None, message, None]
+        assert records[1].parameter == alpha or np.isnan(alpha) and np.isnan(records[1].parameter)
+        assert records[1].strategy is None and records[1].u_b is None
+
+    @pytest.mark.parametrize("value,shown", [
+        (100.0, "100.0"), (4000.5, "4000.5"), (float("nan"), "nan"), (float("inf"), "inf")])
+    def test_a_fleet_off_the_path_gives_its_message(self, value, shown):
+        message = f"fleet_b values must be within (200.0, 4000.0), got {shown}"
+        with pytest.raises(fc.ValidationError) as raised:
+            PATHS["fleet"].spec(value)
+        assert str(raised.value) == message
+        with pytest.raises(fc.ValidationError) as raised:
+            fc.fleet_sweep([1000.0, value])
+        assert str(raised.value) == message
 
 
 class TestSolveSpec:
@@ -383,19 +434,14 @@ class TestSolveBatch:
             assert fingerprint(results[index]) == solo_fingerprint(specs[index])
         assert [results[i].location for i in (0, 2, 4)] == ["interior", "A2", "interior"]
 
-    def test_a_failing_spec_gives_its_sweep_record(self, monkeypatch):
-        original = experiments.two_region_spec
-
-        def build(alpha):
-            return failing_root_spec() if alpha == 2.0 else original(alpha)
-
-        monkeypatch.setattr(experiments, "two_region_spec", build)
-        records = fc.alpha_sweep("two", [1.0, 2.0, 45.0])
+    def test_a_failing_spec_gives_its_sweep_record(self):
+        specs = [fc.two_region_spec(1.0), failing_root_spec(), fc.two_region_spec(45.0)]
+        records = experiments._sweep_stack([1.0, 2.0, 45.0], stack_specs(specs))
         assert [r.parameter for r in records] == [1.0, 2.0, 45.0]
         assert records[1].error.startswith("root residual inf exceeds tolerance")
         assert records[1].strategy is None and records[1].location is None
         assert [records[0].location, records[2].location] == ["interior", "A2"]
-        assert records[2].u_b == fc.utility(original(45.0), "b", records[2].strategy)
+        assert records[2].u_b == fc.utility(specs[2], "b", records[2].strategy)
 
     def test_sweep_keeps_order_and_build_errors(self):
         records = fc.alpha_sweep("four", [5, 25, 8])
@@ -523,7 +569,7 @@ class TestSweepReadsTheStack:
         for spec in TestSolveBytes.specs():
             by_m.setdefault(spec.m, []).append(spec)
         for specs in by_m.values():
-            records = experiments._sweep(lambda k, specs=specs: specs[int(k)], range(len(specs)))
+            records = experiments._sweep_stack(range(len(specs)), stack_specs(specs))
             for spec, record, result in zip(specs, records, fc.solve_batch(specs)):
                 if isinstance(result, fc.FleetContestError):
                     assert record.error == str(result) and record.strategy is None
@@ -556,7 +602,7 @@ class TestSweepReadsTheStack:
             assert fc.emit_csv(fc.alpha_sweep(kind, a)) == expected[kind]
         assert "A2" in expected["two"] and "error" in expected["four"]
         stalled = stalled_price_spec()
-        (record,) = experiments._sweep(lambda _: stalled, [0.0])
+        (record,) = experiments._sweep_stack([0.0], stack_specs([stalled]))
         assert record.error.startswith("price solve leaves player 'b' infeasible")
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import fleetcontest as fc
 from fleetcontest import interior
-from fleetcontest.experiments import _fleet_spec
+from fleetcontest.experiments import _FLEET
 from fleetcontest.game import stack_specs
 from fleetcontest.interior import BALANCE_RTOL, _balance, _balance_terms
 from helpers import random_spec
@@ -198,7 +198,7 @@ class TestRootFind:
         specs = (
             [fc.four_region_spec(a) for a in np.arange(1.0, 20.001, 0.25)]
             + [fc.two_region_spec(a) for a in np.arange(1.0, 50.001, 0.25)]
-            + [_fleet_spec(b) for b in np.arange(200.0, 4000.001, 20.0)]
+            + [_FLEET.spec(b) for b in np.arange(200.0, 4000.001, 20.0)]
         )
         assert max(_evaluations(spec) for spec in specs) <= 12
 

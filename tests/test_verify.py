@@ -214,6 +214,12 @@ class TestGridEquilibrium:
             fc.grid_equilibrium(spec, step=0.05)  # joint point cap
         assert GRID_MAX_CELLS == 100_000
 
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(fc.ValidationError,
+                           match=rf"^step must be finite and > 0, got {step!r}$"):
+            fc.grid_equilibrium(fc.two_region_spec(1.0), step=step)
+
     @pytest.mark.parametrize("step", [1e-310, 5e-324])
     def test_subnormal_step_hits_the_cell_cap(self, step):
         # fleet / step overflows to infinity, which round() cannot convert.

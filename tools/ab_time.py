@@ -16,9 +16,12 @@ Workloads, all timed as one call per operation:
   keeps its fastest time over the rounds, and the line reads the sum of
   those minima: a batch-of-one solve costs well under a millisecond, so
   a median would carry the host's noise.
-- The 1000-point `four` sweep over alpha in [1, 20] and `two` sweep over
-  [1, 50], each with its CSV. The line reads each side's median time and
-  the median and quartiles of the round-by-round ratios.
+- The case study: the 1000-point `four` sweep over alpha in [1, 20], the
+  `two` sweep over [1, 50] and the fleet_sweep over fleet_b in
+  [200, 4000], each with its CSV, and detect_optimal_fleet(200, 4000, 1).
+  Each line reads each side's median time and the median and quartiles
+  of the round-by-round ratios. Both sides must print the same CSV bytes
+  and return the same fleet optimum.
 - grid_equilibrium on 20 two-region box specs at the CLI's step,
   max(fleet) / 2000, read as the sum of per-spec minima like the solves,
   and on two_region_spec(1.0) at step 0.5 (a 2000 x 4000 grid), read
@@ -43,7 +46,6 @@ SOLVE_ROUNDS = 60
 SWEEP_ROUNDS = 30
 GRID_ROUNDS = 10
 VERIFY_ROUNDS = 20
-SWEEPS = {"four": (1.0, 20.0), "two": (1.0, 50.0)}
 
 
 def load(checkout: str, name: str):
@@ -124,19 +126,27 @@ def verify_configs(fc) -> list:
     return [fc.format_config(spec) for spec in box_specs(fc, seed=2100, counts=(2,))]
 
 
-def time_sweeps(sides: dict) -> dict:
-    """Per side and sweep kind, the time of each round's sweep with its CSV."""
-    times = {(name, kind): [] for name in sides for kind in SWEEPS}
-    names = list(sides)
+def case_study(fc) -> dict:
+    """The case-study calls by label: three 1000-point sweeps, each with
+    its CSV, and the fleet detector over its whole window."""
+    four, two, fleet = (np.linspace(lo, hi, 1000)
+                        for lo, hi in ((1.0, 20.0), (1.0, 50.0), (200.0, 4000.0)))
+    return {"four": lambda: fc.emit_csv(fc.alpha_sweep("four", four)),
+            "two": lambda: fc.emit_csv(fc.alpha_sweep("two", two)),
+            "fleet": lambda: fc.emit_csv(fc.fleet_sweep(fleet)),
+            "fleet-opt": lambda: fc.detect_optimal_fleet(200.0, 4000.0, 1.0)}
+
+
+def time_case_study(calls: dict) -> dict:
+    """Per side and label, the time of each round's case-study call."""
+    times = {(name, label): [] for name, side in calls.items() for label in side}
+    names = list(calls)
     for r in range(SWEEP_ROUNDS):
         order = names[r % len(names):] + names[:r % len(names)]
-        for kind, (lo, hi) in SWEEPS.items():
-            alphas = np.linspace(lo, hi, 1000)
+        for label in calls[names[0]]:
             for name in order:
-                fc = sides[name]
                 gc.collect()
-                times[name, kind].append(
-                    elapsed(lambda: fc.emit_csv(fc.alpha_sweep(kind, alphas))))
+                times[name, label].append(elapsed(calls[name][label]))
     return times
 
 
@@ -182,6 +192,12 @@ def main(argv: list) -> int:
     if checked["change"] != checked["parent"]:
         print("the change returns other verify values than the parent", file=sys.stderr)
         return 1
+    calls = {name: case_study(fc) for name, fc in sides.items()}
+    outputs = {name: [call() for call in side.values()] for name, side in calls.items()}
+    if outputs["change"] != outputs["parent"]:
+        print("the change prints other sweep CSV, or finds another fleet optimum, than the"
+              " parent", file=sys.stderr)
+        return 1
 
     best = time_cases(sides, {name: box_specs(fc) for name, fc in sides.items()},
                       lambda fc, spec: fc.solve_spec(spec), SOLVE_ROUNDS)
@@ -191,11 +207,11 @@ def main(argv: list) -> int:
                 for name, times in best.items()}
         print(minima_line(f"{label:8} ({interior.count(keep):3} specs)", sums))
 
-    times = time_sweeps(sides)
-    print(f"1000-point sweeps with CSV, {SWEEP_ROUNDS} rounds (median ms; paired ratio"
-          " median [quartiles]):")
-    for kind in SWEEPS:
-        print(paired_line(f"{kind:4}", {name: times[name, kind] for name in sides}))
+    times = time_case_study(calls)
+    print(f"case study: 1000-point sweeps with CSV and the fleet optimum, {SWEEP_ROUNDS} rounds"
+          " (median ms; paired ratio median [quartiles]):")
+    for label in calls["parent"]:
+        print(paired_line(f"{label:9}", {name: times[name, label] for name in sides}))
 
     grids = time_cases(sides, {name: grid_cases(fc) for name, fc in sides.items()},
                        lambda fc, case: fc.grid_equilibrium(*case), GRID_ROUNDS)
