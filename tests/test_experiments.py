@@ -693,6 +693,42 @@ class TestSolveBytes:
             "c317218380599b01f6ace2b916efa8321e81444a2a213f745d19c3fbafda7ad1")
 
 
+class TestDetectorAndViewBytes:
+    """The detectors' doubles and the one-spec views' config text, pinned so
+    that a change in how either is formed or solved shows."""
+
+    @pytest.mark.parametrize("window,expected", [
+        ((1.0, 50.0, 0.1), "0x1.44cb857602a9fp+5"),
+        ((37.2, 45.0, 0.05), "0x1.44cb857602a9fp+5"),
+        ((41.0, 50.0, 0.1), "0x1.4800000000000p+5"),
+        ((1.0, 40.0, 0.1), None),
+        ((1.0, 40.3, 0.1), None),
+    ])
+    def test_detect_alpha_crit(self, window, expected):
+        value = fc.detect_alpha_crit(*window)
+        assert (value if value is None else value.hex()) == expected
+
+    @pytest.mark.parametrize("window,expected", [
+        ((200.0, 4000.0, 1.0), "0x1.b68cb17a94b48p+10"),
+        ((1700.0, 1790.0, 1.0), "0x1.b68cb408c8e8ap+10"),
+        ((1750.0, 1758.0, 4.0), "0x1.b68cb4256f24fp+10"),
+    ])
+    def test_detect_optimal_fleet(self, window, expected):
+        assert fc.detect_optimal_fleet(*window).hex() == expected
+
+    @pytest.mark.parametrize("name,points,expected", [
+        ("four", 1901, "ff958abddd9d12e5495e1fd0121dfc9880f7f8a5de8cc70f5e5b9c35c7f7cd47"),
+        ("two", 4901, "e4fa0d90871b1ebb0008559eaebe62e350ecf664816078516ec0236d03351769"),
+        ("fleet", 3801, "71d7511b5d3ddfe0b7d090601192c4908f98797bd4b9455583f81fff54e1495d"),
+    ])
+    def test_views(self, name, points, expected):
+        """The config text of every view over the grids TestScenarioPaths stacks."""
+        path = PATHS[name]
+        thetas = np.linspace(path.lo, path.hi, points).tolist()
+        text = "".join(fc.format_config(path.spec(t)) for t in thetas)
+        assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
 class TestSolvedSpecsCertify:
     def test_every_solved_spec_has_a_small_ne_residual(self):
         """Every spec TestSolveBytes solves, the wide-range ones included,
