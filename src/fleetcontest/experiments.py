@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -19,7 +18,6 @@ from .game import (
     joint_from_arrays,
     stack_specs,
     stacked_utilities,
-    utility,
 )
 from .interior import _solve_stack
 from .result import EquilibriumResult
@@ -48,22 +46,11 @@ class _Path:
             raise ValidationError(self.message.format(theta))
         return theta
 
-    @cached_property
-    def _fixed(self) -> list[RegionParams | None]:
-        """Per region, None where the slope moves it, else the one
-        RegionParams every theta shares, since b + theta * 0.0 is b for
-        every theta that check lets through. Building those once keeps a
-        view as cheap as the spec written out: RegionParams' checks are
-        most of its cost."""
-        return [None if any(self.slope[j:j + 3]) else RegionParams(*self.base[j:j + 3])
-                for j in range(0, len(self.base) - 2, 3)]
-
     def spec(self, theta) -> GameSpec:
-        """The spec at theta, formed in plain floats."""
-        theta = self.check(theta)
-        p = [b + theta * s for b, s in zip(self.base, self.slope)]
-        return GameSpec([fixed or RegionParams(*p[3 * j:3 * j + 3])
-                         for j, fixed in enumerate(self._fixed)], p[-2], p[-1])
+        """The spec at theta: the one row of its stack."""
+        stack = self.stack([self.check(theta)])
+        beta_m, beta_c, eps, fleets = (field[0].tolist() for field in stack)
+        return GameSpec(tuple(map(RegionParams, beta_m, beta_c, eps)), *fleets)
 
     def stack(self, thetas: list[float]) -> SpecStack:
         """The specs at thetas, all inside [lo, hi], formed as one array
@@ -85,7 +72,7 @@ _TWO = _Path("alpha must be in [1, 50], got {!r}", 1.0, 50.0,
              (0.0, 0.0, 0.0, 0.0, 10.0, 0.0, 0.0, 0.0))
 
 # The two-region scenario at alpha = 3, with b's fleet as the parameter.
-_FLEET = _Path("fleet_b values must be within (200.0, 4000.0), got {!r}", 200.0, 4000.0,
+_FLEET = _Path("fleet_b must be in [200, 4000], got {!r}", 200.0, 4000.0,
                (35_000.0, 10.0, 100.0, 120_000.0, 30.0, 300.0, 1000.0, 0.0),
                (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0))
 
@@ -226,6 +213,16 @@ def alpha_sweep(kind: str, alphas) -> list[SweepRecord]:
     raise ValidationError(f"kind must be 'four' or 'two', got {kind!r}")
 
 
+def _solve_at(path: _Path, theta: float) -> tuple:
+    """path's one-row stack at theta, inside its range, and its solution.
+    A row that fails raises its own FleetContestError, as solve_spec does."""
+    stack = path.stack([theta])
+    solution = _solve_stack(stack)
+    if solution.errors[0] is not None:
+        raise solution.errors[0]
+    return stack, solution
+
+
 def _check_step(step: float) -> None:
     """Raises ValidationError for a step that is not finite and positive."""
     if not (math.isfinite(step) and step > 0.0):
@@ -249,13 +246,11 @@ def detect_alpha_crit(lo: float = 1.0, hi: float = 50.0, step: float = 0.1) -> f
     if not _TWO.lo <= lo < hi <= _TWO.hi:
         raise ValidationError(f"need 1 <= lo < hi <= 50, got lo={lo!r}, hi={hi!r}")
     _check_step(step)
-    spec = two_region_spec(hi)
-    result = solve_spec(spec)
-    x = [result.strategy.of(player).values for player in ("a", "b")]
-    if not empty_components((spec.fleet_a, spec.fleet_b), x)[:, 1].all():
+    stack, solution = _solve_at(_TWO, hi)
+    if not empty_components(stack.fleets, solution.x)[0, :, 1].all():
         return None
-    slope = float(spec.beta_c[1]) / hi
-    margin = min(float(result.duals.nu_a[1]), float(result.duals.nu_b[1]))
+    slope = float(stack.beta_c[0, 1]) / hi
+    margin = min(solution.nu[0, :, 1].tolist())
     return max(lo, hi - margin / slope)
 
 
@@ -283,9 +278,10 @@ def detect_optimal_fleet(lo: float = 200.0, hi: float = 4000.0, step: float = 1.
         raise ValidationError(f"need {_FLEET.lo} <= lo < hi <= {_FLEET.hi}")
     _check_step(step)
 
+    @_quiet
     def payoff(fleet_b: float) -> float:
-        spec = _FLEET.spec(fleet_b)
-        return utility(spec, "b", solve_spec(spec).strategy)
+        stack, solution = _solve_at(_FLEET, fleet_b)
+        return stacked_utilities(stack, solution.x)[0, 1].item()
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)

@@ -20,15 +20,15 @@ COLLAPSE_SCALE = 40.599375650364204
 
 
 def counted_solves(monkeypatch):
-    """Count the solve_spec calls the detectors make from here on."""
+    """Count the stack solves the detectors make from here on."""
     calls = []
-    solve = experiments.solve_spec
+    solve = experiments._solve_stack
 
-    def counted(spec):
-        calls.append(spec)
-        return solve(spec)
+    def counted(stack):
+        calls.append(stack)
+        return solve(stack)
 
-    monkeypatch.setattr(experiments, "solve_spec", counted)
+    monkeypatch.setattr(experiments, "_solve_stack", counted)
     return calls
 
 
@@ -112,7 +112,7 @@ class TestScenarioPaths:
     @pytest.mark.parametrize("value,shown", [
         (100.0, "100.0"), (4000.5, "4000.5"), (float("nan"), "nan"), (float("inf"), "inf")])
     def test_a_fleet_off_the_path_gives_its_message(self, value, shown):
-        message = f"fleet_b values must be within (200.0, 4000.0), got {shown}"
+        message = f"fleet_b must be in [200, 4000], got {shown}"
         with pytest.raises(fc.ValidationError) as raised:
             PATHS["fleet"].spec(value)
         assert str(raised.value) == message

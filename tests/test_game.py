@@ -86,6 +86,10 @@ class TestGameSpec:
         with pytest.raises(fc.ValidationError):
             fc.GameSpec(regions=(region,), fleet_a=1.0, fleet_b=float("nan"))
 
+    def test_rejects_regions_that_are_not_region_params(self):
+        with pytest.raises(fc.ValidationError, match="regions must be RegionParams, got tuple"):
+            fc.GameSpec(regions=((1.0, 0.0, 1.0),), fleet_a=1.0, fleet_b=1.0)
+
     def test_fleet_of_unknown_player(self):
         with pytest.raises(fc.ValidationError):
             two_region().fleet_of("c")
@@ -120,12 +124,24 @@ class TestAllocation:
         with pytest.raises(fc.ValidationError):
             fc.joint_from_arrays([1.0], [2.0, 3.0])
 
+    def test_joint_strategy_rejects_swapped_owners(self):
+        with pytest.raises(fc.ValidationError,
+                           match="joint strategy needs alloc_a owned by 'a' and alloc_b by 'b'"):
+            fc.JointStrategy(alloc_a=fc.Allocation(np.array([1.0]), "b"),
+                             alloc_b=fc.Allocation(np.array([1.0]), "a"))
+
 
 class TestDualCertificate:
     def test_rejects_negative_slack(self):
         with pytest.raises(fc.ValidationError):
             fc.DualCertificate(lambda_a=0.0, lambda_b=0.0,
                                nu_a=np.array([-1e-3, 0.0]),
+                               nu_b=np.array([0.0, 0.0]))
+
+    def test_rejects_non_finite_slack(self):
+        with pytest.raises(fc.ValidationError, match="nu_a must be finite"):
+            fc.DualCertificate(lambda_a=0.0, lambda_b=0.0,
+                               nu_a=np.array([float("inf"), 0.0]),
                                nu_b=np.array([0.0, 0.0]))
 
 
@@ -159,6 +175,14 @@ def test_market_share_and_profit_loss_by_hand():
     denom = own + rival + 100.0
     assert fc.market_share(region, own, rival) == pytest.approx(35000.0 * own / denom)
     assert fc.profit_loss(region, own, rival) == pytest.approx(35000.0 * 100.0 / denom)
+
+
+def test_market_share_and_profit_loss_reject_negative_allocations():
+    region = fc.RegionParams(beta_m=35000.0, beta_c=10.0, epsilon=100.0)
+    with pytest.raises(fc.ValidationError, match="allocations must be >= 0"):
+        fc.market_share(region, -1.0, 453.0)
+    with pytest.raises(fc.ValidationError, match="allocations must be >= 0"):
+        fc.profit_loss(region, 222.6, -1.0)
 
 
 def test_revenue_splits_conserve_the_region_scale():
@@ -228,3 +252,10 @@ def test_utility_gradient_rejects_negative_entries():
     )
     with pytest.raises(fc.ValidationError):
         fc.utility_gradient(spec, "a", joint)
+
+
+def test_utility_gradient_rejects_a_wrong_length():
+    joint = fc.joint_from_arrays([400.0, 300.0, 300.0], [900.0, 600.0, 500.0])
+    with pytest.raises(fc.ValidationError,
+                       match="allocation length does not match region count"):
+        fc.utility_gradient(two_region(), "a", joint)

@@ -94,6 +94,8 @@ class TestMassBalance:
             fc.mass_balance(spec, np.array([3.0]), float("nan"))
         with pytest.raises(fc.ValidationError):
             fc.mass_balance(spec, np.array([3.0, 4.0]), 1.0)
+        with pytest.raises(fc.ValidationError, match="offsets must be finite"):
+            fc.mass_balance(spec, np.array([float("inf")]), 1.0)
 
     def test_a_slightly_negative_discriminant_clamps_to_the_edge(self):
         """At t just beyond the domain edge (t = 28 here) the discriminant is

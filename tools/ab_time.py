@@ -18,10 +18,12 @@ Workloads, all timed as one call per operation:
   a median would carry the host's noise.
 - The case study: the 1000-point `four` sweep over alpha in [1, 20], the
   `two` sweep over [1, 50] and the fleet_sweep over fleet_b in
-  [200, 4000], each with its CSV, and detect_optimal_fleet(200, 4000, 1).
-  Each line reads each side's median time and the median and quartiles
-  of the round-by-round ratios. Both sides must print the same CSV bytes
-  and return the same fleet optimum.
+  [200, 4000], each with its CSV, detect_alpha_crit(1, 50, 0.1) and
+  detect_optimal_fleet(200, 4000, 1). Each line reads each side's median
+  time and the median and quartiles of the round-by-round ratios. Both
+  sides must print the same CSV bytes, return the same detector doubles,
+  and give the same format_config text for each scenario path's one-spec
+  views over the grids the view pin in tests/test_experiments.py uses.
 - grid_equilibrium on 20 two-region box specs at the CLI's step,
   max(fleet) / 2000, read as the sum of per-spec minima like the solves,
   and on two_region_spec(1.0) at step 0.5 (a 2000 x 4000 grid), read
@@ -128,13 +130,23 @@ def verify_configs(fc) -> list:
 
 def case_study(fc) -> dict:
     """The case-study calls by label: three 1000-point sweeps, each with
-    its CSV, and the fleet detector over its whole window."""
+    its CSV, and both detectors over their whole windows."""
     four, two, fleet = (np.linspace(lo, hi, 1000)
                         for lo, hi in ((1.0, 20.0), (1.0, 50.0), (200.0, 4000.0)))
     return {"four": lambda: fc.emit_csv(fc.alpha_sweep("four", four)),
             "two": lambda: fc.emit_csv(fc.alpha_sweep("two", two)),
             "fleet": lambda: fc.emit_csv(fc.fleet_sweep(fleet)),
+            "alpha-crit": lambda: fc.detect_alpha_crit(1.0, 50.0, 0.1),
             "fleet-opt": lambda: fc.detect_optimal_fleet(200.0, 4000.0, 1.0)}
+
+
+def view_texts(fc) -> str:
+    """The config text of each scenario path's views: 1901 `four`, 4901
+    `two` and 3801 fleet points, both ends of each range included."""
+    ex = fc.experiments
+    return "".join(fc.format_config(path.spec(t))
+                   for path, points in ((ex._FOUR, 1901), (ex._TWO, 4901), (ex._FLEET, 3801))
+                   for t in np.linspace(path.lo, path.hi, points).tolist())
 
 
 def time_case_study(calls: dict) -> dict:
@@ -195,8 +207,11 @@ def main(argv: list) -> int:
     calls = {name: case_study(fc) for name, fc in sides.items()}
     outputs = {name: [call() for call in side.values()] for name, side in calls.items()}
     if outputs["change"] != outputs["parent"]:
-        print("the change prints other sweep CSV, or finds another fleet optimum, than the"
-              " parent", file=sys.stderr)
+        print("the change prints other sweep CSV, or its detectors return other doubles, than"
+              " the parent", file=sys.stderr)
+        return 1
+    if view_texts(sides["change"]) != view_texts(sides["parent"]):
+        print("the change forms other one-spec views than the parent", file=sys.stderr)
         return 1
 
     best = time_cases(sides, {name: box_specs(fc) for name, fc in sides.items()},
@@ -208,10 +223,10 @@ def main(argv: list) -> int:
         print(minima_line(f"{label:8} ({interior.count(keep):3} specs)", sums))
 
     times = time_case_study(calls)
-    print(f"case study: 1000-point sweeps with CSV and the fleet optimum, {SWEEP_ROUNDS} rounds"
+    print(f"case study: 1000-point sweeps with CSV and both detectors, {SWEEP_ROUNDS} rounds"
           " (median ms; paired ratio median [quartiles]):")
     for label in calls["parent"]:
-        print(paired_line(f"{label:9}", {name: times[name, label] for name in sides}))
+        print(paired_line(f"{label:10}", {name: times[name, label] for name in sides}))
 
     grids = time_cases(sides, {name: grid_cases(fc) for name, fc in sides.items()},
                        lambda fc, case: fc.grid_equilibrium(*case), GRID_ROUNDS)
