@@ -1,13 +1,15 @@
 """The grid oracle's joint two-region scan, in numpy.
 
 Each player's payoff is strictly concave along its own grid axis, so its
-best-response value for every opponent cell comes from a binary search
-instead of a joint pass. The regret at b's best-response cell of each of
-a's rows seeds an upper bound on the smallest max-regret. b's regret is
-convex along its own axis, so in each row only a span of cells around
-that best response can stay within the bound; one fused pass over those
-spans, in chunks of bounded size, then computes the regrets. This is the
-package's one kernel; fleetcontest.KERNEL_BACKEND names it "python".
+best-response value for every opponent cell is the maximum over a few
+cells around the peak that a Newton solve of the payoff's first-order
+condition finds, instead of a joint pass. The regret at b's
+best-response cell of each of a's rows seeds an upper bound on the
+smallest max-regret. b's regret is convex along its own axis, so in each
+row only a span of cells around that best response can stay within the
+bound; one fused pass over those spans, in chunks of bounded size, then
+computes the regrets. This is the package's one kernel;
+fleetcontest.KERNEL_BACKEND names it "python".
 """
 
 import numpy as np
@@ -16,9 +18,14 @@ import numpy as np
 #: chunk of the regret pass holds at most half as many rows of cells.
 _BLOCK = 16
 
-#: Half-width of the window searched exhaustively around each binary-search peak,
-#: and the first half-width of the regret spans around b's peaks.
+#: Half-width of the window searched exhaustively around each Newton peak, and
+#: the first half-width of the regret spans around b's peaks.
 _WINDOW = 2
+
+#: Most Newton steps per peak search, a guard for non-finite iterates; a column
+#: not settled by then keeps its last iterate, which the window's certificate
+#: checks like any other.
+_NEWTON_STEPS = 40
 
 
 def _payoff(own, rem, other, rem_other, bm1, bm2, bc1, bc2, e1, e2):
@@ -27,32 +34,66 @@ def _payoff(own, rem, other, rem_other, bm1, bm2, bc1, bc2, e1, e2):
     return own * (bm1 / d1 - bc1) + rem * (bm2 / d2 - bc2)
 
 
+def _peaks(own, rem, other, rem_other, bm1, bm2, bc1, bc2, e1, e2):
+    """The cell nearest each opponent column's continuous payoff maximizer.
+
+    With p = other + e1 and q = rem_other + e2, the payoff's derivative
+    vanishes where region j's mass is sqrt(beta_m_j * p_j / (beta_c_j + nu))
+    for both regions at one level nu and the two masses sum to
+    fleet + p + q. In y = 1 / sqrt(nu + min beta_c) the summed mass is
+    (a_c + a_o / sqrt(1 + d y^2)) y, with a_j = sqrt(beta_m_j * p_j), c the
+    cheaper region, o the other and d their price gap: concave and
+    increasing from 0, so Newton's method from y = 0 rises to the root
+    without overshooting, and its first step is the equal-price closed
+    form. The steps stop once every column's summed mass is within a
+    quarter cell of its target, or within its rounding if that is more.
+    The derivative falls strictly along the own axis, so region 1's
+    holding at the root, clipped to the fleet, is the maximizer. A column
+    whose iterate is not finite gets peak 0; the window's certificate
+    settles it either way.
+    """
+    n = own.size - 1
+    cell = own[1]
+    p = other + e1
+    q = rem_other + e2
+    total = (rem[0] + p) + q  # rem[0] is the whole fleet
+    a1 = np.sqrt(bm1 * p)
+    a2 = np.sqrt(bm2 * q)
+    a_c, a_o = (a1, a2) if bc1 <= bc2 else (a2, a1)
+    d = abs(bc1 - bc2)
+    y = total / (a_c + a_o)
+    # The target is the same in every column up to rounding, and the miss
+    # cannot fall below a few ulps of it.
+    slack = max(0.25 * cell, 16.0 * np.finfo(float).eps * total[0])
+    for _ in range(_NEWTON_STEPS):
+        g = 1.0 / np.sqrt(1.0 + d * (y * y))
+        mass_c = a_c * y
+        mass_o = a_o * g * y
+        miss = mass_c + mass_o - total
+        if not (np.abs(miss) >= slack).any():
+            break
+        y -= miss / (a_c + a_o * (g * g * g))
+    z = ((mass_c if bc1 <= bc2 else mass_o) - p) / cell
+    return np.where(np.isfinite(z), np.clip(np.rint(z), 0, n), 0).astype(np.intp)
+
+
 def _best_response_values(own, rem, other, rem_other, tol, *params):
     """Largest payoff over the own grid axis, for each opponent cell.
 
-    A binary search on the sign of the forward difference finds each
-    peak; both sides of the difference come from one payoff call per
-    step. The exact maximum over a window around the peak absorbs
-    rounding near it. Concavity makes that maximum global when the
-    payoff rises by more than twice the rounding bound tol into the
-    window's left edge and falls by that much out of its right edge;
-    columns where this does not hold get a full scan.
+    _peaks finds each column's peak from the payoff's first-order
+    condition. The exact maximum over a window around the peak absorbs
+    the rounding of the peak and of the payoffs near it. Concavity makes
+    that maximum global when the payoff rises by more than twice the
+    rounding bound tol into the window's left edge and falls by that
+    much out of its right edge; columns where this does not hold get a
+    full scan, so the values never depend on the peak.
 
     Returns the values, the peaks and the mask of certified peaks. A
     certified peak lies within the window's half-width of the exact
     maximizer of the payoff.
     """
     n = own.size - 1
-
-    peak = np.zeros(other.size, dtype=np.intp)
-    back = np.array([[0], [1]])
-    step = 1 << (n.bit_length() - 1)
-    while step:
-        cand = np.minimum(peak + step, n)
-        pair = cand - back
-        u = _payoff(own[pair], rem[pair], other, rem_other, *params)
-        peak = np.where(u[0] > u[1], cand, peak)
-        step >>= 1
+    peak = _peaks(own, rem, other, rem_other, *params)
 
     offsets = np.arange(-_WINDOW, _WINDOW + 1)[:, None]
     index = np.clip(peak + offsets, 0, n)

@@ -188,6 +188,7 @@ class GridOracleResult:
     eps_ne: float
 
 
+@_quiet
 def grid_equilibrium(spec: GameSpec, step: float) -> GridOracleResult:
     """Solver-free equilibrium oracle on a joint allocation grid.
 

@@ -126,10 +126,11 @@ def test_blocked_path_is_block_size_invariant(monkeypatch):
 
 
 def test_single_cell_grids():
-    result = two_region_scan(100.0, 50.0, 1.0, 2.0, 5.0, 5.0, 10.0, 20.0, 1, 1)
-    assert result[0] in (0, 1)
-    assert result[1] in (0, 1)
-    assert result[2] >= 0.0
+    # One cell spans a whole fleet, the widest cell a peak is rounded to.
+    for na, nb in ((1, 1), (1, 7), (9, 1)):
+        case = dict(bm1=100.0, bm2=50.0, bc1=1.0, bc2=2.0, e1=5.0, e2=5.0,
+                    xa=10.0, xb=20.0, na=na, nb=nb)
+        assert two_region_scan(**case) == naive_scan(**case)
 
 
 def test_matches_brute_force_on_box_specs():
@@ -139,6 +140,58 @@ def test_matches_brute_force_on_box_specs():
         case["na"] = int(rng.integers(100, 400))
         case["nb"] = int(rng.integers(100, 400))
         assert two_region_scan(**case) == brute_force_scan(**case)
+
+
+def log_uniform_case(rng, decades):
+    """Small grids with every parameter log-uniform over +-decades, and
+    a zero charging cost a tenth of the time."""
+    def draw():
+        return float(10.0 ** rng.uniform(-decades, decades))
+
+    def cost():
+        return 0.0 if rng.random() < 0.1 else draw()
+
+    return dict(bm1=draw(), bm2=draw(), bc1=cost(), bc2=cost(), e1=draw(), e2=draw(),
+                xa=draw(), xb=draw(), na=int(rng.integers(1, 41)), nb=int(rng.integers(1, 41)))
+
+
+@pytest.mark.parametrize("decades", [30, 300])
+def test_matches_brute_force_at_every_scale(decades):
+    # Far from unit scale the peak search's iterates over- or underflow;
+    # such columns must still reach the full scan's values.
+    rng = np.random.default_rng(83 + decades)
+    with np.errstate(all="ignore"):
+        for _ in range(450):
+            case = log_uniform_case(rng, decades)
+            got = two_region_scan(**case)
+            expected = brute_force_scan(**case)
+            assert got[:2] == expected[:2], case
+            assert got[2] == expected[2] or (np.isnan(got[2]) and np.isnan(expected[2])), case
+
+
+def test_peaks_certify_every_column_on_verify_grids(monkeypatch):
+    # On the grids `fleetcontest verify` scans, the window around each
+    # peak certifies it, so no column falls back to the full scan.
+    masks = []
+    found = _kernels._best_response_values
+
+    def recording(*args):
+        values = found(*args)
+        masks.append(values[2])
+        return values
+
+    monkeypatch.setattr(_kernels, "_best_response_values", recording)
+    rng = np.random.default_rng(84)
+    for _ in range(20):
+        case = random_case(rng)
+        big = float(rng.uniform(1000.0, 5000.0))
+        small = big * float(rng.uniform(0.45, 0.55))
+        xa, xb = (big, small) if rng.random() < 0.5 else (small, big)
+        step = big / 2000  # the CLI's step
+        case.update(xa=xa, xb=xb, na=round(xa / step), nb=round(xb / step))
+        two_region_scan(**case)
+    assert len(masks) == 40
+    assert all(mask.all() for mask in masks)
 
 
 def test_matches_brute_force_with_best_responses_at_grid_ends():
@@ -167,7 +220,7 @@ FLAT = dict(
 
 
 def test_payoffs_flat_to_rounding_match_brute_force():
-    # A window around the binary-search peak alone misses the maxima here
+    # A window around the first-order peak alone misses the maxima here
     # and reports a negative regret.
     assert two_region_scan(**FLAT) == brute_force_scan(**FLAT)
 

@@ -107,6 +107,27 @@ class TestChecksWithWarningsAsErrors:
             assert math.isnan(certificate.max_eigenvalue)
             assert not certificate.negative_definite
 
+    def test_an_overflowing_rounding_bound_gives_the_same_grid_point(self):
+        """The grid scan's rounding bound overflows at these scales, which
+        raised a RuntimeWarning under the "error" filter."""
+        spec = fc.GameSpec((fc.RegionParams(5.187130212617374e+110, 3.7367563518523024e+36,
+                                            1.5345060148788227e-63),
+                            fc.RegionParams(2.3019743673044378e+113, 2466151.129924371,
+                                            5.810488481962557e-113)),
+                           2.8665138369936094e-112, 2.2453752771415618e+90)
+        step = max(spec.fleet_a, spec.fleet_b) / 30
+        results = []
+        for action in ("ignore", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                results.append(fc.grid_equilibrium(spec, step))
+        ignored, raised = results
+        assert raised.step == ignored.step
+        assert raised.eps_ne.hex() == ignored.eps_ne.hex()
+        for alloc in ("alloc_a", "alloc_b"):
+            assert np.array_equal(getattr(raised.strategy, alloc).values,
+                                  getattr(ignored.strategy, alloc).values)
+
 
 class TestKktResidual:
     def test_interior_equilibrium_satisfies_the_system(self):
