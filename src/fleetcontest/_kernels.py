@@ -22,9 +22,9 @@ _BLOCK = 16
 #: the first half-width of the regret spans around b's peaks.
 _WINDOW = 2
 
-#: Most Newton steps per peak search, a guard for non-finite iterates; a column
-#: not settled by then keeps its last iterate, which the window's certificate
-#: checks like any other.
+#: Most Newton steps per peak search, a bound on the loop should some column's
+#: iterates never settle; such a column keeps its last iterate, which the
+#: window's certificate checks like any other.
 _NEWTON_STEPS = 40
 
 
@@ -52,14 +52,16 @@ def _peaks(own, rem, other, rem_other, bm1, bm2, bc1, bc2, e1, e2):
     whose iterate is not finite gets peak 0; the window's certificate
     settles it either way.
     """
+    # own runs 0, cell, 2 cell, ... and rem[0] is the whole fleet.
     n = own.size - 1
     cell = own[1]
     p = other + e1
     q = rem_other + e2
-    total = (rem[0] + p) + q  # rem[0] is the whole fleet
+    total = (rem[0] + p) + q
     a1 = np.sqrt(bm1 * p)
     a2 = np.sqrt(bm2 * q)
-    a_c, a_o = (a1, a2) if bc1 <= bc2 else (a2, a1)
+    one_cheap = bc1 <= bc2
+    a_c, a_o = (a1, a2) if one_cheap else (a2, a1)
     d = abs(bc1 - bc2)
     y = total / (a_c + a_o)
     # The target is the same in every column up to rounding, and the miss
@@ -73,7 +75,7 @@ def _peaks(own, rem, other, rem_other, bm1, bm2, bc1, bc2, e1, e2):
         if not (np.abs(miss) >= slack).any():
             break
         y -= miss / (a_c + a_o * (g * g * g))
-    z = ((mass_c if bc1 <= bc2 else mass_o) - p) / cell
+    z = ((mass_c if one_cheap else mass_o) - p) / cell
     return np.where(np.isfinite(z), np.clip(np.rint(z), 0, n), 0).astype(np.intp)
 
 
