@@ -478,6 +478,8 @@ def _newton_search(i: int, terms: tuple, levels: tuple, lowest: float, fleet_a: 
             f_a, f_b = errors[0] * fleet_a, errors[1] * fleet_b
             d_a = (j_ab * f_b - j_bb * f_a) / det
             d_b = (j_ba * f_a - j_aa * f_b) / det
+            if not (mu_a > 0.0 and mu_b > 0.0):
+                break  # A level underflowed to zero; no multiplicative step leaves it.
             reach = max(abs(d_a) / mu_a, abs(d_b) / mu_b)
             if not reach > 0.0:
                 break  # A step lost to underflow leaves nothing to try.

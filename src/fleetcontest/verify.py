@@ -45,6 +45,19 @@ GRID_MAX_CELLS = 100_000
 GRID_MAX_POINTS = 250_000_000
 
 
+#: Newton steps the water fill takes toward its level before it bisects.
+_FILL_NEWTON_STEPS = 10
+
+#: Relative offsets at which the water fill probes either side of a
+#: converged Newton level: from a few ulps, fourfold up to about 4e-10.
+_FILL_PROBES = tuple(4e-16 * 4.0**k for k in range(11))
+
+
+def _fill(bmy: np.ndarray, y: np.ndarray, cost: np.ndarray, nu: float) -> np.ndarray:
+    """The water fill's holdings at level nu, for bmy = beta_m * y."""
+    return np.maximum(0.0, np.sqrt(bmy / (cost + nu)) - y)
+
+
 def _water_fill(spec: GameSpec, y: np.ndarray, target: float) -> np.ndarray:
     """Maximize the contest payoff over x >= 0 with components summing to target.
 
@@ -58,26 +71,83 @@ def _water_fill(spec: GameSpec, y: np.ndarray, target: float) -> np.ndarray:
     positive part rescaled to an exact sum. A sum still off by more than
     BR_SUM_RTOL raises NumericalError: a target far below a held y lets
     sqrt(.) - y cancel.
+
+    The bisection evaluates only the midpoints whose side it does not
+    already know, and returns the bits of one that evaluates them all.
+    Its test, fill(nu).sum() > target, is non-increasing in nu wherever
+    the sum is not NaN: each step of the fill (cost + nu, beta_m * y over
+    it, sqrt, - y, max(0, .)) is a correctly rounded operation monotone
+    in nu, and numpy adds the m terms in a fixed order, each addition
+    monotone in both operands. Levels are positive, so a term is NaN
+    only where an infinite beta_m * y meets an infinite cost + nu or an
+    infinite y, and a term NaN at one level is NaN at every higher one. Hence a sum above target
+    settles the test for every lower level, and a sum not above it that
+    is not NaN settles it for every higher one. A NaN sum compares false
+    with everything and sets no side. left is the largest evaluated
+    level above target and right the smallest settled one not above it;
+    a midpoint at or below left moves lo and one at or above right moves
+    hi unevaluated.
+
+    left and right come from Newton steps in u = nu**-0.5 started at lo.
+    A held region's x + y = sqrt(beta_m * y / (cost + nu)) is linear in u
+    at cost 0 and concave in u otherwise, and the fleet sum's u-derivative
+    is nu**1.5 * sum((x + y) / (cost + nu)) over the held regions. An
+    iterate outside (left, right) is replaced by their geometric mean.
+    The steps stop when one moves nu by at most 1e-14 of it, or after
+    _FILL_NEWTON_STEPS. Near the root the sum can equal target for a few
+    ulps, so a converged level is then probed at nu * (1 -+ delta) for
+    each delta in _FILL_PROBES until left and right lie within it. Every
+    midpoint evaluated is one the plain bisection evaluates too, so a
+    fill makes at most _FILL_NEWTON_STEPS + 2 * len(_FILL_PROBES) more
+    evaluations than that bisection.
     """
-    bm = spec.beta_m
+    bmy = spec.beta_m * y
     cheapest = int(spec.beta_c.argmin())
     cost = spec.beta_c - spec.beta_c[cheapest]
+    lo = float(bmy[cheapest] / (y[cheapest] + target) ** 2)
+    hi = float((spec.beta_m / y - cost).max())
+    # fill(lo) sums to at least target and fill(hi) to zero.
+    left, right = lo, hi
 
-    def filled(nu: float) -> np.ndarray:
-        return np.maximum(0.0, np.sqrt(bm * y / (cost + nu)) - y)
+    def settle(nu: float) -> tuple:
+        """fill(nu) and its sum, recording nu as left or right by the bisection's test."""
+        nonlocal left, right
+        x = _fill(bmy, y, cost, nu)
+        total = float(x.sum())
+        if total > target:
+            left = max(left, nu)
+        elif total <= target:
+            right = min(right, nu)
+        return x, total
 
-    lo = float(bm[cheapest] * y[cheapest] / (y[cheapest] + target) ** 2)
-    hi = float((bm / y - cost).max())
-    # filled(lo) sums to at least target and filled(hi) to zero.
+    if lo < math.sqrt(lo) * math.sqrt(hi) < hi:  # Else the bisection makes no step.
+        nu = lo
+        for _ in range(_FILL_NEWTON_STEPS):
+            x, total = settle(nu)
+            slope = nu * float(((x + y) / (cost + nu))[x > 0.0].sum())  # u * dsum/du
+            ratio = 1.0 - (total - target) / slope if slope > 0.0 else math.nan  # u_new / u
+            step = nu / (ratio * ratio) if ratio > 0.0 and ratio * ratio > 0.0 else math.nan
+            # Tested before the bracket, which may have closed onto the root.
+            if abs(step - nu) <= 1e-14 * nu:
+                for delta in _FILL_PROBES:
+                    below, beyond = step * (1.0 - delta), step * (1.0 + delta)
+                    if left < below:
+                        settle(below)
+                    if right > beyond:
+                        settle(beyond)
+                    if left >= below and right <= beyond:
+                        break
+                break
+            nu = step if left < step < right else math.sqrt(left) * math.sqrt(right)
     while True:
         mid = math.sqrt(lo) * math.sqrt(hi)
         if not lo < mid < hi:
             break
-        if filled(mid).sum() > target:
+        if mid <= left or (mid < right and _fill(bmy, y, cost, mid).sum() > target):
             lo = mid
         else:
             hi = mid
-    x = filled(lo)
+    x = _fill(bmy, y, cost, lo)
     total = float(x.sum())
     if not abs(total - target) <= BR_SUM_RTOL * target:
         raise NumericalError("best-response bisection missed its fleet-sum tolerance")

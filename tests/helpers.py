@@ -6,6 +6,8 @@ calibrated for: beta_m in [1e3, 2e5], beta_c in [0, 500], epsilon in
 generator so failures replay exactly.
 """
 
+import math
+
 import numpy as np
 
 import fleetcontest as fc
@@ -74,3 +76,36 @@ def solo_fingerprint(spec):
         return fingerprint(fc.solve_spec(spec))
     except fc.FleetContestError as exc:
         return fingerprint(exc)
+
+
+def plain_filled(bm, y, cost, nu):
+    """One evaluation of plain_water_fill, the one place it evaluates."""
+    return np.maximum(0.0, np.sqrt(bm * y / (cost + nu)) - y)
+
+
+def plain_water_fill(spec, y, target):
+    """verify._water_fill as a plain geometric bisection that evaluates every
+    midpoint: the reference the Newton-started fill must match bit for bit,
+    errors included."""
+    bm = spec.beta_m
+    cheapest = int(spec.beta_c.argmin())
+    cost = spec.beta_c - spec.beta_c[cheapest]
+
+    def filled(nu):
+        return plain_filled(bm, y, cost, nu)
+
+    lo = float(bm[cheapest] * y[cheapest] / (y[cheapest] + target) ** 2)
+    hi = float((bm / y - cost).max())
+    while True:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mid < hi:
+            break
+        if filled(mid).sum() > target:
+            lo = mid
+        else:
+            hi = mid
+    x = filled(lo)
+    total = float(x.sum())
+    if not abs(total - target) <= fc.verify.BR_SUM_RTOL * target:
+        raise fc.NumericalError("best-response bisection missed its fleet-sum tolerance")
+    return x * (target / total)

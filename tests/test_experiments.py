@@ -504,6 +504,25 @@ class TestSolveBatch:
         assert isinstance(results[1], fc.FleetContestError)
         assert fingerprint(results[0]) == solo_fingerprint(fc.two_region_spec(45.0))
 
+    def test_a_water_level_underflowing_to_zero_fails_alone(self):
+        """Four regions over some 500 decades; a water level of the price
+        Newton underflows to 0.0, and its next step would divide by it. The
+        row fails its own fleet-sum check, and the row beside it is its
+        solo solve."""
+        bad = fc.GameSpec((fc.RegionParams(9.981937865621398e-275, 1.7275931483462508e-140,
+                                           2.544316296859916e-73),
+                           fc.RegionParams(1.16601005436799e+84, 3.487801911288355e-09,
+                                           23255.305143537018),
+                           fc.RegionParams(8.777533667302329e-253, 8.737829109886363e+189,
+                                           8.016934755028642e-237),
+                           fc.RegionParams(3.219699392802144e-81, 5.260252649787923e+86,
+                                           1.3075222937834554e-263)),
+                          4.110675878016057e-242, 1.6186425280591673e+19)
+        results = fc.solve_batch([fc.four_region_spec(1.0), bad])
+        assert fingerprint(results[0]) == solo_fingerprint(fc.four_region_spec(1.0))
+        assert isinstance(results[1], fc.NumericalError)
+        assert str(results[1]) == "price solve fleet-sum error inf exceeds tolerance 1e-10"
+
     def test_a_price_row_that_misses_feasibility_fails_as_numerical(self):
         """The price solve's own tolerance is met, is_feasible's is not: the
         row fails with a NumericalError naming b, and its neighbour is its

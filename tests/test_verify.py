@@ -1,5 +1,6 @@
 """Best responses, residuals, the concavity certificate, and the grid oracle."""
 
+import functools
 import hashlib
 import math
 import warnings
@@ -11,7 +12,8 @@ import pytest
 import fleetcontest as fc
 from fleetcontest import verify
 from fleetcontest.verify import GRID_MAX_CELLS, duals_from_gradients
-from helpers import fingerprint, random_feasible_point, random_spec
+import helpers
+from helpers import fingerprint, plain_water_fill, random_feasible_point, random_spec
 
 
 def water_fill_reply(spec, rival):
@@ -54,6 +56,99 @@ class TestBestResponse:
             for _ in range(500):
                 other = rng.dirichlet(np.ones(spec.m)) * spec.fleet_a
                 assert u_reply - fc.raw_utility(spec, other, rival) >= -1e-9
+
+
+@functools.cache
+def fill_cases(decades, count):
+    """count water fills as ne_residual makes them, one (spec, y, target) each.
+
+    m is drawn from 1..8, every parameter from the box (decades None) or
+    log-uniform over 10**+-decades, with a zero charging cost a tenth of
+    the time. Each spec gives both players' fills at a random feasible
+    point and, if it solves, at its solve_spec equilibrium.
+    """
+    rng = np.random.default_rng(2026 + (decades or 0))
+
+    def draw(lo, hi):
+        return float(rng.uniform(lo, hi) if decades is None
+                     else 10.0 ** rng.uniform(-decades, decades))
+
+    cases = []
+    with np.errstate(all="ignore"):
+        while len(cases) < count:
+            m = int(rng.integers(1, 9))
+            regions = tuple(fc.RegionParams(draw(1e3, 2e5),
+                                            0.0 if rng.random() < 0.1 else draw(0.0, 500.0),
+                                            draw(10.0, 500.0)) for _ in range(m))
+            spec = fc.GameSpec(regions, draw(100.0, 5000.0), draw(100.0, 5000.0))
+            joints = [random_feasible_point(rng, spec)]
+            try:
+                joints.append(fc.solve_spec(spec).strategy)
+            except fc.FleetContestError:
+                pass
+            for joint in joints:
+                x_a, x_b = joint.alloc_a.values, joint.alloc_b.values
+                cases += [(spec, x_b + spec.eps, float(x_a.sum())),
+                          (spec, x_a + spec.eps, float(x_b.sum()))]
+    return cases[:count]
+
+
+def fill_outcome(fill, case):
+    """The bytes of fill(*case), or the type and message of the error it raises."""
+    try:
+        return fill(*case).tobytes()
+    except fc.FleetContestError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def counted_fills(monkeypatch, cases):
+    """Per case, the evaluations of verify._water_fill and of the plain bisection."""
+    counts = []
+
+    def counting(module, name):
+        evaluate = getattr(module, name)
+
+        def counted(*args):
+            counts[-1][module is helpers] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(verify, "_fill")
+    counting(helpers, "plain_filled")
+    with np.errstate(all="ignore"):
+        for case in cases:
+            counts.append([0, 0])
+            fill_outcome(verify._water_fill, case)
+            fill_outcome(plain_water_fill, case)
+    return np.array(counts)
+
+
+class TestWaterFill:
+    """The Newton-started fill against the plain bisection it replays."""
+
+    @pytest.mark.parametrize("decades", [None, 6, 30, 300])
+    def test_same_bytes_as_the_plain_bisection(self, decades):
+        outcomes = Counter()
+        with np.errstate(all="ignore"):
+            for case in fill_cases(decades, 800):
+                got = fill_outcome(verify._water_fill, case)
+                assert got == fill_outcome(plain_water_fill, case)
+                outcomes[isinstance(got, tuple)] += 1
+        # Both outcomes occur off the box, so both are compared.
+        assert outcomes[False] > 0 and (decades is None or outcomes[True] > 0)
+
+    def test_newton_start_cuts_the_evaluations_on_box_fills(self, monkeypatch):
+        new, plain = counted_fills(monkeypatch, fill_cases(None, 300)).T
+        assert np.median(new) <= 10
+        assert new.sum() <= 0.3 * plain.sum()
+
+    @pytest.mark.parametrize("decades", [6, 30, 300])
+    def test_evaluations_within_the_stated_bound(self, monkeypatch, decades):
+        new, plain = counted_fills(monkeypatch, fill_cases(decades, 400)).T
+        extra = verify._FILL_NEWTON_STEPS + 2 * len(verify._FILL_PROBES)
+        assert (new <= plain + extra).all()
+        assert new.sum() < plain.sum()
 
 
 class TestNeResidual:

@@ -33,6 +33,12 @@ Workloads, all timed as one call per operation:
   grid_equilibrium at the CLI's step, read as the sum of per-config
   minima, once with the grid oracle and once without it. Both sides must
   return the same values.
+- ne_residual over 80 points each from box specs and from specs with
+  every parameter log-uniform over +-6 and +-30 decades (m = 1..8, a
+  zero charging cost a tenth of the time): each spec at a random
+  feasible point and, if it solves, at its solve_spec equilibrium. Read
+  as the sum of per-point minima. Both sides must return the same
+  residuals, or raise the same errors.
 """
 
 import gc
@@ -48,6 +54,7 @@ SOLVE_ROUNDS = 60
 SWEEP_ROUNDS = 30
 GRID_ROUNDS = 10
 VERIFY_ROUNDS = 20
+NE_ROUNDS = 20
 
 
 def load(checkout: str, name: str):
@@ -128,6 +135,40 @@ def verify_configs(fc) -> list:
     return [fc.format_config(spec) for spec in box_specs(fc, seed=2100, counts=(2,))]
 
 
+def ne_points(fc, decades=None, count: int = 80) -> list:
+    """count (spec, joint) points for ne_residual, drawn from the box (decades
+    None) or log-uniform over 10**+-decades, as the module docstring says."""
+    rng = np.random.default_rng(2200 + (decades or 0))
+
+    def draw(lo, hi):
+        return float(rng.uniform(lo, hi) if decades is None
+                     else 10.0 ** rng.uniform(-decades, decades))
+
+    points = []
+    with np.errstate(all="ignore"):
+        while len(points) < count:
+            m = int(rng.integers(1, 9))
+            regions = tuple(fc.RegionParams(draw(1e3, 2e5),
+                                            0.0 if rng.random() < 0.1 else draw(0.0, 500.0),
+                                            draw(10.0, 500.0)) for _ in range(m))
+            spec = fc.GameSpec(regions, draw(100.0, 5000.0), draw(100.0, 5000.0))
+            split = [rng.dirichlet(np.ones(m)) * fleet for fleet in (spec.fleet_a, spec.fleet_b)]
+            points.append((spec, fc.joint_from_arrays(*split)))
+            try:
+                points.append((spec, fc.solve_spec(spec).strategy))
+            except fc.FleetContestError:
+                pass
+    return points[:count]
+
+
+def ne_outcome(fc, point):
+    """ne_residual at one point as its hex digits, or the error it raises."""
+    try:
+        return fc.ne_residual(*point).hex()
+    except fc.FleetContestError as exc:
+        return type(exc).__name__, str(exc)
+
+
 def case_study(fc) -> dict:
     """The case-study calls by label: three 1000-point sweeps, each with
     its CSV, and both detectors over their whole windows."""
@@ -204,6 +245,14 @@ def main(argv: list) -> int:
     if checked["change"] != checked["parent"]:
         print("the change returns other verify values than the parent", file=sys.stderr)
         return 1
+    ne_sets = {(name, decades): ne_points(fc, decades)
+               for name, fc in sides.items() for decades in (None, 6, 30)}
+    for decades in (None, 6, 30):
+        if ([ne_outcome(sides["change"], p) for p in ne_sets["change", decades]]
+                != [ne_outcome(sides["parent"], p) for p in ne_sets["parent", decades]]):
+            print("the change returns other ne_residual values or errors than the parent",
+                  file=sys.stderr)
+            return 1
     calls = {name: case_study(fc) for name, fc in sides.items()}
     outputs = {name: [call() for call in side.values()] for name, side in calls.items()}
     if outputs["change"] != outputs["parent"]:
@@ -242,6 +291,13 @@ def main(argv: list) -> int:
         times = time_cases(sides, configs, lambda fc, text: verify_steps(fc, text, grid),
                            VERIFY_ROUNDS)
         print(minima_line(label, {name: sum(min(t) for t in runs) for name, runs in times.items()}))
+
+    print(f"ne_residual, sum of per-point minima over {NE_ROUNDS} rounds:")
+    for label, decades in (("box", None), ("+-6 decades", 6), ("+-30 decades", 30)):
+        times = time_cases(sides, {name: ne_sets[name, decades] for name in sides},
+                           ne_outcome, NE_ROUNDS)
+        sums = {name: sum(min(t) for t in runs) for name, runs in times.items()}
+        print(minima_line(f"{label:12} ({len(ne_sets['parent', decades])} points)", sums))
     return 0
 
 
