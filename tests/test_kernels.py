@@ -194,6 +194,25 @@ def test_peaks_certify_every_column_on_verify_grids(monkeypatch):
     assert all(mask.all() for mask in masks)
 
 
+@pytest.mark.parametrize("case, expected", [
+    (dict(bm1=0.002096900204086986, bm2=0.005926062584702359, bc1=0.0, bc2=0.0,
+          e1=0.06071359031057972, e2=0.18963363933168978,
+          xa=11.947072115328027, xb=0.018198709563248996, na=48, nb=271),
+     (13, 93, 1.786347957235385e-07)),
+    (dict(bm1=7627.096086414264, bm2=77.39624554600309,
+          bc1=3.1933583791704197e-06, bc2=0.17235945672510644,
+          e1=4.587656486044541, e2=0.013361812538495223,
+          xa=2989.423286378751, xb=22.149917210155692, na=157, nb=205),
+     (156, 183, 0.46609870787480645)),
+])
+def test_minimum_beyond_the_window_of_a_certified_peak(case, expected):
+    # b's peak is certified, yet its window's edge does not rise above
+    # the bound, so the minimum lies further along the row.
+    result = two_region_scan(**case)
+    assert result == brute_force_scan(**case)
+    assert result == expected
+
+
 def test_matches_brute_force_with_best_responses_at_grid_ends():
     # At charging scale 45 both fleets sit entirely in region 1.
     case = spec_case(fc.two_region_spec(45.0), 500, 1000)
