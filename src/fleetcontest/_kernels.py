@@ -5,21 +5,21 @@ best-response value for every opponent cell is the maximum over a few
 cells around the peak that a Newton solve of the payoff's first-order
 condition finds, instead of a joint pass. The regret at b's
 best-response cell of each of a's rows seeds an upper bound on the
-smallest max-regret. b's regret is convex along its own axis, so in each
-row only a span of cells around that best response can stay within the
-bound; one fused pass over those spans, in chunks of bounded size, then
-computes the regrets. This is the package's one kernel;
-fleetcontest.KERNEL_BACKEND names it "python".
+smallest max-regret. b's regret is convex along its own axis, so in a
+row whose window around that best response rises above the bound at
+both edges no other cell can reach it; every other row is scanned
+whole. This is the package's one kernel; fleetcontest.KERNEL_BACKEND
+names it "python".
 """
 
 import numpy as np
 
-#: Rows per pass of the full scan of a column whose peak is not certified; a
-#: chunk of the regret pass holds at most half as many rows of cells.
+#: Rows per pass of the full scan of a column whose peak is not certified, and
+#: of the whole-row scan of the regret pass.
 _BLOCK = 16
 
 #: Half-width of the window searched exhaustively around each Newton peak, and
-#: the first half-width of the regret spans around b's peaks.
+#: of the regret window around b's peaks.
 _WINDOW = 2
 
 #: Most Newton steps per peak search, a bound on the loop should some column's
@@ -114,7 +114,7 @@ def _best_response_values(own, rem, other, rem_other, tol, *params):
 
 
 def _regrets(grid, ia, ib, bm1, bm2, bc1, bc2, e1, e2):
-    """Both players' regrets at the cells (ia[k], ib[k]).
+    """Both players' regrets at the cells (ia, ib), index arrays that broadcast.
 
     Every cell's two regrets come from the same floating-point operations
     in the same order wherever the cell is visited, so equal cells give
@@ -135,10 +135,9 @@ def _regrets(grid, ia, ib, bm1, bm2, bc1, bc2, e1, e2):
     gain2 -= bc2
 
     # a's regret: br_a - (za * gain1 + rem_a * gain2)
-    own_a *= gain1
-    left_a *= gain2
-    own_a += left_a
-    regret_a = np.subtract(br_a[ib], own_a, out=own_a)
+    u_a = own_a * gain1
+    u_a += left_a * gain2
+    regret_a = np.subtract(br_a[ib], u_a, out=u_a)
     # b's regret: br_b - (zb * gain1 + rem_b * gain2), reusing the gain buffers
     gain1 *= own_b
     gain2 *= left_b
@@ -159,15 +158,15 @@ def two_region_scan(bm1, bm2, bc1, bc2, e1, e2, xa, xb, na, nb):
 
     The smallest max-regret over the cells where b best responds to a
     row of a, eps0, bounds the result from above. In each row b's regret
-    is convex along b's axis, so the cells that can reach eps0 form a
-    span around b's certified peak. The span starts as the peak's window
-    and doubles on each side until the regret at its edge exceeds eps0
-    by more than four rounding bounds, which by convexity puts every
-    cell beyond the edge above eps0. A row whose peak is not certified
-    spans the whole row. Only the spans are scanned, so the result is
-    that of the full scan bit for bit. They are scanned in chunks of
-    whole spans, at most _BLOCK * (nb + 1) / 2 cells or one span, so
-    memory stays bounded on large grids.
+    is convex along b's axis, so when b's peak is certified and the
+    regret at each edge of the window around it exceeds eps0 by more
+    than four rounding bounds (or the edge is a grid end), no cell
+    beyond the window can reach eps0. Every other row is scanned whole,
+    _BLOCK rows at a time, so the result is that of the full scan bit
+    for bit. A NaN at a window's edge does not rise above the bound, so
+    its row is scanned whole; argmin finds a NaN first, so a NaN regret
+    in any visited cell makes the scan return (0, 0, inf), as it does
+    when no regret is finite.
     """
     params = (bm1, bm2, bc1, bc2, e1, e2)
     za = np.arange(na + 1) * (xa / na)
@@ -184,46 +183,26 @@ def two_region_scan(bm1, bm2, bc1, bc2, e1, e2, xa, xb, na, nb):
     grid = (za, rem_a, zb, rem_b, br_a, br_b)
 
     rows = np.arange(na + 1)
-    seed_a, seed_b = _regrets(grid, rows, peak, *params)
-    bound = float(np.maximum(seed_a, seed_b).min()) + 4.0 * tol
+    index = np.clip(peak[:, None] + np.arange(-_WINDOW, _WINDOW + 1), 0, nb)
+    regret_a, regret_b = _regrets(grid, rows[:, None], index, *params)
+    worst = np.maximum(regret_a, regret_b)
+    bound = float(worst[:, _WINDOW].min()) + 4.0 * tol
+    certified = (certified & ((peak - _WINDOW <= 0) | (regret_b[:, 0] > bound))
+                 & ((peak + _WINDOW >= nb) | (regret_b[:, -1] > bound)))
+    pick = worst.argmin(axis=1)
+    best = worst[rows, pick]
+    best_ib = index[rows, pick]
 
-    edges = []
-    for sign, end in ((-1, 0), (1, nb)):
-        edge = np.where(certified, np.clip(peak + sign * _WINDOW, 0, nb), end)
-        live = np.flatnonzero(edge != end)
-        width = _WINDOW
-        while live.size:
-            # A row widens unless its edge rises above the bound; a NaN does not.
-            live = live[~(_regrets(grid, live, edge[live], *params)[1] > bound)]
-            width *= 2
-            edge[live] = np.clip(peak[live] + sign * width, 0, nb)
-            live = live[edge[live] != end]
-        edges.append(edge)
-    first, last = edges
-
-    # The spans laid end to end: row ia's cells end before position
-    # ends[ia], and the cell at position k in row ia has ib = k + shift[ia].
-    counts = last - first + 1
-    ends = np.cumsum(counts)
-    shift = first - (ends - counts)
-    cap = _BLOCK * (nb + 1) // 2
-    best_eps = np.inf
-    best_ia = 0
-    best_ib = 0
-    lo = 0
-    while lo <= na:
-        start = int(ends[lo - 1]) if lo else 0
-        hi = max(int(np.searchsorted(ends, start + cap, side="right")), lo + 1)
-        ia = np.repeat(rows[lo:hi], counts[lo:hi])
-        ib = np.arange(start, int(ends[hi - 1]))
-        ib += np.repeat(shift[lo:hi], counts[lo:hi])
-        regret_a, regret_b = _regrets(grid, ia, ib, *params)
+    whole = np.flatnonzero(~certified)
+    for lo in range(0, whole.size, _BLOCK):
+        ia = whole[lo:lo + _BLOCK]
+        regret_a, regret_b = _regrets(grid, ia[:, None], np.arange(nb + 1), *params)
         np.maximum(regret_a, regret_b, out=regret_a)
-        k = int(np.argmin(regret_a))
-        value = float(regret_a[k])
-        if value < best_eps:
-            best_eps = value
-            best_ia = int(ia[k])
-            best_ib = int(ib[k])
-        lo = hi
-    return best_ia, best_ib, best_eps
+        pick = regret_a.argmin(axis=1)
+        best[ia] = regret_a[np.arange(ia.size), pick]
+        best_ib[ia] = pick
+
+    k = int(np.argmin(best))
+    if not best[k] < np.inf:
+        return 0, 0, np.inf
+    return k, int(best_ib[k]), float(best[k])

@@ -194,6 +194,28 @@ def test_peaks_certify_every_column_on_verify_grids(monkeypatch):
     assert all(mask.all() for mask in masks)
 
 
+def test_regret_pass_scans_no_row_whole_on_verify_grids(monkeypatch):
+    # On the same grids every row's window is certified, so the regret
+    # pass visits at most 2 * _WINDOW + 1 cells per row of a.
+    calls = []
+    found = _kernels._regrets
+
+    def recording(grid, ia, ib, *params):
+        calls.append((grid, np.broadcast(ia, ib).size))
+        return found(grid, ia, ib, *params)
+
+    monkeypatch.setattr(_kernels, "_regrets", recording)
+    test_peaks_certify_every_column_on_verify_grids(monkeypatch)
+    # calls keeps each scan's grid alive, so its id names that scan.
+    cells = {}
+    rows = {}
+    for grid, count in calls:
+        cells[id(grid)] = cells.get(id(grid), 0) + count
+        rows[id(grid)] = grid[0].size
+    assert len(cells) == 20
+    assert all(cells[k] <= (2 * _kernels._WINDOW + 1) * rows[k] for k in cells)
+
+
 @pytest.mark.parametrize("case, expected", [
     (dict(bm1=0.002096900204086986, bm2=0.005926062584702359, bc1=0.0, bc2=0.0,
           e1=0.06071359031057972, e2=0.18963363933168978,
@@ -256,16 +278,16 @@ def test_row_blocks_bound_memory():
 
 
 def test_one_row_blocks_scan_whole_row_spans(monkeypatch):
-    # With _BLOCK = 1 a whole-row span exceeds a chunk's cell budget and
-    # must be scanned as a chunk of its own.
+    # With _BLOCK = 1 each row that is scanned whole is a block of its
+    # own.
     monkeypatch.setattr(_kernels, "_BLOCK", 1)
     assert two_region_scan(**FLAT) == brute_force_scan(**FLAT)
 
 
 def test_whole_row_spans_bound_memory():
     # The flat case on a finer grid: no peak of b is certified, so every
-    # row's span is the whole row and the pass visits every cell, chunk
-    # by chunk.
+    # row is scanned whole and the pass visits every cell, in blocks of
+    # _BLOCK rows.
     tracemalloc.start()
     try:
         result = two_region_scan(**dict(FLAT, na=1000, nb=2000))

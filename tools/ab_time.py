@@ -28,6 +28,9 @@ Workloads, all timed as one call per operation:
   max(fleet) / 2000, read as the sum of per-spec minima like the solves,
   and on two_region_spec(1.0) at step 0.5 (a 2000 x 4000 grid), read
   like the sweeps. Both sides must return the same grid points.
+- two_region_scan on tests/test_kernels.py's FLAT case at 1000 x 2000,
+  where no peak of b is certified and every row is scanned whole, read
+  like the sweeps. Both sides must return the same triple.
 - The steps of `fleetcontest verify` on 20 two-region box configs: parse,
   solve_two_region, kkt_residual, ne_residual, duals_from_gradients and
   grid_equilibrium at the CLI's step, read as the sum of per-config
@@ -54,6 +57,15 @@ SOLVE_ROUNDS = 60
 SWEEP_ROUNDS = 30
 GRID_ROUNDS = 10
 VERIFY_ROUNDS = 20
+
+#: tests/test_kernels.py's FLAT case, whose payoffs are flat to rounding,
+#: on a 1000 x 2000 grid.
+FLAT = dict(
+    bm1=1.315983480903408e-10, bm2=2.684150589770447e-10,
+    bc1=5.427827079572237, bc2=5.427827079572244,
+    e1=890.7994921040937, e2=33.96448942760579,
+    xa=677.5806911994487, xb=336.66382083160374, na=1000, nb=2000,
+)
 NE_ROUNDS = 20
 
 
@@ -239,6 +251,10 @@ def main(argv: list) -> int:
     if points["change"] != points["parent"]:
         print("the change returns other grid points than the parent", file=sys.stderr)
         return 1
+    flat = {name: fc._kernels.two_region_scan(**FLAT) for name, fc in sides.items()}
+    if flat["change"] != flat["parent"]:
+        print("the change scans the flat grid to another triple than the parent", file=sys.stderr)
+        return 1
     configs = {name: verify_configs(fc) for name, fc in sides.items()}
     checked = {name: np.array([verify_steps(sides[name], text) for text in texts]).tobytes()
                for name, texts in configs.items()}
@@ -284,6 +300,12 @@ def main(argv: list) -> int:
     print(minima_line(f"box specs ({len(grids['parent']) - 1} specs, sum of per-spec minima)", sums))
     print(paired_line("2000 x 4000 (median ms; paired ratio median [quartiles])",
                       {name: runs[-1] for name, runs in grids.items()}))
+
+    flat_times = time_cases(sides, {name: [FLAT] for name in sides},
+                            lambda fc, case: fc._kernels.two_region_scan(**case), GRID_ROUNDS)
+    print(paired_line(f"flat full scan, 1000 x 2000, {GRID_ROUNDS} rounds (median ms; paired"
+                      " ratio median [quartiles])",
+                      {name: runs[0] for name, runs in flat_times.items()}))
 
     print(f"verify steps on {len(configs['parent'])} configs, sum of per-config minima over"
           f" {VERIFY_ROUNDS} rounds:")
