@@ -186,6 +186,7 @@ def two_region_scan(bm1, bm2, bc1, bc2, e1, e2, xa, xb, na, nb):
     index = np.clip(peak[:, None] + np.arange(-_WINDOW, _WINDOW + 1), 0, nb)
     regret_a, regret_b = _regrets(grid, rows[:, None], index, *params)
     worst = np.maximum(regret_a, regret_b)
+    # Column _WINDOW holds b's peaks, the cells that seed the bound.
     bound = float(worst[:, _WINDOW].min()) + 4.0 * tol
     certified = (certified & ((peak - _WINDOW <= 0) | (regret_b[:, 0] > bound))
                  & ((peak + _WINDOW >= nb) | (regret_b[:, -1] > bound)))

@@ -57,6 +57,7 @@ SOLVE_ROUNDS = 60
 SWEEP_ROUNDS = 30
 GRID_ROUNDS = 10
 VERIFY_ROUNDS = 20
+NE_ROUNDS = 20
 
 #: tests/test_kernels.py's FLAT case, whose payoffs are flat to rounding,
 #: on a 1000 x 2000 grid.
@@ -66,7 +67,6 @@ FLAT = dict(
     e1=890.7994921040937, e2=33.96448942760579,
     xa=677.5806911994487, xb=336.66382083160374, na=1000, nb=2000,
 )
-NE_ROUNDS = 20
 
 
 def load(checkout: str, name: str):
