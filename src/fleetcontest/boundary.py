@@ -9,12 +9,17 @@ while the other player splits z vehicles into region 1:
     B1: a = (z, X_a - z), b = (0, X_b)
     B2: a = (z, X_a - z), b = (X_b, 0)
 
-The free player's payoff slope along its segment is strictly decreasing,
-so its best reply z* follows from the slope's endpoint signs or a scalar
-root. A family is an equilibrium exactly when the pinned player's
-multiplier on its empty region comes out nonnegative; that check is the
-certification below. B families are A families with the players
-swapped.
+With h = (h_1, h_2) the pinned player's holdings and X the free
+player's fleet, one slope serves all four families: the free player's
+region-1 marginal payoff less its region-2 one,
+
+    s(z) = bm_1 (h_1 + e_1) / (h_1 + z + e_1)^2
+           - bm_2 (h_2 + e_2) / (h_2 + X - z + e_2)^2 + bc_2 - bc_1.
+
+It is strictly decreasing in z, so the free player's best reply z*
+follows from its signs at z = 0 and z = X or from its root. A family is
+an equilibrium exactly when the pinned player's multiplier on its empty
+region comes out nonnegative; that check is the certification below.
 
 Solving does not enumerate the families, and this module imports no
 solver: experiments.solve_two_region is solve_spec behind a region-count
@@ -23,7 +28,6 @@ the acceptance gate compare it with.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,124 +43,74 @@ CERT_RTOL = 1e-9
 DEDUPE_RTOL = 1e-7
 
 
-class _Params(NamedTuple):
-    """Raw two-region parameters from the pinned player's viewpoint."""
-
-    bm1: float
-    bm2: float
-    bc1: float
-    bc2: float
-    e1: float
-    e2: float
-    xa: float
-    xb: float
-
-
-def _params(spec: GameSpec) -> _Params:
+def _family(spec: GameSpec, family: str) -> tuple[str, tuple[float, float], float]:
+    """The pinned player, its holdings (region 1, region 2) and the free player's fleet."""
+    if family not in FAMILIES:
+        raise ValidationError(f"family must be one of {FAMILIES}, got {family!r}")
     if spec.m != 2:
         raise ShapeError(f"boundary analysis needs exactly two regions, spec has {spec.m}")
+    pinned = "a" if family.startswith("A") else "b"
+    fleet = spec.fleet_of(pinned)
+    held = (0.0, fleet) if family.endswith("1") else (fleet, 0.0)
+    return pinned, held, spec.fleet_of(opponent(pinned))
+
+
+def _slope(spec: GameSpec, held, free: float, z: float) -> float:
+    """The free player's region-1 marginal payoff less its region-2 one when it
+    puts z of its fleet free into region 1 against the pinned holdings held."""
     r1, r2 = spec.regions
-    return _Params(
-        bm1=r1.beta_m, bm2=r2.beta_m,
-        bc1=r1.beta_c, bc2=r2.beta_c,
-        e1=r1.epsilon, e2=r2.epsilon,
-        xa=spec.fleet_a, xb=spec.fleet_b,
-    )
+    return (r1.beta_m * (held[0] + r1.epsilon) / (held[0] + z + r1.epsilon) ** 2
+            - r2.beta_m * (held[1] + r2.epsilon) / (held[1] + free - z + r2.epsilon) ** 2
+            + r2.beta_c - r1.beta_c)
 
 
-def _slope_region1_empty(p: _Params, z: float) -> float:
-    return (
-        p.bm1 * p.e1 / (z + p.e1) ** 2
-        - p.bm2 * (p.xa + p.e2) / (p.xa + p.xb - z + p.e2) ** 2
-        + p.bc2
-        - p.bc1
-    )
-
-
-def _slope_region2_empty(p: _Params, z: float) -> float:
-    return (
-        p.bm1 * (p.xa + p.e1) / (p.xa + z + p.e1) ** 2
-        - p.bm2 * p.e2 / (p.xb - z + p.e2) ** 2
-        + p.bc2
-        - p.bc1
-    )
-
-
-def _endpoint_slopes(slope, p: _Params) -> tuple[float, float]:
-    """A decreasing slope at z = 0 and z = xb: its upper and lower bound."""
-    return slope(p, 0.0), slope(p, p.xb)
-
-
-def _pinned_root(slope, p: _Params) -> float:
-    """Root of a strictly decreasing slope over (0, xb), by bisection."""
-    lo, hi = 0.0, p.xb
-    width_tol = 1e-15 * max(1.0, p.xb)
+def pinned_best_response(spec: GameSpec, family: str) -> float:
+    """Best region-1 mass z* of the free player within one family: an end of
+    its segment when the slope keeps one sign there, else the slope's root
+    by bisection."""
+    _, held, free = _family(spec, family)
+    if _slope(spec, held, free, free) >= 0.0:
+        return free
+    if _slope(spec, held, free, 0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, free
+    width_tol = 1e-15 * max(1.0, free)
     for _ in range(200):
         if hi - lo <= width_tol:
             break
         mid = 0.5 * (lo + hi)
-        if slope(p, mid) > 0.0:
+        if _slope(spec, held, free, mid) > 0.0:
             lo = mid
         else:
             hi = mid
     z = 0.5 * (lo + hi)
-    residual = slope(p, z)
-    if abs(residual) > 1e-10 * (p.bm1 + p.bm2):
+    residual = _slope(spec, held, free, z)
+    r1, r2 = spec.regions
+    if abs(residual) > 1e-10 * (r1.beta_m + r2.beta_m):
         raise NumericalError(f"pinned best-response root residual {residual!r} too large")
     return z
 
 
-def _check_family(family: str) -> None:
-    if family not in FAMILIES:
-        raise ValidationError(f"family must be one of {FAMILIES}, got {family!r}")
-
-
-def _family_view(spec: GameSpec, family: str) -> _Params:
-    """Parameters from the pinned player's viewpoint (B swaps the fleets)."""
-    _check_family(family)
-    return _params(spec if family.startswith("A") else spec.swapped())
-
-
-def _family_slope(family: str):
-    return _slope_region1_empty if family.endswith("1") else _slope_region2_empty
-
-
-def pinned_best_response(spec: GameSpec, family: str) -> float:
-    """Best region-1 mass z* of the free player within one family."""
-    p = _family_view(spec, family)
-    slope = _family_slope(family)
-    upper, lower = _endpoint_slopes(slope, p)
-    if lower >= 0.0:
-        return p.xb
-    if upper <= 0.0:
-        return 0.0
-    return _pinned_root(slope, p)
-
-
 def family_strategy(spec: GameSpec, family: str, z: float) -> JointStrategy:
-    """Joint strategy of a family at free-player mass z; a B family is the
-    A family's layout with the players swapped."""
-    _check_family(family)
+    """Joint strategy of a family at free-player mass z."""
+    pinned, held, free = _family(spec, family)
     z = float(z)
-    fleets = (spec.fleet_a, spec.fleet_b)
-    pinned_fleet, free_fleet = fleets if family.startswith("A") else fleets[::-1]
-    if not 0.0 <= z <= free_fleet:
-        raise ValidationError(f"z={z!r} is outside [0, {free_fleet}]")
-    pinned = [0.0, pinned_fleet] if family.endswith("1") else [pinned_fleet, 0.0]
-    free = [z, free_fleet - z]
-    if family.startswith("A"):
-        return joint_from_arrays(pinned, free)
-    return joint_from_arrays(free, pinned)
+    if not 0.0 <= z <= free:
+        raise ValidationError(f"z={z!r} is outside [0, {free}]")
+    moving = [z, free - z]
+    if pinned == "a":
+        return joint_from_arrays(held, moving)
+    return joint_from_arrays(moving, held)
 
 
 @dataclass(frozen=True)
 class BoundaryCandidate:
     """One family's best reply and its certification verdict.
 
-    slope_upper and slope_lower are the family's endpoint slopes from the
-    pinned player's viewpoint; nu_check is the pinned player's multiplier
-    on its empty region, nonnegative exactly when the candidate is an
-    equilibrium.
+    slope_upper and slope_lower are the free player's slope at the ends of
+    its segment, z = 0 and z = its fleet; nu_check is the pinned player's
+    multiplier on its empty region, nonnegative exactly when the candidate
+    is an equilibrium.
     """
 
     family: str
@@ -178,23 +132,21 @@ def certify(spec: GameSpec, family: str, z_star: float) -> BoundaryCandidate:
     is never an equilibrium and is rejected outright, though its
     nu_check is still reported.
     """
-    p = _family_view(spec, family)
+    pinned, held, free = _family(spec, family)
     z = float(z_star)
-    if not 0.0 <= z <= p.xb:
-        raise ValidationError(f"z_star={z!r} is outside [0, {p.xb}]")
+    if not 0.0 <= z <= free:
+        raise ValidationError(f"z_star={z!r} is outside [0, {free}]")
     strategy = family_strategy(spec, family, z)
-    pinned = "a" if family.startswith("A") else "b"
     own, rival = strategy.of(pinned).values, strategy.of(opponent(pinned)).values
     full = 1 if family.endswith("1") else 0
     grad = raw_utility_gradient(spec, own, rival)
     nu = float(grad[full] - grad[1 - full])
     tol = CERT_RTOL * (1.0 + float(np.abs(grad).sum()))
-    upper, lower = _endpoint_slopes(_family_slope(family), p)
     return BoundaryCandidate(
         family=family,
         z_star=z,
-        slope_upper=upper,
-        slope_lower=lower,
+        slope_upper=_slope(spec, held, free, 0.0),
+        slope_lower=_slope(spec, held, free, free),
         nu_check=nu,
         certified=bool(rival[full] > 0.0 and nu >= -tol),
         strategy=strategy,

@@ -11,10 +11,8 @@ import fleetcontest as fc
 from fleetcontest import verify
 from fleetcontest.boundary import (
     _distinct_certified,
-    _endpoint_slopes,
-    _params,
-    _slope_region1_empty,
-    _slope_region2_empty,
+    _family,
+    _slope,
     boundary_candidate,
     enumerate_candidates,
 )
@@ -30,36 +28,41 @@ def quad_spec():
     )
 
 
+def endpoint_slopes(spec, family):
+    """The family's slope at z = 0 and at the free fleet: its upper and lower bound."""
+    _, held, free = _family(spec, family)
+    return _slope(spec, held, free, 0.0), _slope(spec, held, free, free)
+
+
 class TestSlopeBounds:
     def test_unit_parameter_bounds_by_hand(self):
-        from fleetcontest.boundary import _Params
-        p = _Params(bm1=1.0, bm2=1.0, bc1=0.0, bc2=0.0, e1=1.0, e2=1.0, xa=0.0, xb=2.0)
-        upper, lower = _endpoint_slopes(_slope_region1_empty, p)
+        # A pinned fleet of 0 holds nothing in either region, so the
+        # region-1-empty and region-2-empty layouts are one slope.
+        region = fc.RegionParams(1.0, 0.0, 1.0)
+        spec = fc.GameSpec((region, region), fleet_a=1.0, fleet_b=2.0)
+        upper = _slope(spec, (0.0, 0.0), 2.0, 0.0)
+        lower = _slope(spec, (0.0, 0.0), 2.0, 2.0)
         assert upper == pytest.approx(8.0 / 9.0, rel=1e-15)
         assert lower == pytest.approx(-8.0 / 9.0, rel=1e-15)
-        w_upper, w_lower = _endpoint_slopes(_slope_region2_empty, p)
-        assert w_upper == pytest.approx(8.0 / 9.0, rel=1e-15)
-        assert w_lower == pytest.approx(-8.0 / 9.0, rel=1e-15)
 
     def test_upper_always_exceeds_lower(self):
         rng = np.random.default_rng(4)
         for _ in range(300):
             spec = random_spec(rng)
-            v_upper, v_lower = _endpoint_slopes(_slope_region1_empty, _params(spec))
-            w_upper, w_lower = _endpoint_slopes(_slope_region2_empty, _params(spec))
-            assert v_upper > v_lower
-            assert w_upper > w_lower
+            for family in fc.FAMILIES:
+                upper, lower = endpoint_slopes(spec, family)
+                assert upper > lower
 
     def test_frozen_values_at_high_charging_scale(self):
         spec = fc.two_region_spec(41.0)
-        upper, lower = _endpoint_slopes(_slope_region2_empty, _params(spec))
+        upper, lower = endpoint_slopes(spec, "A2")
         assert upper == pytest.approx(425.0128888125107, rel=1e-12)
         assert lower == pytest.approx(4.006243496357968, rel=1e-12)
 
     def test_shape_error_off_two_regions(self):
         spec = fc.four_region_spec(1.0)
         with pytest.raises(fc.ShapeError):
-            _params(spec)
+            _family(spec, "A1")
 
 
 class TestPinnedBestResponse:
@@ -88,23 +91,21 @@ class TestPinnedBestResponse:
             fleet_a=100.0,
             fleet_b=100.0,
         )
-        upper, _ = _endpoint_slopes(_slope_region1_empty, _params(spec))
+        upper, _ = endpoint_slopes(spec, "A1")
         assert upper <= 0.0
         assert fc.pinned_best_response(spec, "A1") == 0.0
 
     def test_interior_root_residual_is_small(self):
         rng = np.random.default_rng(5)
-        from fleetcontest.boundary import _family_view
         checked = 0
         for _ in range(200):
             spec = random_spec(rng)
             for family in fc.FAMILIES:
-                p = _family_view(spec, family)
+                _, held, free = _family(spec, family)
                 z = fc.pinned_best_response(spec, family)
-                if not 0.0 < z < p.xb:
+                if not 0.0 < z < free:
                     continue
-                slope = _slope_region1_empty if family.endswith("1") else _slope_region2_empty
-                assert abs(slope(p, z)) <= 1e-8 * (p.bm1 + p.bm2)
+                assert abs(_slope(spec, held, free, z)) <= 1e-8 * spec.beta_m.sum()
                 checked += 1
         assert checked >= 100
 
@@ -113,10 +114,10 @@ class TestPinnedBestResponse:
         samples = 0
         while samples < 1000:
             spec = random_spec(rng)
-            p = _params(spec)
-            zs = np.sort(rng.uniform(0.0, p.xb, size=12))
-            for slope in (_slope_region1_empty, _slope_region2_empty):
-                values = [slope(p, z) for z in zs]
+            zs = np.sort(rng.uniform(0.0, spec.fleet_b, size=12))
+            for family in ("A1", "A2"):
+                _, held, free = _family(spec, family)
+                values = [_slope(spec, held, free, z) for z in zs]
                 assert all(a > b for a, b in zip(values, values[1:]))
             samples += 2 * len(zs)
 
@@ -147,6 +148,10 @@ class TestFamilyStrategy:
             fc.family_strategy(spec, "B1", 1000.5)
         with pytest.raises(fc.ValidationError):
             fc.family_strategy(spec, "A1", -1.0)
+
+    def test_shape_error_off_two_regions(self):
+        with pytest.raises(fc.ShapeError, match="exactly two regions, spec has 4"):
+            fc.family_strategy(fc.four_region_spec(1.0), "A1", 1.0)
 
 
 class TestCertify:
@@ -217,21 +222,19 @@ class TestCertify:
         rng = np.random.default_rng(5)
         for _ in range(300):
             spec = random_spec(rng)
+            (bm1, bm2), (e1, e2) = spec.beta_m, spec.eps
             for family in fc.FAMILIES:
-                view = spec if family.startswith("A") else spec.swapped()
-                p = _params(view)
+                pinned, _, xb = _family(spec, family)
+                xa = spec.fleet_of(pinned)
+                upper, lower = endpoint_slopes(spec, family)
                 if family.endswith("1"):
-                    upper, lower = _endpoint_slopes(_slope_region1_empty, p)
-                    at_zero = (p.xb - p.xa) * p.bm2 / (p.xa + p.xb + p.e2) ** 2 - upper
-                    at_fleet = (-p.bm1 * p.xb / (p.xb + p.e1) ** 2 - lower
-                                - p.bm2 * p.xa / (p.xa + p.e2) ** 2)
+                    at_zero = (xb - xa) * bm2 / (xa + xb + e2) ** 2 - upper
+                    at_fleet = -bm1 * xb / (xb + e1) ** 2 - lower - bm2 * xa / (xa + e2) ** 2
                 else:
-                    upper, lower = _endpoint_slopes(_slope_region2_empty, p)
-                    at_zero = (upper - p.bm1 * p.xa / (p.xa + p.e1) ** 2
-                               - p.bm2 * p.xb / (p.xb + p.e2) ** 2)
-                    at_fleet = (p.xb - p.xa) * p.bm1 / (p.xa + p.xb + p.e1) ** 2 + lower
-                scale = 1.0 + abs(upper) + abs(lower) + p.bm1 / p.e1 + p.bm2 / p.e2
-                for z, expected in ((0.0, at_zero), (p.xb, at_fleet)):
+                    at_zero = upper - bm1 * xa / (xa + e1) ** 2 - bm2 * xb / (xb + e2) ** 2
+                    at_fleet = (xb - xa) * bm1 / (xa + xb + e1) ** 2 + lower
+                scale = 1.0 + abs(upper) + abs(lower) + bm1 / e1 + bm2 / e2
+                for z, expected in ((0.0, at_zero), (xb, at_fleet)):
                     cand = fc.certify(spec, family, z)
                     assert abs(cand.nu_check - expected) <= 1e-12 * scale
 
