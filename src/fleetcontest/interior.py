@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, FleetContestError, NumericalError, ValidationError
+from .errors import DomainError, NumericalError, ValidationError
 from .game import (
     DualCertificate,
     GameSpec,
@@ -555,7 +555,7 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
 
 
 def _price_error(fleet_error: float, finite: bool, lambdas, nu, met, sums,
-                 fleets) -> FleetContestError | None:
+                 fleets) -> NumericalError | None:
     """A price row's verdict: None when it is accepted, else the error of the first
     check it fails. Its levels' fleet-sum error must meet BALANCE_RTOL, its
     multipliers be finite, and each allocation meet the fleet-sum rule: met holds
@@ -565,10 +565,10 @@ def _price_error(fleet_error: float, finite: bool, lambdas, nu, met, sums,
             f"price solve fleet-sum error {fleet_error!r} exceeds tolerance {BALANCE_RTOL!r}"
         )
     if not finite:
-        try:
-            DualCertificate(*lambdas, *nu)  # Raises with its own message.
-        except ValidationError as exc:
-            return exc
+        named = zip(("lambda_a", "lambda_b", "nu_a", "nu_b"), (*lambdas, *nu))
+        name, value = next((n, v) for n, v in named if not np.isfinite(v).all())
+        value = np.asarray(value).tolist()
+        return NumericalError(f"price solve multiplier {name} is not finite: {value}")
     for player, ok, total, fleet in zip("ab", met, sums, fleets):
         if not ok:
             return NumericalError(

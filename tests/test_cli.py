@@ -92,6 +92,17 @@ class TestSolve:
         assert cli_main(["solve", str(path)]) == 2
         assert "error: price solve leaves player 'b' infeasible" in capsys.readouterr().err
 
+    def test_a_price_row_with_non_finite_multipliers_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "nan.cfg"
+        path.write_text(
+            "fleet_a = 6.053143669154861e+63\n"
+            "fleet_b = 1.3275221484938615e+75\n"
+            "region beta_m=2.941968375335863e-258 beta_c=2.982180626888285e-22"
+            " epsilon=1.955368352426307e-196\n"
+            "region beta_m=7.402976395652519e+116 beta_c=0 epsilon=1.829097389497198e+16\n")
+        assert cli_main(["solve", str(path)]) == 2
+        assert "error: price solve multiplier nu_a is not finite" in capsys.readouterr().err
+
     def test_a_small_fleet_beside_a_large_charging_cost_is_certified(self, tmp_path, capsys):
         """The best response's water level would cancel against beta_c if it
         were not shifted by the cheapest cost."""

@@ -492,6 +492,16 @@ class TestSolveBatch:
         with pytest.raises(fc.NumericalError, match="price solve fleet-sum error inf"):
             fc.solve_spec(spec)
 
+    def test_a_price_row_with_non_finite_multipliers_is_a_numerical_error(self):
+        """The price Newton meets both fleet sums but leaves a multiplier of
+        player a NaN; the row fails as a numerical error naming it."""
+        spec = fc.GameSpec((fc.RegionParams(2.941968375335863e-258, 2.982180626888285e-22,
+                                            1.955368352426307e-196),
+                            fc.RegionParams(7.402976395652519e+116, 0.0, 1.829097389497198e+16)),
+                           6.053143669154861e+63, 1.3275221484938615e+75)
+        with pytest.raises(fc.NumericalError, match=r"^price solve multiplier nu_a is not finite"):
+            fc.solve_spec(spec)
+
     def test_a_price_floor_out_of_range_fails_alone(self):
         """The square in the price solve's floor, beta_m eps / (fleet_a +
         fleet_b + eps)**2, underflows to 0. The row fails its own fleet-sum

@@ -346,13 +346,13 @@ class TestContests:
 
 class TestPriceSolve:
     def test_a_row_with_non_finite_multipliers_gets_the_certificate_error(self):
-        """A row that meets BALANCE_RTOL but carries a NaN multiplier fails with
-        the message DualCertificate gives it."""
+        """A row that meets BALANCE_RTOL but carries a NaN multiplier fails as a
+        numerical error that names the multiplier."""
         nu = np.zeros((2, 2))
         error = interior._price_error(0.0, False, [math.nan, 1.0], nu, [True, True],
                                       [10.0, 20.0], [10.0, 20.0])
-        assert isinstance(error, fc.ValidationError)
-        assert str(error) == "lambda_a must be finite, got nan"
+        assert isinstance(error, fc.NumericalError)
+        assert str(error) == "price solve multiplier lambda_a is not finite: nan"
 
     def test_evaluations_bounded_on_box_boundary_specs(self):
         rng = np.random.default_rng(33)
