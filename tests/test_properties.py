@@ -131,6 +131,19 @@ def test_a_common_charging_cost_leaves_the_allocations(spec, c):
     assert_close(shifted_b, x_b, spec.fleet_b)
 
 
+@CHECKED
+@given(specs(), st.data(), log_uniform(1e-3, 1e3))
+def test_raising_a_charging_price_never_raises_that_regions_holding(spec, data, delta):
+    """beta_c of one region j plus delta: x_a,j + x_b,j does not rise."""
+    j = data.draw(st.integers(0, spec.m - 1))
+    regions = list(spec.regions)
+    regions[j] = fc.RegionParams(regions[j].beta_m, regions[j].beta_c + delta, regions[j].epsilon)
+    dearer = fc.GameSpec(tuple(regions), spec.fleet_a, spec.fleet_b)
+    before, after = (result.strategy.alloc_a.values[j] + result.strategy.alloc_b.values[j]
+                     for result in fc.solve_batch([spec, dearer]))
+    assert after - before <= PROPERTY_RTOL * (spec.fleet_a + spec.fleet_b)
+
+
 def whole_range_specs(m):
     """Specs of m regions whose parameters are 10**e, e uniform over [-300,
     300], drawn as one list (much faster to draw than one float each); a
