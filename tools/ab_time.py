@@ -36,6 +36,11 @@ Workloads, all timed as one call per operation:
   grid_equilibrium at the CLI's step, read as the sum of per-config
   minima, once with the grid oracle and once without it. Both sides must
   return the same values.
+- enumerate_candidates on 100 two-region box specs, read as the sum of
+  per-spec minima. Both sides must give each family the same verdict:
+  the same error type, or the same certification with z* at the same end
+  of the free fleet's segment or inside it, and z* within 1e-13 of that
+  fleet.
 - ne_residual over 80 points each from box specs and from specs with
   every parameter log-uniform over +-6 and +-30 decades (m = 1..8, a
   zero charging cost a tenth of the time): each spec at a random
@@ -58,6 +63,7 @@ SWEEP_ROUNDS = 30
 GRID_ROUNDS = 10
 VERIFY_ROUNDS = 20
 NE_ROUNDS = 20
+BOUNDARY_ROUNDS = 20
 
 #: tests/test_kernels.py's FLAT case, whose payoffs are flat to rounding,
 #: on a 1000 x 2000 grid.
@@ -181,6 +187,23 @@ def ne_outcome(fc, point):
         return type(exc).__name__, str(exc)
 
 
+def boundary_outcome(fc, spec, family):
+    """(certified, where z* lies, z* over the free fleet) of one family, or the error's type."""
+    free = spec.fleet_b if family.startswith("A") else spec.fleet_a
+    try:
+        cand = fc.boundary_candidate(spec, family)
+    except fc.FleetContestError as exc:
+        return type(exc).__name__
+    kind = "zero" if cand.z_star == 0.0 else "fleet" if cand.z_star == free else "inside"
+    return cand.certified, kind, cand.z_star / free
+
+
+def outcomes_agree(mine, theirs) -> bool:
+    if isinstance(mine, str) or isinstance(theirs, str):
+        return mine == theirs
+    return mine[:2] == theirs[:2] and abs(mine[2] - theirs[2]) <= 1e-13
+
+
 def case_study(fc) -> dict:
     """The case-study calls by label: three 1000-point sweeps, each with
     its CSV, and both detectors over their whole windows."""
@@ -269,6 +292,13 @@ def main(argv: list) -> int:
             print("the change returns other ne_residual values or errors than the parent",
                   file=sys.stderr)
             return 1
+    boundary = {name: box_specs(fc, seed=2300, counts=(2,) * 5) for name, fc in sides.items()}
+    if not all(outcomes_agree(boundary_outcome(sides["change"], mine, family),
+                              boundary_outcome(sides["parent"], theirs, family))
+               for mine, theirs in zip(boundary["change"], boundary["parent"])
+               for family in sides["parent"].FAMILIES):
+        print("the change gives a boundary family another verdict than the parent", file=sys.stderr)
+        return 1
     calls = {name: case_study(fc) for name, fc in sides.items()}
     outputs = {name: [call() for call in side.values()] for name, side in calls.items()}
     if outputs["change"] != outputs["parent"]:
@@ -313,6 +343,12 @@ def main(argv: list) -> int:
         times = time_cases(sides, configs, lambda fc, text: verify_steps(fc, text, grid),
                            VERIFY_ROUNDS)
         print(minima_line(label, {name: sum(min(t) for t in runs) for name, runs in times.items()}))
+
+    print(f"enumerate_candidates, sum of per-spec minima over {BOUNDARY_ROUNDS} rounds:")
+    times = time_cases(sides, boundary, lambda fc, spec: fc.enumerate_candidates(spec),
+                       BOUNDARY_ROUNDS)
+    print(minima_line(f"box specs ({len(boundary['parent'])} specs)",
+                      {name: sum(min(t) for t in runs) for name, runs in times.items()}))
 
     print(f"ne_residual, sum of per-point minima over {NE_ROUNDS} rounds:")
     for label, decades in (("box", None), ("+-6 decades", 6), ("+-30 decades", 30)):
