@@ -56,8 +56,8 @@ def _family(spec: GameSpec, family: str) -> tuple[str, tuple[float, float], floa
 
 
 def _slope(spec: GameSpec, held, free: float, z: float) -> float:
-    """The free player's region-1 marginal payoff less its region-2 one when it
-    puts z of its fleet free into region 1 against the pinned holdings held."""
+    """The free player's region-1 marginal payoff less its region-2 one, with z
+    of its fleet free in region 1 and the pinned player holding held."""
     r1, r2 = spec.regions
     return (r1.beta_m * (held[0] + r1.epsilon) / (held[0] + z + r1.epsilon) ** 2
             - r2.beta_m * (held[1] + r2.epsilon) / (held[1] + free - z + r2.epsilon) ** 2
