@@ -199,6 +199,7 @@ def boundary_outcome(fc, spec, family):
 
 
 def outcomes_agree(mine, theirs) -> bool:
+    """Two boundary_outcome values are one verdict, with z* within 1e-13 of the fleet."""
     if isinstance(mine, str) or isinstance(theirs, str):
         return mine == theirs
     return mine[:2] == theirs[:2] and abs(mine[2] - theirs[2]) <= 1e-13
