@@ -109,6 +109,16 @@ class TestPinnedBestResponse:
                 checked += 1
         assert checked >= 100
 
+    def test_steep_root_with_small_market_profits(self):
+        """A root the bisection pins to rounding, on a slope whose charging
+        prices and steepness dwarf beta_m; its residual must not raise."""
+        spec = fc.GameSpec((fc.RegionParams(0.0112, 7.11, 0.00106),
+                            fc.RegionParams(0.280, 0.00327, 0.118)), 115.2, 0.0649)
+        _, held, free = _family(spec, "B1")
+        z = fc.pinned_best_response(spec, "B1")
+        assert 0.0 < z < free
+        assert _slope(spec, held, free, z - 1e-12) > 0.0 > _slope(spec, held, free, z + 1e-12)
+
     def test_slope_strictly_decreasing_in_z(self):
         rng = np.random.default_rng(6)
         samples = 0
