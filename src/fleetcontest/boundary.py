@@ -55,19 +55,31 @@ def _family(spec: GameSpec, family: str) -> tuple[str, tuple[float, float], floa
     return pinned, held, spec.fleet_of(opponent(pinned))
 
 
+def _market_terms(spec: GameSpec, held, free: float, z: float) -> tuple[float, float]:
+    """The beta_m terms of the free player's marginal payoff in regions 1 and 2,
+    with z of its fleet free in region 1 and the pinned player holding held."""
+    r1, r2 = spec.regions
+    return (r1.beta_m * (held[0] + r1.epsilon) / (held[0] + z + r1.epsilon) ** 2,
+            r2.beta_m * (held[1] + r2.epsilon) / (held[1] + free - z + r2.epsilon) ** 2)
+
+
 def _slope(spec: GameSpec, held, free: float, z: float) -> float:
     """The free player's region-1 marginal payoff less its region-2 one, with z
     of its fleet free in region 1 and the pinned player holding held."""
     r1, r2 = spec.regions
-    return (r1.beta_m * (held[0] + r1.epsilon) / (held[0] + z + r1.epsilon) ** 2
-            - r2.beta_m * (held[1] + r2.epsilon) / (held[1] + free - z + r2.epsilon) ** 2
-            + r2.beta_c - r1.beta_c)
+    gain_1, gain_2 = _market_terms(spec, held, free, z)
+    return gain_1 - gain_2 + r2.beta_c - r1.beta_c
 
 
 def pinned_best_response(spec: GameSpec, family: str) -> float:
     """Best region-1 mass z* of the free player within one family: an end of
     its segment when the slope keeps one sign there, else the slope's root
-    by bisection."""
+    by bisection.
+
+    The root's residual may reach the slope's drop across the final
+    bracket, since the slope falls strictly in z, plus 1e-10 of the
+    slope's terms at the root for rounding; a larger one raises
+    NumericalError."""
     _, held, free = _family(spec, family)
     if _slope(spec, held, free, free) >= 0.0:
         return free
@@ -86,7 +98,9 @@ def pinned_best_response(spec: GameSpec, family: str) -> float:
     z = 0.5 * (lo + hi)
     residual = _slope(spec, held, free, z)
     r1, r2 = spec.regions
-    if abs(residual) > 1e-10 * (r1.beta_m + r2.beta_m):
+    scale = sum(_market_terms(spec, held, free, z)) + r1.beta_c + r2.beta_c
+    drop = abs(_slope(spec, held, free, lo) - _slope(spec, held, free, hi))
+    if abs(residual) > 1e-10 * scale + drop:
         raise NumericalError(f"pinned best-response root residual {residual!r} too large")
     return z
 
