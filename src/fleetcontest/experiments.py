@@ -269,9 +269,20 @@ def detect_optimal_fleet(lo: float = 200.0, hi: float = 4000.0, step: float = 1.
     """Fleet size for b maximizing b's equilibrium payoff against a fixed rival.
 
     b's payoff is unimodal in its fleet over the whole admissible range,
-    so a golden-section search over [lo, hi] narrows the window to 1e-3
-    and returns its midpoint. step is checked to be finite and positive
-    but sets no scan; it is kept for callers.
+    so the sign of its slope at a point tells which side of it the
+    optimum lies on. Each step solves the fleets x - h, x and x + h as
+    one three-row stack, with h = 1e-4 x shrunk to a quarter of the
+    bracket and x kept h inside [lo, hi], and reads the slope and
+    curvature at x by central differences. The slope's sign narrows the
+    bracket. The Newton step on the slope is taken when the curvature is
+    negative and the step lands inside the bracket; otherwise the bracket
+    is bisected. The search returns x where the slope reads zero, the
+    next point once a step falls below 1e-7 x, and the bracket's
+    midpoint once the bracket is narrower than 1e-3. When the optimum
+    lies outside the window, the slope keeps one sign across it and the
+    result is within 1e-3 of the window's end on that side. A probe row
+    that fails raises its own FleetContestError. step is checked to be
+    finite and positive but sets no scan; it is kept for callers.
     """
     lo, hi, step = float(lo), float(hi), float(step)
     if not _FLEET.lo <= lo < hi <= _FLEET.hi:
@@ -279,23 +290,32 @@ def detect_optimal_fleet(lo: float = 200.0, hi: float = 4000.0, step: float = 1.
     _check_step(step)
 
     @_quiet
-    def payoff(fleet_b: float) -> float:
-        stack, solution = _solve_at(_FLEET, fleet_b)
-        return stacked_utilities(stack, solution.x)[0, 1].item()
+    def slope_and_curvature(x: float, h: float) -> tuple[float, float]:
+        stack = _FLEET.stack([x - h, x, x + h])
+        solution = _solve_stack(stack)
+        for error in solution.errors:
+            if error is not None:
+                raise error
+        down, here, up = stacked_utilities(stack, solution.x)[:, 1].tolist()
+        return (up - down) / (2.0 * h), (up - 2.0 * here + down) / (h * h)
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = payoff(x1), payoff(x2)
+    first, last = lo, hi
+    x = 0.5 * (lo + hi)
     while hi - lo > 1e-3:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = payoff(x2)
+        h = min(1e-4 * x, 0.25 * (hi - lo))
+        x = min(max(x, first + h), last - h)
+        slope, curvature = slope_and_curvature(x, h)
+        if slope == 0.0:
+            return x
+        if slope > 0.0:
+            lo = x
         else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = payoff(x1)
+            hi = x
+        newton = x - slope / curvature if curvature < 0.0 else math.nan
+        following = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if abs(following - x) < 1e-7 * x:
+            return following
+        x = following
     return 0.5 * (lo + hi)
 
 

@@ -738,9 +738,9 @@ class TestDetectorAndViewBytes:
         assert (value if value is None else value.hex()) == expected
 
     @pytest.mark.parametrize("window,expected", [
-        ((200.0, 4000.0, 1.0), "0x1.b68cb17a94b48p+10"),
-        ((1700.0, 1790.0, 1.0), "0x1.b68cb408c8e8ap+10"),
-        ((1750.0, 1758.0, 4.0), "0x1.b68cb4256f24fp+10"),
+        ((200.0, 4000.0, 1.0), "0x1.b68cb1c48974cp+10"),
+        ((1700.0, 1790.0, 1.0), "0x1.b68cb1c489f7fp+10"),
+        ((1750.0, 1758.0, 4.0), "0x1.b68cb1c4894c3p+10"),
     ])
     def test_detect_optimal_fleet(self, window, expected):
         assert fc.detect_optimal_fleet(*window).hex() == expected
@@ -790,25 +790,78 @@ class TestFleetSweep:
             fc.fleet_sweep([4500.0])
 
 
+def casestudy_windows(count=50, seed=2401):
+    """Seeded (lo, hi, step) windows drawn as perfbench's casestudy draws
+    them: 80 steps wide, with the optimum near 1754 inside."""
+    rng = np.random.default_rng(seed)
+    windows = []
+    for _ in range(count):
+        step = rng.uniform(0.8, 1.25)
+        lo = 1754.0 - step * rng.uniform(20.0, 60.0)
+        windows.append((lo, lo + 80.0 * step, step))
+    return windows
+
+
 class TestDetectOptimalFleet:
     def test_narrow_window_refines_the_peak(self):
         value = fc.detect_optimal_fleet(1700.0, 1800.0, 5.0)
         assert value == pytest.approx(1754.198, abs=0.05)
 
     def test_golden_search_over_the_full_range(self, monkeypatch):
-        """At most 40 solves, and b pays at least the best of a 0.5-spaced scan."""
+        """At most 12 solves, and b pays at least the best of a 0.5-spaced scan."""
         grid = np.linspace(200.0, 4000.0, 7601)
         scores = [r.u_b for r in fc.fleet_sweep(grid)]
         best = int(np.argmax(scores))
         calls = counted_solves(monkeypatch)
         value = fc.detect_optimal_fleet(200.0, 4000.0, 1.0)
-        assert len(calls) <= 40
+        assert len(calls) <= 12
         assert abs(value - grid[best]) <= 0.5
         found = fc.fleet_sweep([value])[0].u_b
         assert found >= scores[best] - 1e-12 * abs(scores[best])
 
+    def test_casestudy_windows_agree_in_a_few_solves(self, monkeypatch):
+        """Each window takes at most 6 stacked solves, and all results lie
+        within 1e-6 of each other."""
+        calls = counted_solves(monkeypatch)
+        values = []
+        for window in casestudy_windows():
+            del calls[:]
+            values.append(fc.detect_optimal_fleet(*window))
+            assert len(calls) <= 6
+        assert max(values) - min(values) <= 1e-6
+
+    def test_casestudy_windows_beat_a_fine_sweep(self):
+        """b pays at each result at least the best of a 1e-3-spaced sweep
+        around the optimum, to 1e-12 of its payoff."""
+        grid = np.arange(1754100, 1754301) / 1000.0
+        best = max(r.u_b for r in fc.fleet_sweep(grid))
+        values = [fc.detect_optimal_fleet(*window) for window in casestudy_windows()]
+        for record in fc.fleet_sweep(values):
+            assert record.u_b >= best - 1e-12 * abs(record.u_b)
+
+    @pytest.mark.parametrize("window,end", [((200.0, 1000.0), 1000.0), ((3000.0, 4000.0), 3000.0)])
+    def test_optimum_outside_the_window_gives_the_nearer_end(self, window, end):
+        assert fc.detect_optimal_fleet(*window, 1.0) == pytest.approx(end, abs=1e-3)
+
+    def test_window_narrower_than_the_probe_spacing(self):
+        lo, hi = 1754.19, 1754.2
+        assert lo <= fc.detect_optimal_fleet(lo, hi, 1.0) <= hi
+
+    def test_a_failing_probe_raises_its_own_error(self, monkeypatch):
+        solve = experiments._solve_stack
+        error = fc.NumericalError("probe row failed")
+
+        def failing(stack):
+            solution = solve(stack)
+            return solution._replace(errors=[None, error, None])
+
+        monkeypatch.setattr(experiments, "_solve_stack", failing)
+        with pytest.raises(fc.NumericalError) as raised:
+            fc.detect_optimal_fleet(1714.0, 1794.0, 1.0)
+        assert raised.value is error
+
     def test_payoff_is_unimodal_over_the_admissible_range(self):
-        """The golden search relies on one sign change of b's payoff differences."""
+        """The search relies on one sign change of b's payoff differences."""
         scores = [r.u_b for r in fc.fleet_sweep(np.arange(200.0, 4001.0, 10.0))]
         signs = np.sign(np.diff(scores))
         assert np.all(signs != 0.0)
