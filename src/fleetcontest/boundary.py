@@ -81,9 +81,11 @@ def pinned_best_response(spec: GameSpec, family: str) -> float:
     slope's terms at the root for rounding; a larger one raises
     NumericalError."""
     _, held, free = _family(spec, family)
-    if _slope(spec, held, free, free) >= 0.0:
+    at_hi = _slope(spec, held, free, free)
+    if at_hi >= 0.0:
         return free
-    if _slope(spec, held, free, 0.0) <= 0.0:
+    at_lo = _slope(spec, held, free, 0.0)
+    if at_lo <= 0.0:
         return 0.0
     lo, hi = 0.0, free
     width_tol = 1e-15 * max(1.0, free)
@@ -91,16 +93,16 @@ def pinned_best_response(spec: GameSpec, family: str) -> float:
         if hi - lo <= width_tol:
             break
         mid = 0.5 * (lo + hi)
-        if _slope(spec, held, free, mid) > 0.0:
-            lo = mid
+        at_mid = _slope(spec, held, free, mid)
+        if at_mid > 0.0:
+            lo, at_lo = mid, at_mid
         else:
-            hi = mid
+            hi, at_hi = mid, at_mid
     z = 0.5 * (lo + hi)
     residual = _slope(spec, held, free, z)
     r1, r2 = spec.regions
     scale = sum(_market_terms(spec, held, free, z)) + r1.beta_c + r2.beta_c
-    drop = abs(_slope(spec, held, free, lo) - _slope(spec, held, free, hi))
-    if abs(residual) > 1e-10 * scale + drop:
+    if abs(residual) > 1e-10 * scale + (at_lo - at_hi):
         raise NumericalError(f"pinned best-response root residual {residual!r} too large")
     return z
 

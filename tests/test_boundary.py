@@ -294,8 +294,8 @@ def family_outcome(spec, family):
 def test_family_outcomes_are_pinned():
     """Every family's verdict on 300 box specs and 300 specs over +-3 decades.
 
-    Entries 458 A1 and 463 A2 raised NumericalError while the root's
-    residual was bounded by beta_m alone; they are now inside roots.
+    Entries 458 A1 and 463 A2 are steep inside roots, whose residual only
+    the slope's drop across the bisection's final bracket bounds.
     """
     box_rng, wide_rng = np.random.default_rng(2301), np.random.default_rng(2303)
     specs = [random_spec(box_rng) for _ in range(300)]
