@@ -18,9 +18,11 @@ Workloads, all timed as one call per operation:
   a median would carry the host's noise.
 - The case study: the 1000-point `four` sweep over alpha in [1, 20], the
   `two` sweep over [1, 50] and the fleet_sweep over fleet_b in
-  [200, 4000], each with its CSV, detect_alpha_crit(1, 50, 0.1) and
-  detect_optimal_fleet(200, 4000, 1). Each line reads each side's median
-  time and the median and quartiles of the round-by-round ratios. Both
+  [200, 4000], each with its CSV, detect_alpha_crit(1, 50, 0.1),
+  detect_optimal_fleet(200, 4000, 1), and detect_optimal_fleet(1714,
+  1794, 1), an 80-step window around the optimum like those perfbench's
+  casestudy draws. Each line reads each side's median time and the
+  median and quartiles of the round-by-round ratios. Both
   sides must print the same CSV bytes, return the same detector doubles,
   and give the same format_config text for each scenario path's one-spec
   views over the grids the view pin in tests/test_experiments.py uses.
@@ -207,14 +209,16 @@ def outcomes_agree(mine, theirs) -> bool:
 
 def case_study(fc) -> dict:
     """The case-study calls by label: three 1000-point sweeps, each with
-    its CSV, and both detectors over their whole windows."""
+    its CSV, both detectors over their whole windows, and the fleet
+    detector over an 80-step window around its optimum."""
     four, two, fleet = (np.linspace(lo, hi, 1000)
                         for lo, hi in ((1.0, 20.0), (1.0, 50.0), (200.0, 4000.0)))
     return {"four": lambda: fc.emit_csv(fc.alpha_sweep("four", four)),
             "two": lambda: fc.emit_csv(fc.alpha_sweep("two", two)),
             "fleet": lambda: fc.emit_csv(fc.fleet_sweep(fleet)),
             "alpha-crit": lambda: fc.detect_alpha_crit(1.0, 50.0, 0.1),
-            "fleet-opt": lambda: fc.detect_optimal_fleet(200.0, 4000.0, 1.0)}
+            "fleet-opt": lambda: fc.detect_optimal_fleet(200.0, 4000.0, 1.0),
+            "fleet-opt window": lambda: fc.detect_optimal_fleet(1714.0, 1794.0, 1.0)}
 
 
 def view_texts(fc) -> str:
@@ -322,7 +326,7 @@ def main(argv: list) -> int:
     print(f"case study: 1000-point sweeps with CSV and both detectors, {SWEEP_ROUNDS} rounds"
           " (median ms; paired ratio median [quartiles]):")
     for label in calls["parent"]:
-        print(paired_line(f"{label:10}", {name: times[name, label] for name in sides}))
+        print(paired_line(f"{label:16}", {name: times[name, label] for name in sides}))
 
     grids = time_cases(sides, {name: grid_cases(fc) for name, fc in sides.items()},
                        lambda fc, case: fc.grid_equilibrium(*case), GRID_ROUNDS)
