@@ -391,6 +391,18 @@ class TestDetectAlphaCrit:
         assert value == pytest.approx(expected, rel=1e-12)
         assert value == pytest.approx(COLLAPSE_SCALE, rel=1e-12)
 
+    def test_a_failing_row_raises_its_own_error(self, monkeypatch):
+        solve = experiments._solve_stack
+        error = fc.NumericalError("collapse row failed")
+
+        def failing(stack):
+            return solve(stack)._replace(errors=[error])
+
+        monkeypatch.setattr(experiments, "_solve_stack", failing)
+        with pytest.raises(fc.NumericalError) as raised:
+            fc.detect_alpha_crit(1.0, 50.0, 0.1)
+        assert raised.value is error
+
 
 def failing_root_spec():
     """Two regions whose first beta_m overflows the mass balance's square."""

@@ -117,3 +117,28 @@ def test_only_game_reads_the_feasibility_tolerance():
         or isinstance(node, ast.Attribute) and node.attr == "FEASIBILITY_RTOL"
     }
     assert readers == {"game"}
+
+
+def test_every_private_function_and_class_has_a_reader():
+    """A private module-level function or class is named somewhere in the
+    package outside its own definition. boundary._distinct_certified is the
+    one exception: only the acceptance gate calls it."""
+    trees = _trees()
+    unread = set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            if not (isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name.startswith("_")
+                    and not top.name.startswith("__")):
+                continue
+            readers = (
+                node
+                for other in trees.values()
+                for outer in other.body if outer is not top
+                for node in ast.walk(outer)
+            )
+            if not any(isinstance(node, ast.Name) and node.id == top.name
+                       or isinstance(node, ast.Attribute) and node.attr == top.name
+                       or isinstance(node, ast.alias) and node.name == top.name
+                       for node in readers):
+                unread.add((module, top.name))
+    assert unread == {("boundary", "_distinct_certified")}
