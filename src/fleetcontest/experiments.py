@@ -8,7 +8,6 @@ import numpy as np
 
 from .errors import FleetContestError, ShapeError, ValidationError
 from .game import (
-    DualCertificate,
     GameSpec,
     JointStrategy,
     RegionParams,
@@ -46,6 +45,17 @@ class _Path:
             raise ValidationError(self.message.format(theta))
         return theta
 
+    def window(self, lo, hi, step) -> tuple[float, float]:
+        """A detector's window (lo, hi) as floats; ValidationError unless
+        self.lo <= lo < hi <= self.hi and step is finite and positive."""
+        lo, hi, step = float(lo), float(hi), float(step)
+        if not self.lo <= lo < hi <= self.hi:
+            raise ValidationError(
+                f"need {self.lo:g} <= lo < hi <= {self.hi:g}, got lo={lo!r}, hi={hi!r}")
+        if not (math.isfinite(step) and step > 0.0):
+            raise ValidationError(f"step must be finite and > 0, got {step!r}")
+        return lo, hi
+
     def spec(self, theta) -> GameSpec:
         """The spec at theta: the one row of its stack."""
         stack = self.stack([self.check(theta)])
@@ -75,6 +85,9 @@ _TWO = _Path("alpha must be in [1, 50], got {!r}", 1.0, 50.0,
 _FLEET = _Path("fleet_b must be in [200, 4000], got {!r}", 200.0, 4000.0,
                (35_000.0, 10.0, 100.0, 120_000.0, 30.0, 300.0, 1000.0, 0.0),
                (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0))
+
+
+_ALPHA_PATHS = {"four": _FOUR, "two": _TWO}
 
 
 def four_region_spec(alpha: float) -> GameSpec:
@@ -112,30 +125,21 @@ def _failed(parameter: float, message: str) -> SweepRecord:
     return SweepRecord(parameter, None, None, None, None, None, error=message)
 
 
-def _result(solution, i: int, spec: GameSpec) -> EquilibriumResult:
-    """The EquilibriumResult of row i of a solved stack, whose spec is spec."""
-    (x_a, x_b), (nu_a, nu_b) = solution.x[i], solution.nu[i]
-    duals = DualCertificate(*solution.lambdas[i].tolist(), nu_a, nu_b)
-    trace = solution.trace(i) if solution.closed[i] else None
-    return EquilibriumResult(joint_from_arrays(x_a, x_b), duals, solution.tags[i], spec, trace,
-                             iterations=solution.evaluations[i])
-
-
 def solve_batch(specs) -> list:
     """The unique equilibria of specs that share one region count.
 
     Entry i is the EquilibriumResult of specs[i], or the FleetContestError
     its solve raised. Each stage runs on all specs at once, and each row is
-    accepted or failed once, in interior._solve_stack; an entry is bit for
-    bit what the spec solved alone gives. An empty batch gives []; specs
-    with different region counts raise ShapeError.
+    accepted or failed once, in interior._solve_stack, whose solution reads
+    each entry off its row; an entry is bit for bit what the spec solved
+    alone gives. An empty batch gives []; specs with different region
+    counts raise ShapeError.
     """
     specs = list(specs)
     if not specs:
         return []
     solution = _solve_stack(stack_specs(specs))
-    return [_result(solution, i, spec) if error is None else error
-            for i, (spec, error) in enumerate(zip(specs, solution.errors))]
+    return [solution.result(i, spec) for i, spec in enumerate(specs)]
 
 
 def solve_spec(spec: GameSpec) -> EquilibriumResult:
@@ -207,26 +211,11 @@ def alpha_sweep(kind: str, alphas) -> list[SweepRecord]:
     never abort the sweep: an alpha outside the scenario's range, or a
     solve that fails, gives a record that carries the error message.
     """
-    for name, path in (("four", _FOUR), ("two", _TWO)):
-        if kind == name:
-            return _path_sweep(path, alphas)
-    raise ValidationError(f"kind must be 'four' or 'two', got {kind!r}")
-
-
-def _solve_at(path: _Path, theta: float) -> tuple:
-    """path's one-row stack at theta, inside its range, and its solution.
-    A row that fails raises its own FleetContestError, as solve_spec does."""
-    stack = path.stack([theta])
-    solution = _solve_stack(stack)
-    if solution.errors[0] is not None:
-        raise solution.errors[0]
-    return stack, solution
-
-
-def _check_step(step: float) -> None:
-    """Raises ValidationError for a step that is not finite and positive."""
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValidationError(f"step must be finite and > 0, got {step!r}")
+    try:
+        path = _ALPHA_PATHS[kind]
+    except (KeyError, TypeError):
+        raise ValidationError(f"kind must be 'four' or 'two', got {kind!r}") from None
+    return _path_sweep(path, alphas)
 
 
 def detect_alpha_crit(lo: float = 1.0, hi: float = 50.0, step: float = 0.1) -> float | None:
@@ -239,14 +228,13 @@ def detect_alpha_crit(lo: float = 1.0, hi: float = 50.0, step: float = 0.1) -> f
     stay fixed as alpha falls, while each player's region-2 multiplier
     beta_c2(alpha) - lambda - beta_m2 / eps2 falls in proportion to
     beta_c2, which is linear in alpha; the collapse ends where the
-    smaller one reaches zero, clipped to lo. step is checked to be
-    finite and positive but sets no scan; it is kept for callers.
+    smaller one reaches zero, clipped to lo. The row, if it fails, raises
+    its own FleetContestError. step is checked to be finite and positive
+    but sets no scan; it is kept for callers.
     """
-    lo, hi, step = float(lo), float(hi), float(step)
-    if not _TWO.lo <= lo < hi <= _TWO.hi:
-        raise ValidationError(f"need 1 <= lo < hi <= 50, got lo={lo!r}, hi={hi!r}")
-    _check_step(step)
-    stack, solution = _solve_at(_TWO, hi)
+    lo, hi = _TWO.window(lo, hi, step)
+    stack = _TWO.stack([hi])
+    solution = _solve_stack(stack).solved()
     if not empty_components(stack.fleets, solution.x)[0, :, 1].all():
         return None
     slope = float(stack.beta_c[0, 1]) / hi
@@ -275,28 +263,24 @@ def detect_optimal_fleet(lo: float = 200.0, hi: float = 4000.0, step: float = 1.
     bracket and x kept h inside [lo, hi], and reads the slope and
     curvature at x by central differences. The slope's sign narrows the
     bracket. The Newton step on the slope is taken when the curvature is
-    negative and the step lands inside the bracket; otherwise the bracket
+    negative and the step lands inside the bracket. A step past the
+    window's end, while the bracket still reaches that end, moves the
+    next point to that end (and so h inside it); otherwise the bracket
     is bisected. The search returns x where the slope reads zero, the
     next point once a step falls below 1e-7 x, and the bracket's
     midpoint once the bracket is narrower than 1e-3. When the optimum
-    lies outside the window, the slope keeps one sign across it and the
-    result is within 1e-3 of the window's end on that side. A probe row
-    that fails raises its own FleetContestError. step is checked to be
-    finite and positive but sets no scan; it is kept for callers.
+    lies outside the window, the slope keeps one sign across it, the
+    probes close in on the window's end on that side, and the result is
+    within 1e-3 of that end. A probe row that fails raises its own
+    FleetContestError. step is checked to be finite and positive but
+    sets no scan; it is kept for callers.
     """
-    lo, hi, step = float(lo), float(hi), float(step)
-    if not _FLEET.lo <= lo < hi <= _FLEET.hi:
-        raise ValidationError(f"need {_FLEET.lo} <= lo < hi <= {_FLEET.hi}")
-    _check_step(step)
+    lo, hi = _FLEET.window(lo, hi, step)
 
     @_quiet
     def slope_and_curvature(x: float, h: float) -> tuple[float, float]:
         stack = _FLEET.stack([x - h, x, x + h])
-        solution = _solve_stack(stack)
-        for error in solution.errors:
-            if error is not None:
-                raise error
-        down, here, up = stacked_utilities(stack, solution.x)[:, 1].tolist()
+        down, here, up = stacked_utilities(stack, _solve_stack(stack).solved().x)[:, 1].tolist()
         return (up - down) / (2.0 * h), (up - 2.0 * here + down) / (h * h)
 
     first, last = lo, hi
@@ -312,7 +296,12 @@ def detect_optimal_fleet(lo: float = 200.0, hi: float = 4000.0, step: float = 1.
         else:
             hi = x
         newton = x - slope / curvature if curvature < 0.0 else math.nan
-        following = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if lo < newton < hi:
+            following = newton
+        elif newton > hi == last or newton < lo == first:
+            following = min(max(newton, lo), hi)  # The window's end the step points past.
+        else:
+            following = 0.5 * (lo + hi)
         if abs(following - x) < 1e-7 * x:
             return following
         x = following

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ValidationError
+from .errors import DomainError, FleetContestError, NumericalError, ValidationError
 from .game import (
     DualCertificate,
     GameSpec,
@@ -41,7 +41,7 @@ from .game import (
     joint_from_arrays,
     stack_specs,
 )
-from .result import InteriorSolveTrace, location_tags
+from .result import EquilibriumResult, InteriorSolveTrace, location_tags
 
 #: Relative tolerance of the scalar-equation residual at the returned root,
 #: scaled by the total mass fleet_a + fleet_b + sum(eps); the price solve
@@ -370,8 +370,13 @@ class _Solution(NamedTuple):
     (N x 2 x m), multipliers lambdas (N x 2) and nu (N x 2 x m), location
     tag and evaluations (the root find's, or the price solve's kernel
     calls); closed, the rows the closed form answers; and errors, a
-    failed row's FleetContestError or None. trace(i) reads the root find
-    and the candidate's multipliers: a closed row's, or any candidate's.
+    failed row's FleetContestError or None.
+
+    Its methods are the one place a row becomes public objects: trace(i)
+    reads the root find and the candidate's multipliers (a closed row's,
+    or any candidate's), duals(i) the row's multipliers, and result(i,
+    spec) the row's EquilibriumResult or error; solved() raises the first
+    failing row's error.
     """
 
     roots: list
@@ -389,6 +394,26 @@ class _Solution(NamedTuple):
         """Row i's trace."""
         return InteriorSolveTrace(self.roots[i], self.kappa[i], *self.lambdas[i].tolist(),
                                   self.residuals[i], self.evaluations[i])
+
+    def duals(self, i: int) -> DualCertificate:
+        """Row i's multipliers."""
+        return DualCertificate(*self.lambdas[i].tolist(), *self.nu[i])
+
+    def result(self, i: int, spec: GameSpec) -> EquilibriumResult | FleetContestError:
+        """Row i's EquilibriumResult, whose spec is spec, or the row's error."""
+        if self.errors[i] is not None:
+            return self.errors[i]
+        trace = self.trace(i) if self.closed[i] else None
+        return EquilibriumResult(joint_from_arrays(*self.x[i]), self.duals(i), self.tags[i], spec,
+                                 trace, iterations=self.evaluations[i])
+
+    def solved(self) -> "_Solution":
+        """This solution, once no row has failed; else the first failing
+        row's own FleetContestError is raised."""
+        for error in self.errors:
+            if error is not None:
+                raise error
+        return self
 
 
 def _interior_candidates(stack: SpecStack) -> _Solution:
@@ -421,13 +446,8 @@ def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
     the joint strategy and multipliers, and classifies the candidate as
     interior, boundary-suspect, or not interior.
     """
-    candidates = _interior_candidates(stack_specs([spec]))
-    if candidates.errors[0] is not None:
-        raise candidates.errors[0]
-    zeros = np.zeros(spec.m)
-    duals = DualCertificate(*candidates.lambdas[0].tolist(), zeros, zeros)
-    trace = candidates.trace(0)
-    x = candidates.x[0]
+    candidates = _interior_candidates(stack_specs([spec])).solved()
+    duals, trace, x = candidates.duals(0), candidates.trace(0), candidates.x[0]
     empty = empty_components((spec.fleet_a, spec.fleet_b), x)
     items = tuple(("ab"[p], j, float(x[p, j])) for p, j in np.argwhere(empty).tolist())
     marker = NotInterior(items=items) if items else None

@@ -57,8 +57,8 @@ class InteriorSolveTrace:
 class EquilibriumResult:
     """A solved equilibrium of spec with its multipliers and quality measure.
 
-    solve_batch builds one per solved row of the stacked solve, which has
-    already accepted the row; iterated_best_response builds its own.
+    The stacked solve builds one per accepted row (interior._Solution.result,
+    read by solve_batch); iterated_best_response builds its own.
     ne_residual is the largest unilateral payoff improvement either
     player could still gain; it is computed on first read and kept.
     trace is present for interior solves. iterations counts balance

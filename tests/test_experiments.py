@@ -1,6 +1,7 @@
 """Scenario builders, sweeps, and the two transition detectors."""
 
 import hashlib
+import re
 import warnings
 from collections import Counter
 
@@ -369,9 +370,10 @@ class TestDetectAlphaCrit:
 
     @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -0.1])
     def test_step_must_be_finite_and_positive(self, step):
-        with pytest.raises(fc.ValidationError, match="step"):
+        message = re.escape(f"step must be finite and > 0, got {step!r}")
+        with pytest.raises(fc.ValidationError, match=f"^{message}$"):
             fc.detect_alpha_crit(1.0, 50.0, step)
-        with pytest.raises(fc.ValidationError, match="step"):
+        with pytest.raises(fc.ValidationError, match=f"^{message}$"):
             fc.detect_optimal_fleet(200.0, 4000.0, step)
 
     def test_closed_form_from_one_solve(self, monkeypatch):
@@ -636,9 +638,8 @@ class TestSweepReadsTheStack:
         def broken(*args, **kwargs):
             raise AssertionError("the sweep built a result object")
 
-        for name in ("EquilibriumResult", "DualCertificate"):
-            monkeypatch.setattr(experiments, name, broken)
-        monkeypatch.setattr(interior, "InteriorSolveTrace", broken)
+        for name in ("EquilibriumResult", "DualCertificate", "InteriorSolveTrace"):
+            monkeypatch.setattr(interior, name, broken)
         for kind, a in alphas.items():
             assert fc.emit_csv(fc.alpha_sweep(kind, a)) == expected[kind]
         assert "A2" in expected["two"] and "error" in expected["four"]
@@ -852,8 +853,11 @@ class TestDetectOptimalFleet:
             assert record.u_b >= best - 1e-12 * abs(record.u_b)
 
     @pytest.mark.parametrize("window,end", [((200.0, 1000.0), 1000.0), ((3000.0, 4000.0), 3000.0)])
-    def test_optimum_outside_the_window_gives_the_nearer_end(self, window, end):
+    def test_optimum_outside_the_window_gives_the_nearer_end(self, window, end, monkeypatch):
+        """Within 1e-3 of that end, in at most 8 stacked solves."""
+        calls = counted_solves(monkeypatch)
         assert fc.detect_optimal_fleet(*window, 1.0) == pytest.approx(end, abs=1e-3)
+        assert len(calls) <= 8
 
     def test_window_narrower_than_the_probe_spacing(self):
         lo, hi = 1754.19, 1754.2
@@ -892,6 +896,24 @@ class TestDetectOptimalFleet:
             fc.detect_optimal_fleet(2000.0, 1000.0, 1.0)
         with pytest.raises(fc.ValidationError):
             fc.detect_optimal_fleet(200.0, 4000.0, -1.0)
+
+
+class TestDetectorWindows:
+    @pytest.mark.parametrize("detect,window,message", [
+        (fc.detect_alpha_crit, (0.5, 50.0), "need 1 <= lo < hi <= 50, got lo=0.5, hi=50.0"),
+        (fc.detect_alpha_crit, (10.0, 5.0), "need 1 <= lo < hi <= 50, got lo=10.0, hi=5.0"),
+        (fc.detect_alpha_crit, (1.0, float("nan")), "need 1 <= lo < hi <= 50, got lo=1.0, hi=nan"),
+        (fc.detect_optimal_fleet, (100.0, 4000.0),
+         "need 200 <= lo < hi <= 4000, got lo=100.0, hi=4000.0"),
+        (fc.detect_optimal_fleet, (2000.0, 1000.0),
+         "need 200 <= lo < hi <= 4000, got lo=2000.0, hi=1000.0"),
+        (fc.detect_optimal_fleet, (200.0, 4000.5),
+         "need 200 <= lo < hi <= 4000, got lo=200.0, hi=4000.5"),
+    ])
+    def test_a_bad_window_gives_the_one_message(self, detect, window, message):
+        with pytest.raises(fc.ValidationError) as raised:
+            detect(*window, 1.0)
+        assert str(raised.value) == message
 
 
 class TestReferenceRows:
