@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress
 
 import numpy as np
@@ -13,7 +14,6 @@ from .game import (
     RegionParams,
     SpecStack,
     _quiet,
-    empty_components,
     joint_from_arrays,
     stack_specs,
     stacked_utilities,
@@ -222,24 +222,24 @@ def detect_alpha_crit(lo: float = 1.0, hi: float = 50.0, step: float = 0.1) -> f
     """Charging-price scale where the equilibrium collapses into region 1.
 
     Beyond the returned value both companies send their whole fleets to
-    the cheap region. One solve at hi decides: if a fleet still uses
-    region 2 there, nothing in [lo, hi] collapses and the result is None.
-    Otherwise the collapsed allocation and both fleet-sum multipliers
-    stay fixed as alpha falls, while each player's region-2 multiplier
-    beta_c2(alpha) - lambda - beta_m2 / eps2 falls in proportion to
-    beta_c2, which is linear in alpha; the collapse ends where the
-    smaller one reaches zero, clipped to lo. The row, if it fails, raises
-    its own FleetContestError. step is checked to be finite and positive
-    but sets no scan; it is kept for callers.
+    the cheap region. There T1 = X_a + X_b + eps1, player p's fleet-sum
+    multiplier is beta_c1 - beta_m1 (X_rival + eps1) / T1**2, and its
+    region-2 multiplier beta_c2 - beta_m2 / eps2 less that is linear in
+    alpha, since only the charging costs move along the path. The
+    collapse holds from the larger of the two zeros on, the unique
+    equilibrium there being this KKT point; that scale is found in exact
+    arithmetic from the path's rows and rounded once. The result is None
+    when hi lies below it, else the scale clipped to lo. No spec is
+    solved. step is checked to be finite and positive but sets no scan;
+    it is kept for callers.
     """
     lo, hi = _TWO.window(lo, hi, step)
-    stack = _TWO.stack([hi])
-    solution = _solve_stack(stack).solved()
-    if not empty_components(stack.fleets, solution.x)[0, :, 1].all():
-        return None
-    slope = float(stack.beta_c[0, 1]) / hi
-    margin = min(solution.nu[0, :, 1].tolist())
-    return max(lo, hi - margin / slope)
+    bm1, bc1, eps1, bm2, bc2, eps2, fleet_a, fleet_b = map(Fraction, _TWO.base)
+    rise = Fraction(_TWO.slope[4]) - Fraction(_TWO.slope[1])
+    mass = fleet_a + fleet_b + eps1
+    crit = float(max((bm2 / eps2 - bm1 * (rival + eps1) / mass**2 - (bc2 - bc1)) / rise
+                     for rival in (fleet_b, fleet_a)))
+    return None if hi < crit else max(lo, crit)
 
 
 def fleet_sweep(fleet_b_values) -> list[SweepRecord]:

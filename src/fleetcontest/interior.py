@@ -444,18 +444,24 @@ def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
 
     Solves the scalar mass balance at offsets 2 * beta_c, reconstructs
     the joint strategy and multipliers, and classifies the candidate as
-    interior, boundary-suspect, or not interior.
+    interior, boundary-suspect, or not interior. A candidate with no
+    empty component is interior only under the solve's own rule
+    (_interior_candidates' closed); one that fails it raises the
+    NumericalError of the first check it fails (_row_error).
     """
     candidates = _interior_candidates(stack_specs([spec])).solved()
-    duals, trace, x = candidates.duals(0), candidates.trace(0), candidates.x[0]
-    empty = empty_components((spec.fleet_a, spec.fleet_b), x)
+    trace, x, lambdas = candidates.trace(0), candidates.x[0], candidates.lambdas[0]
+    fleets = np.array([spec.fleet_a, spec.fleet_b])
+    empty = empty_components(fleets, x)
     items = tuple(("ab"[p], j, float(x[p, j])) for p, j in np.argwhere(empty).tolist())
     marker = NotInterior(items=items) if items else None
     if marker is not None and marker.strictly_outside:
         return InteriorOutcome(strategy=None, duals=None, trace=trace, not_interior=marker)
-    return InteriorOutcome(
-        strategy=joint_from_arrays(*x), duals=duals, trace=trace, not_interior=marker
-    )
+    if marker is None and not candidates.closed[0]:
+        raise _row_error("closed form", np.isfinite(lambdas).all(), lambdas, candidates.nu[0],
+                         fleet_sums_met(fleets, x), x.sum(axis=1).tolist(), fleets.tolist())
+    return InteriorOutcome(strategy=joint_from_arrays(*x), duals=candidates.duals(0), trace=trace,
+                           not_interior=marker)
 
 
 def _fleet_errors(sums: list, fleet_a: float, fleet_b: float) -> tuple[tuple, float]:
@@ -574,25 +580,32 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
     return x, floor_cost[:, None] - np.array(levels), nu, list(evaluations), list(fleet_errors)
 
 
-def _price_error(fleet_error: float, finite: bool, lambdas, nu, met, sums,
-                 fleets) -> NumericalError | None:
+def _price_error(fleet_error: float, *row) -> NumericalError | None:
     """A price row's verdict: None when it is accepted, else the error of the first
-    check it fails. Its levels' fleet-sum error must meet BALANCE_RTOL, its
-    multipliers be finite, and each allocation meet the fleet-sum rule: met holds
-    game.fleet_sums_met of the row, and sums its allocations' sums."""
+    check it fails. Its levels' fleet-sum error must meet BALANCE_RTOL, and then
+    the row pass _row_error's checks."""
     if not fleet_error <= BALANCE_RTOL:
         return NumericalError(
             f"price solve fleet-sum error {fleet_error!r} exceeds tolerance {BALANCE_RTOL!r}"
         )
+    return _row_error("price solve", *row)
+
+
+def _row_error(solve: str, finite: bool, lambdas, nu, met, sums,
+               fleets) -> NumericalError | None:
+    """A solved row's verdict: None when it is accepted, else the error, naming
+    solve, of the first check it fails. Its multipliers must be finite, and each
+    allocation meet the fleet-sum rule: met holds game.fleet_sums_met of the row,
+    and sums its allocations' sums."""
     if not finite:
         named = zip(("lambda_a", "lambda_b", "nu_a", "nu_b"), (*lambdas, *nu))
         name, value = next((n, v) for n, v in named if not np.isfinite(v).all())
         value = np.asarray(value).tolist()
-        return NumericalError(f"price solve multiplier {name} is not finite: {value}")
+        return NumericalError(f"{solve} multiplier {name} is not finite: {value}")
     for player, ok, total, fleet in zip("ab", met, sums, fleets):
         if not ok:
             return NumericalError(
-                f"price solve leaves player {player!r} infeasible: {_fleet_sum_miss(total, fleet)}"
+                f"{solve} leaves player {player!r} infeasible: {_fleet_sum_miss(total, fleet)}"
             )
     return None
 

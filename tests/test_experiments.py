@@ -4,13 +4,14 @@ import hashlib
 import re
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import fleetcontest as fc
 from fleetcontest import experiments, interior
-from fleetcontest.game import FEASIBILITY_RTOL, stack_specs
+from fleetcontest.game import FEASIBILITY_RTOL, empty_components, is_feasible, stack_specs
 from helpers import fingerprint, random_spec, relative_kkt, solo_fingerprint
 
 
@@ -376,34 +377,48 @@ class TestDetectAlphaCrit:
         with pytest.raises(fc.ValidationError, match=f"^{message}$"):
             fc.detect_optimal_fleet(200.0, 4000.0, step)
 
-    def test_closed_form_from_one_solve(self, monkeypatch):
+    def test_closed_form_without_a_solve(self, monkeypatch):
         """Both fleets in region 1 is an equilibrium while each player's
         region-2 multiplier beta_c2 - lambda - beta_m2 / eps2 stays >= 0,
         with lambda read off region 1's stationarity at the full fleets;
         the collapse starts where the larger of the two bounds on beta_c2
-        is met."""
+        is met. The detector returns that scale correctly rounded, and
+        solves no spec."""
         spec = fc.two_region_spec(50.0)
-        (bm1, bm2), (bc1, bc2), (eps1, eps2) = spec.beta_m, spec.beta_c, spec.eps
-        mass = spec.fleet_a + spec.fleet_b + eps1
-        lambdas = [bc1 - bm1 * (rival + eps1) / mass**2 for rival in (spec.fleet_b, spec.fleet_a)]
-        expected = (max(lambdas) + bm2 / eps2) / (bc2 / 50.0)
+        (bm1, bm2), (bc1, bc2), (eps1, eps2) = (map(Fraction, row.tolist())
+                                                for row in (spec.beta_m, spec.beta_c, spec.eps))
+        mass = Fraction(spec.fleet_a) + Fraction(spec.fleet_b) + eps1
+        lambdas = [bc1 - bm1 * (Fraction(rival) + eps1) / mass**2
+                   for rival in (spec.fleet_b, spec.fleet_a)]
+        expected = (max(lambdas) + bm2 / eps2) / (bc2 / 50)
         calls = counted_solves(monkeypatch)
         value = fc.detect_alpha_crit(1.0, 50.0, 0.1)
-        assert len(calls) == 1
-        assert value == pytest.approx(expected, rel=1e-12)
+        assert calls == []
+        assert expected == Fraction(39016, 961)
+        assert value == float(expected)
         assert value == pytest.approx(COLLAPSE_SCALE, rel=1e-12)
 
-    def test_a_failing_row_raises_its_own_error(self, monkeypatch):
-        solve = experiments._solve_stack
-        error = fc.NumericalError("collapse row failed")
+    def test_only_the_charging_costs_move_along_the_path(self):
+        """The detector's multipliers are linear in alpha because the path
+        moves no parameter but the two regions' charging costs."""
+        moved = [i for i, rate in enumerate(experiments._TWO.slope) if rate != 0.0]
+        assert moved and set(moved) <= {1, 4}
 
-        def failing(stack):
-            return solve(stack)._replace(errors=[error])
+    def test_the_solver_empties_region_2_from_the_threshold_on(self):
+        """Under the support rule both players hold nothing in region 2 at
+        the detector's scale and just above it; 1e-5 below it b still holds
+        some of region 2."""
+        crit = fc.detect_alpha_crit()
 
-        monkeypatch.setattr(experiments, "_solve_stack", failing)
-        with pytest.raises(fc.NumericalError) as raised:
-            fc.detect_alpha_crit(1.0, 50.0, 0.1)
-        assert raised.value is error
+        def region_2_empty(alpha):
+            spec = fc.two_region_spec(alpha)
+            x = fc.solve_spec(spec).strategy
+            x = np.array([x.alloc_a.values, x.alloc_b.values])
+            return empty_components((spec.fleet_a, spec.fleet_b), x)[:, 1].tolist()
+
+        assert region_2_empty(crit) == [True, True]
+        assert region_2_empty(crit + 1e-9) == [True, True]
+        assert region_2_empty(crit - 1e-5) == [True, False]
 
 
 def failing_root_spec():
@@ -496,12 +511,13 @@ class TestSolveBatch:
 
     def test_a_candidate_with_non_finite_multipliers_goes_to_the_price_solve(self):
         """Region 1's mass squared over its beta_m overflows, so the closed
-        form's multipliers are NaN. interior_equilibrium rejects the
-        candidate; the solve hands the row to the price Newton, which
-        misses a fleet sum here."""
+        form's multipliers are NaN. interior_equilibrium fails the candidate
+        as a numerical error naming the multiplier; the solve hands the row
+        to the price Newton, which misses a fleet sum here."""
         spec = fc.GameSpec((fc.RegionParams(1e-120, 0.0, 1e100), fc.RegionParams(1e4, 1.0, 10.0)),
                            fleet_a=100.0, fleet_b=100.0)
-        with pytest.raises(fc.ValidationError, match="lambda_a must be finite, got nan"):
+        with pytest.raises(fc.NumericalError,
+                           match="^closed form multiplier lambda_a is not finite: nan$"):
             fc.interior_equilibrium(spec)
         with pytest.raises(fc.NumericalError, match="price solve fleet-sum error inf"):
             fc.solve_spec(spec)
@@ -735,6 +751,58 @@ class TestSolveBytes:
             "c317218380599b01f6ace2b916efa8321e81444a2a213f745d19c3fbafda7ad1")
 
 
+def wide_outcomes():
+    """(spec, interior_equilibrium outcome) for each spec of
+    TestSolveBytes.wide_specs() whose candidate does not fail."""
+    outcomes = []
+    for specs in TestSolveBytes.wide_specs().values():
+        for spec in specs:
+            try:
+                outcomes.append((spec, fc.interior_equilibrium(spec)))
+            except fc.NumericalError:
+                pass
+    return outcomes
+
+
+class TestInteriorEquilibriumFollowsTheSolve:
+    """interior_equilibrium accepts a candidate with no empty component by
+    the solve's own rule, or fails it with a NumericalError."""
+
+    def test_every_interior_outcome_is_feasible(self):
+        interior_outcomes = [(spec, outcome) for spec, outcome in wide_outcomes()
+                             if outcome.is_interior]
+        assert interior_outcomes
+        for spec, outcome in interior_outcomes:
+            for player in fc.PLAYERS:
+                assert is_feasible(spec, outcome.strategy.of(player))
+
+    def test_is_interior_is_the_solve_answering_in_closed_form(self):
+        compared = 0
+        for spec, outcome in wide_outcomes():
+            try:
+                result = fc.solve_spec(spec)
+            except fc.NumericalError:
+                continue
+            assert outcome.is_interior == (result.trace is not None)
+            compared += 1
+        assert compared > 1000
+
+    def test_no_valid_spec_at_150_decades_is_a_validation_error(self):
+        """Every parameter log-uniform over 10**+-150, m = 2..4: a candidate
+        whose multipliers overflow is a numerical failure, not bad input."""
+        rng = np.random.default_rng(150)
+        failed = 0
+        for _ in range(300):
+            m = int(rng.integers(2, 5))
+            bm, bc, eps = 10.0 ** rng.uniform(-150.0, 150.0, (3, m))
+            spec = _spec(bm, bc, eps, *10.0 ** rng.uniform(-150.0, 150.0, 2))
+            try:
+                fc.interior_equilibrium(spec)
+            except fc.NumericalError:
+                failed += 1
+        assert failed > 0
+
+
 class TestDetectorAndViewBytes:
     """The detectors' doubles and the one-spec views' config text, pinned so
     that a change in how either is formed or solved shows."""
@@ -875,6 +943,40 @@ class TestDetectOptimalFleet:
         with pytest.raises(fc.NumericalError) as raised:
             fc.detect_optimal_fleet(1714.0, 1794.0, 1.0)
         assert raised.value is error
+
+    def test_a_probe_with_an_exactly_zero_slope_is_returned(self, monkeypatch):
+        """On this seeded window the last probe's payoffs at x - h and x + h
+        are equal, and the search returns x at once."""
+        probes = []
+        utilities = experiments.stacked_utilities
+
+        def recorded(stack, x):
+            payoffs = utilities(stack, x)
+            probes.append((stack.fleets[:, 1].tolist(), payoffs[:, 1].tolist()))
+            return payoffs
+
+        monkeypatch.setattr(experiments, "stacked_utilities", recorded)
+        value = fc.detect_optimal_fleet(1607.9020030105826, 1975.6199243452434, 1.0)
+        fleets, (down, _, up) = probes[-1]
+        assert up == down
+        assert value == fleets[1]
+
+    def test_a_kinked_payoff_is_bisected(self, monkeypatch):
+        """b's payoff -sqrt|x - 2345.678| is convex on each side of its peak,
+        so no Newton step is taken there and the bracket is bisected, down
+        to the peak."""
+        peak = 2345.678
+        probes = []
+
+        def kinked(stack, x):
+            fleets = stack.fleets[:, 1]
+            probes.append(float(fleets[1]))
+            return np.stack([np.zeros(len(fleets)), -np.sqrt(abs(fleets - peak))], axis=1)
+
+        monkeypatch.setattr(experiments, "stacked_utilities", kinked)
+        value = fc.detect_optimal_fleet(200.0, 4000.0, 1.0)
+        assert probes[:4] == [2100.0, 3050.0, 2575.0, 2337.5]
+        assert abs(value - peak) <= 1e-3
 
     def test_payoff_is_unimodal_over_the_admissible_range(self):
         """The search relies on one sign change of b's payoff differences."""

@@ -19,13 +19,16 @@ Workloads, all timed as one call per operation:
 - The case study: the 1000-point `four` sweep over alpha in [1, 20], the
   `two` sweep over [1, 50] and the fleet_sweep over fleet_b in
   [200, 4000], each with its CSV, detect_alpha_crit(1, 50, 0.1),
-  detect_optimal_fleet(200, 4000, 1), and detect_optimal_fleet(1714,
+  detect_alpha_crit over 20 seeded windows drawn as perfbench's
+  casestudy draws them (lo in [37, 37.5], hi = min(50, alpha* + U(1,
+  8))), detect_optimal_fleet(200, 4000, 1), and detect_optimal_fleet(1714,
   1794, 1), an 80-step window around the optimum like those perfbench's
   casestudy draws. Each line reads each side's median time and the
   median and quartiles of the round-by-round ratios. Both
-  sides must print the same CSV bytes, return the same detector doubles,
-  and give the same format_config text for each scenario path's one-spec
-  views over the grids the view pin in tests/test_experiments.py uses.
+  sides must print the same CSV bytes, return the same detector doubles
+  (those of the 20 windows within one ulp of each other), and give the
+  same format_config text for each scenario path's one-spec views over
+  the grids the view pin in tests/test_experiments.py uses.
 - grid_equilibrium on 20 two-region box specs at the CLI's step,
   max(fleet) / 2000, read as the sum of per-spec minima like the solves,
   and on two_region_spec(1.0) at step 0.5 (a 2000 x 4000 grid), read
@@ -53,6 +56,7 @@ Workloads, all timed as one call per operation:
 
 import gc
 import importlib.util
+import math
 import statistics
 import sys
 import time
@@ -207,16 +211,30 @@ def outcomes_agree(mine, theirs) -> bool:
     return mine[:2] == theirs[:2] and abs(mine[2] - theirs[2]) <= 1e-13
 
 
-def case_study(fc) -> dict:
+def alpha_crit_windows(crit: float, count: int = 20, seed: int = 2500) -> list:
+    """count seeded (lo, hi, step) windows drawn as perfbench's casestudy
+    draws them around the collapse scale crit."""
+    rng = np.random.default_rng(seed)
+    windows = []
+    for _ in range(count):
+        lo = rng.uniform(37.0, 37.5)
+        step = (crit - lo) / rng.uniform(88.0, 92.0)
+        windows.append((lo, min(50.0, crit + rng.uniform(1.0, 8.0)), step))
+    return windows
+
+
+def case_study(fc, windows: list) -> dict:
     """The case-study calls by label: three 1000-point sweeps, each with
-    its CSV, both detectors over their whole windows, and the fleet
-    detector over an 80-step window around its optimum."""
+    its CSV, both detectors over their whole windows, the collapse
+    detector over windows, and the fleet detector over an 80-step window
+    around its optimum."""
     four, two, fleet = (np.linspace(lo, hi, 1000)
                         for lo, hi in ((1.0, 20.0), (1.0, 50.0), (200.0, 4000.0)))
     return {"four": lambda: fc.emit_csv(fc.alpha_sweep("four", four)),
             "two": lambda: fc.emit_csv(fc.alpha_sweep("two", two)),
             "fleet": lambda: fc.emit_csv(fc.fleet_sweep(fleet)),
             "alpha-crit": lambda: fc.detect_alpha_crit(1.0, 50.0, 0.1),
+            "alpha-crit windows": lambda: [fc.detect_alpha_crit(*w) for w in windows],
             "fleet-opt": lambda: fc.detect_optimal_fleet(200.0, 4000.0, 1.0),
             "fleet-opt window": lambda: fc.detect_optimal_fleet(1714.0, 1794.0, 1.0)}
 
@@ -304,9 +322,14 @@ def main(argv: list) -> int:
                for family in sides["parent"].FAMILIES):
         print("the change gives a boundary family another verdict than the parent", file=sys.stderr)
         return 1
-    calls = {name: case_study(fc) for name, fc in sides.items()}
-    outputs = {name: [call() for call in side.values()] for name, side in calls.items()}
-    if outputs["change"] != outputs["parent"]:
+    windows = alpha_crit_windows(sides["parent"].detect_alpha_crit(1.0, 50.0, 0.1))
+    calls = {name: case_study(fc, windows) for name, fc in sides.items()}
+    outputs = {name: {label: call() for label, call in side.items()}
+               for name, side in calls.items()}
+    scales = zip(*(outputs[name].pop("alpha-crit windows") for name in ("change", "parent")))
+    if outputs["change"] != outputs["parent"] or not all(
+            mine == theirs or None not in (mine, theirs) and abs(mine - theirs) <= math.ulp(theirs)
+            for mine, theirs in scales):
         print("the change prints other sweep CSV, or its detectors return other doubles, than"
               " the parent", file=sys.stderr)
         return 1
@@ -326,7 +349,7 @@ def main(argv: list) -> int:
     print(f"case study: 1000-point sweeps with CSV and both detectors, {SWEEP_ROUNDS} rounds"
           " (median ms; paired ratio median [quartiles]):")
     for label in calls["parent"]:
-        print(paired_line(f"{label:16}", {name: times[name, label] for name in sides}))
+        print(paired_line(f"{label:18}", {name: times[name, label] for name in sides}))
 
     grids = time_cases(sides, {name: grid_cases(fc) for name, fc in sides.items()},
                        lambda fc, case: fc.grid_equilibrium(*case), GRID_ROUNDS)
