@@ -93,10 +93,7 @@ def parse_config(text: str) -> GameSpec:
             raise ParseError(f"missing {key}")
     if not regions:
         raise ParseError("no region lines")
-    try:
-        return GameSpec(regions=tuple(regions), fleet_a=fleets["fleet_a"], fleet_b=fleets["fleet_b"])
-    except ValidationError as exc:
-        raise ParseError(str(exc)) from None
+    return GameSpec(regions=tuple(regions), fleet_a=fleets["fleet_a"], fleet_b=fleets["fleet_b"])
 
 
 def _fmt(value: float) -> str:

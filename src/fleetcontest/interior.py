@@ -416,26 +416,50 @@ class _Solution(NamedTuple):
         return self
 
 
+def _accepted(fleets, x, lambdas, nu) -> np.ndarray:
+    """The solve's acceptance rule, one flag per row of a stack: every
+    multiplier finite, and each allocation in x meeting the fleet-sum rule
+    (game.fleet_sums_met). fleets is N x 2, x and nu N x 2 x m, lambdas N x 2."""
+    return (np.isfinite(lambdas) & np.isfinite(nu).all(axis=2)
+            & fleet_sums_met(fleets, x)).all(axis=1)
+
+
+def _rejection(solve: str, fleets, x, lambdas, nu) -> NumericalError | None:
+    """One row's verdict under _accepted: None when it is accepted, else the
+    NumericalError, naming solve, of the first check it fails, in the order
+    lambda_a, lambda_b, nu_a, nu_b, then player a's fleet sum and b's."""
+    for name, value in zip(("lambda_a", "lambda_b", "nu_a", "nu_b"), (*lambdas, *nu)):
+        if not np.isfinite(value).all():
+            return NumericalError(f"{solve} multiplier {name} is not finite: {value.tolist()}")
+    for player, met, total, fleet in zip("ab", fleet_sums_met(fleets, x).tolist(),
+                                         x.sum(axis=1).tolist(), fleets.tolist()):
+        if not met:
+            return NumericalError(
+                f"{solve} leaves player {player!r} infeasible: {_fleet_sum_miss(total, fleet)}"
+            )
+    return None
+
+
 def _interior_candidates(stack: SpecStack) -> _Solution:
     """The closed-form interior candidates of a stack, as a _Solution with nu zero.
 
     One root find and one closed form serve every row; a row whose root
     misses BALANCE_RTOL carries its NumericalError. closed accepts a
     candidate with no empty component (which implies is_feasible's sign
-    test), finite multipliers and both fleet sums meeting the fleet-sum
-    rule (game.fleet_sums_met).
+    test) that passes the solve's rule (_accepted).
     """
     bm, bc, eps, fleets = stack
     mass = fleets[:, 0] + fleets[:, 1] + eps.sum(axis=1)
     roots, kappa, evaluations, residuals = _multiplier_sums(bm, eps, 2.0 * bc, mass)
     x, lambdas = _interior_point(stack, kappa)
+    nu = np.zeros(x.shape)
     inside = ~empty_components(fleets, x).any(axis=(1, 2))
     closed = inside.tolist()
     if any(closed):  # Skipping the fleet-sum test saves about 1.7% of a boundary solve_spec.
-        closed = (inside & (np.isfinite(lambdas) & fleet_sums_met(fleets, x)).all(axis=1)).tolist()
+        closed = (inside & _accepted(fleets, x, lambdas, nu)).tolist()
     errors = [_root_error(r, total) for r, total in zip(residuals, mass.tolist())]
-    return _Solution(roots, kappa, residuals, x, lambdas, np.zeros(x.shape),
-                     ["interior"] * len(roots), evaluations, closed, errors)
+    return _Solution(roots, kappa, residuals, x, lambdas, nu, ["interior"] * len(roots),
+                     evaluations, closed, errors)
 
 
 @_quiet
@@ -446,8 +470,8 @@ def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
     the joint strategy and multipliers, and classifies the candidate as
     interior, boundary-suspect, or not interior. A candidate with no
     empty component is interior only under the solve's own rule
-    (_interior_candidates' closed); one that fails it raises the
-    NumericalError of the first check it fails (_row_error).
+    (_accepted); one that fails it raises the NumericalError of the
+    first check it fails (_rejection).
     """
     candidates = _interior_candidates(stack_specs([spec])).solved()
     trace, x, lambdas = candidates.trace(0), candidates.x[0], candidates.lambdas[0]
@@ -458,8 +482,7 @@ def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
     if marker is not None and marker.strictly_outside:
         return InteriorOutcome(strategy=None, duals=None, trace=trace, not_interior=marker)
     if marker is None and not candidates.closed[0]:
-        raise _row_error("closed form", np.isfinite(lambdas).all(), lambdas, candidates.nu[0],
-                         fleet_sums_met(fleets, x), x.sum(axis=1).tolist(), fleets.tolist())
+        raise _rejection("closed form", fleets, x, lambdas, candidates.nu[0])
     return InteriorOutcome(strategy=joint_from_arrays(*x), duals=candidates.duals(0), trace=trace,
                            not_interior=marker)
 
@@ -580,36 +603,6 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
     return x, floor_cost[:, None] - np.array(levels), nu, list(evaluations), list(fleet_errors)
 
 
-def _price_error(fleet_error: float, *row) -> NumericalError | None:
-    """A price row's verdict: None when it is accepted, else the error of the first
-    check it fails. Its levels' fleet-sum error must meet BALANCE_RTOL, and then
-    the row pass _row_error's checks."""
-    if not fleet_error <= BALANCE_RTOL:
-        return NumericalError(
-            f"price solve fleet-sum error {fleet_error!r} exceeds tolerance {BALANCE_RTOL!r}"
-        )
-    return _row_error("price solve", *row)
-
-
-def _row_error(solve: str, finite: bool, lambdas, nu, met, sums,
-               fleets) -> NumericalError | None:
-    """A solved row's verdict: None when it is accepted, else the error, naming
-    solve, of the first check it fails. Its multipliers must be finite, and each
-    allocation meet the fleet-sum rule: met holds game.fleet_sums_met of the row,
-    and sums its allocations' sums."""
-    if not finite:
-        named = zip(("lambda_a", "lambda_b", "nu_a", "nu_b"), (*lambdas, *nu))
-        name, value = next((n, v) for n, v in named if not np.isfinite(v).all())
-        value = np.asarray(value).tolist()
-        return NumericalError(f"{solve} multiplier {name} is not finite: {value}")
-    for player, ok, total, fleet in zip("ab", met, sums, fleets):
-        if not ok:
-            return NumericalError(
-                f"{solve} leaves player {player!r} infeasible: {_fleet_sum_miss(total, fleet)}"
-            )
-    return None
-
-
 @_quiet
 def _solve_stack(stack: SpecStack) -> _Solution:
     """Solve every spec of stack; each row is accepted or failed here, once.
@@ -617,8 +610,9 @@ def _solve_stack(stack: SpecStack) -> _Solution:
     The interior candidates come first (_interior_candidates). Each row
     they leave open, with a root within BALANCE_RTOL, goes to Newton on
     the water levels from its candidate's multipliers (_solve_prices,
-    whose allocations are never negative), and _price_error gives its
-    verdict. Each row's outcome is its solo solve's.
+    whose allocations are never negative). A row whose levels miss
+    BALANCE_RTOL fails; the others pass or fail the solve's rule
+    (_accepted, _rejection). Each row's outcome is its solo solve's.
     """
     solution = _interior_candidates(stack)
     *_, x, lambdas, nu, tags, evaluations, closed, errors = solution
@@ -632,11 +626,12 @@ def _solve_stack(stack: SpecStack) -> _Solution:
         x, lambdas, nu = p_x, p_lambdas, p_nu
     else:
         x[rows], lambdas[rows], nu[rows] = p_x, p_lambdas, p_nu
-    finite = (np.isfinite(p_lambdas) & np.isfinite(p_nu).all(axis=2)).all(axis=1).tolist()
-    met = fleet_sums_met(priced.fleets, p_x).tolist()
-    sums, fleets = p_x.sum(axis=2).tolist(), priced.fleets.tolist()
+    accepted = _accepted(priced.fleets, p_x, p_lambdas, p_nu).tolist()
     for k, (i, tag) in enumerate(zip(rows, location_tags(priced.fleets, p_x))):
         tags[i], evaluations[i] = tag, p_evaluations[k]
-        errors[i] = _price_error(fleet_errors[k], finite[k], p_lambdas[k], p_nu[k], met[k],
-                                 sums[k], fleets[k])
+        if not fleet_errors[k] <= BALANCE_RTOL:
+            errors[i] = NumericalError(f"price solve fleet-sum error {fleet_errors[k]!r}"
+                                       f" exceeds tolerance {BALANCE_RTOL!r}")
+        elif not accepted[k]:
+            errors[i] = _rejection("price solve", priced.fleets[k], p_x[k], p_lambdas[k], p_nu[k])
     return solution._replace(x=x, lambdas=lambdas, nu=nu)

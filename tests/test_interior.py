@@ -348,11 +348,37 @@ class TestPriceSolve:
     def test_a_row_with_non_finite_multipliers_gets_the_certificate_error(self):
         """A row that meets BALANCE_RTOL but carries a NaN multiplier fails as a
         numerical error that names the multiplier."""
-        nu = np.zeros((2, 2))
-        error = interior._price_error(0.0, False, [math.nan, 1.0], nu, [True, True],
-                                      [10.0, 20.0], [10.0, 20.0])
+        x = np.array([[4.0, 6.0], [5.0, 15.0]])
+        error = interior._rejection("price solve", np.array([10.0, 20.0]), x,
+                                    np.array([math.nan, 1.0]), np.zeros((2, 2)))
         assert isinstance(error, fc.NumericalError)
         assert str(error) == "price solve multiplier lambda_a is not finite: nan"
+
+    def test_the_rule_and_its_words_on_a_mixed_stack(self):
+        """_accepted flags each row of a stack, and _rejection names the first
+        check a row fails: the multipliers in the order lambda_a, lambda_b,
+        nu_a, nu_b, then player a's fleet sum, then b's."""
+        fleets = np.array([[8.0, 16.0]] * 5)
+        x = np.array([[[3.0, 5.0], [6.0, 10.0]]] * 5)
+        lambdas = np.ones((5, 2))
+        nu = np.zeros((5, 2, 2))
+        lambdas[1, 1] = math.nan  # Row 1 also carries an infinite nu_b and misses a's fleet.
+        nu[1:3, 1, 1] = math.inf
+        x[[1, 3, 4], 0, 1] = 6.0  # Player a sums to 9 of 8, an error of 0.125.
+        x[4, 1, 0] = 8.0  # Player b sums to 18 of 16, also 0.125.
+        miss = "fleet-sum error 0.125 exceeds tolerance 1e-11"
+        expected = [
+            None,
+            "price solve multiplier lambda_b is not finite: nan",
+            "price solve multiplier nu_b is not finite: [0.0, inf]",
+            f"price solve leaves player 'a' infeasible: {miss}",
+            f"price solve leaves player 'a' infeasible: {miss}",
+        ]
+        errors = [interior._rejection("price solve", *row) for row in zip(fleets, x, lambdas, nu)]
+        assert [None if e is None else str(e) for e in errors] == expected
+        assert all(e is None or isinstance(e, fc.NumericalError) for e in errors)
+        accepted = interior._accepted(fleets, x, lambdas, nu)
+        assert accepted.tolist() == [e is None for e in errors]
 
     def test_evaluations_bounded_on_box_boundary_specs(self):
         rng = np.random.default_rng(33)

@@ -119,6 +119,21 @@ def test_only_game_reads_the_feasibility_tolerance():
     assert readers == {"game"}
 
 
+def test_interior_states_the_acceptance_rule_once():
+    """A solved row is judged by interior._accepted (the stacked mask) and
+    worded by interior._rejection; no other function of interior names the
+    fleet-sum rule or the words of its miss."""
+    rule = {"fleet_sums_met", "_fleet_sum_miss"}
+    namers = {
+        top.name
+        for top in _trees()["interior"].body if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id in rule
+        or isinstance(node, ast.Attribute) and node.attr in rule
+    }
+    assert namers == {"_accepted", "_rejection"}
+
+
 def test_every_private_function_and_class_has_a_reader():
     """A private module-level function or class is named somewhere in the
     package outside its own definition. boundary._distinct_certified is the

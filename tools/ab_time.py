@@ -15,7 +15,11 @@ Workloads, all timed as one call per operation:
   into interior and boundary specs by the parent's own tags. Each spec
   keeps its fastest time over the rounds, and the line reads the sum of
   those minima: a batch-of-one solve costs well under a millisecond, so
-  a median would carry the host's noise.
+  a median would carry the host's noise. Before any timing, both sides
+  must give each of these specs, and each spec of ne_residual's +-6
+  decade points below, the same solve_spec outcome: the same allocation
+  bytes, multipliers, tag and iterations, or an error of the same type
+  and message.
 - The case study: the 1000-point `four` sweep over alpha in [1, 20], the
   `two` sweep over [1, 50] and the fleet_sweep over fleet_b in
   [200, 4000], each with its CSV, detect_alpha_crit(1, 50, 0.1),
@@ -185,6 +189,20 @@ def ne_points(fc, decades=None, count: int = 80) -> list:
     return points[:count]
 
 
+def solve_outcome(fc, spec):
+    """solve_spec on one spec as its allocation and multiplier bytes, tag and
+    iterations, or the type and message of the error it raises."""
+    try:
+        result = fc.solve_spec(spec)
+    except fc.FleetContestError as exc:
+        return type(exc).__name__, str(exc)
+    joint, duals = result.strategy, result.duals
+    values = (joint.alloc_a.values, joint.alloc_b.values, [duals.lambda_a, duals.lambda_b],
+              duals.nu_a, duals.nu_b)
+    return ([np.asarray(v, dtype=float).tobytes() for v in values], result.location,
+            result.iterations)
+
+
 def ne_outcome(fc, point):
     """ne_residual at one point as its hex digits, or the error it raises."""
     try:
@@ -286,11 +304,17 @@ def main(argv: list) -> int:
         return 2
     sides = {"parent": load(argv[1], "fc_parent"), "control": load(argv[1], "fc_control"),
              "change": load(argv[2], "fc_change")}
-    tags = {name: [fc.solve_spec(s).location for s in box_specs(fc)] for name, fc in sides.items()}
-    if tags["change"] != tags["parent"]:
-        print("the change tags the box specs differently from the parent", file=sys.stderr)
+    ne_sets = {(name, decades): ne_points(fc, decades)
+               for name, fc in sides.items() for decades in (None, 6, 30)}
+    boxes = {name: box_specs(fc) for name, fc in sides.items()}
+    solved = {name: [solve_outcome(fc, spec)
+                     for spec in boxes[name] + [spec for spec, _ in ne_sets[name, 6]]]
+              for name, fc in sides.items()}
+    if solved["change"] != solved["parent"]:
+        print("the change returns other solve_spec allocations, multipliers, tags, iterations or"
+              " errors than the parent", file=sys.stderr)
         return 1
-    interior = [tag == "interior" for tag in tags["parent"]]
+    interior = [outcome[1] == "interior" for outcome in solved["parent"][:len(boxes["parent"])]]
     points = {name: [(o.strategy.alloc_a.values.tolist(), o.strategy.alloc_b.values.tolist(),
                       o.eps_ne) for o in (fc.grid_equilibrium(*case) for case in grid_cases(fc))]
               for name, fc in sides.items()}
@@ -307,8 +331,6 @@ def main(argv: list) -> int:
     if checked["change"] != checked["parent"]:
         print("the change returns other verify values than the parent", file=sys.stderr)
         return 1
-    ne_sets = {(name, decades): ne_points(fc, decades)
-               for name, fc in sides.items() for decades in (None, 6, 30)}
     for decades in (None, 6, 30):
         if ([ne_outcome(sides["change"], p) for p in ne_sets["change", decades]]
                 != [ne_outcome(sides["parent"], p) for p in ne_sets["parent", decades]]):
@@ -337,8 +359,7 @@ def main(argv: list) -> int:
         print("the change forms other one-spec views than the parent", file=sys.stderr)
         return 1
 
-    best = time_cases(sides, {name: box_specs(fc) for name, fc in sides.items()},
-                      lambda fc, spec: fc.solve_spec(spec), SOLVE_ROUNDS)
+    best = time_cases(sides, boxes, lambda fc, spec: fc.solve_spec(spec), SOLVE_ROUNDS)
     print(f"solve_spec, sum of per-spec minima over {SOLVE_ROUNDS} rounds:")
     for label, keep in (("interior", True), ("boundary", False)):
         sums = {name: sum(min(t) for t, inside in zip(times, interior) if inside == keep)
