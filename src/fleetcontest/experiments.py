@@ -14,7 +14,6 @@ from .game import (
     RegionParams,
     SpecStack,
     _quiet,
-    joint_from_arrays,
     stack_specs,
     stacked_utilities,
 )
@@ -173,20 +172,22 @@ def solve_two_region(spec: GameSpec) -> EquilibriumResult:
 def _sweep_stack(parameters, stack: SpecStack) -> list[SweepRecord]:
     """The records of the specs stacked in stack, one per parameter, in order.
 
-    The stack is solved at once, and each record reads its row and one
-    stacked payoff evaluation. A row that fails gives a record with its
-    error message.
+    The stack is solved at once, the strategies of its accepted rows are
+    built in one step, and each record reads its row and one stacked payoff
+    evaluation. A row that fails gives a record with its error message.
     """
     solution = _solve_stack(stack)
     payoffs = stacked_utilities(stack, solution.x).tolist()
+    strategies = iter(solution.strategies(
+        [i for i, error in enumerate(solution.errors) if error is None]))
     records = []
     for i, (parameter, error) in enumerate(zip(parameters, solution.errors)):
         if error is not None:
             records.append(_failed(parameter, str(error)))
             continue
         t_lambda = solution.roots[i] if solution.closed[i] else None
-        records.append(SweepRecord(parameter, joint_from_arrays(*solution.x[i]), *payoffs[i],
-                                   solution.tags[i], t_lambda))
+        records.append(SweepRecord(parameter, next(strategies), *payoffs[i], solution.tags[i],
+                                   t_lambda))
     return records
 
 

@@ -181,6 +181,15 @@ class GameSpec:
         return GameSpec(regions=self.regions, fleet_a=self.fleet_b, fleet_b=self.fleet_a)
 
 
+def _check_allocations(values: np.ndarray) -> None:
+    """Allocation's checks over an array whose last axis holds allocations:
+    at least one component, and every component finite."""
+    if values.shape[-1] == 0:
+        raise ValidationError("allocation must have at least one component")
+    if not np.isfinite(values).all():
+        raise ValidationError("allocation components must be finite")
+
+
 @dataclass(frozen=True)
 class Allocation:
     """One player's split of its fleet across regions.
@@ -197,10 +206,7 @@ class Allocation:
         if self.owner not in PLAYERS:
             raise ValidationError(f"owner must be one of {PLAYERS}, got {self.owner!r}")
         values = np.array(self.values, dtype=float).reshape(-1)
-        if values.size == 0:
-            raise ValidationError("allocation must have at least one component")
-        if not np.isfinite(values).all():
-            raise ValidationError("allocation components must be finite")
+        _check_allocations(values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -229,6 +235,28 @@ class JointStrategy:
 def joint_from_arrays(x_a, x_b) -> JointStrategy:
     """Convenience constructor from two plain vectors."""
     return JointStrategy(Allocation(x_a, "a"), Allocation(x_b, "b"))
+
+
+def _joint_rows(x) -> list[JointStrategy]:
+    """The JointStrategy of each row of x (N x 2 x m, player a's allocations
+    in x[:, 0]), built in one step: x is copied once into a read-only array
+    and checked once with Allocation's words, and each row's allocations
+    hold views of that copy, so no constructor check runs again per row."""
+    values = np.array(x, dtype=float)
+    _check_allocations(values)
+    values.setflags(write=False)
+    new, put = object.__new__, object.__setattr__
+    joints = []
+    for x_a, x_b in values:
+        alloc_a, alloc_b, joint = new(Allocation), new(Allocation), new(JointStrategy)
+        put(alloc_a, "values", x_a)
+        put(alloc_a, "owner", "a")
+        put(alloc_b, "values", x_b)
+        put(alloc_b, "owner", "b")
+        put(joint, "alloc_a", alloc_a)
+        put(joint, "alloc_b", alloc_b)
+        joints.append(joint)
+    return joints
 
 
 @dataclass(frozen=True)

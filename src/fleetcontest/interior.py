@@ -35,10 +35,10 @@ from .game import (
     JointStrategy,
     SpecStack,
     _fleet_sum_miss,
+    _joint_rows,
     _quiet,
     empty_components,
     fleet_sums_met,
-    joint_from_arrays,
     stack_specs,
 )
 from .result import EquilibriumResult, InteriorSolveTrace, location_tags
@@ -374,9 +374,10 @@ class _Solution(NamedTuple):
 
     Its methods are the one place a row becomes public objects: trace(i)
     reads the root find and the candidate's multipliers (a closed row's,
-    or any candidate's), duals(i) the row's multipliers, and result(i,
-    spec) the row's EquilibriumResult or error; solved() raises the first
-    failing row's error.
+    or any candidate's), duals(i) the row's multipliers, strategies(rows)
+    the given rows' joint strategies in one step, and result(i, spec) the
+    row's EquilibriumResult or error; solved() raises the first failing
+    row's error.
     """
 
     roots: list
@@ -399,12 +400,17 @@ class _Solution(NamedTuple):
         """Row i's multipliers."""
         return DualCertificate(*self.lambdas[i].tolist(), *self.nu[i])
 
+    def strategies(self, rows: list) -> list[JointStrategy]:
+        """The JointStrategy of each of the given rows, in their order, built
+        for all of them at once (game._joint_rows)."""
+        return _joint_rows(self.x[rows])
+
     def result(self, i: int, spec: GameSpec) -> EquilibriumResult | FleetContestError:
         """Row i's EquilibriumResult, whose spec is spec, or the row's error."""
         if self.errors[i] is not None:
             return self.errors[i]
         trace = self.trace(i) if self.closed[i] else None
-        return EquilibriumResult(joint_from_arrays(*self.x[i]), self.duals(i), self.tags[i], spec,
+        return EquilibriumResult(self.strategies([i])[0], self.duals(i), self.tags[i], spec,
                                  trace, iterations=self.evaluations[i])
 
     def solved(self) -> "_Solution":
@@ -416,12 +422,15 @@ class _Solution(NamedTuple):
         return self
 
 
-def _accepted(fleets, x, lambdas, nu) -> np.ndarray:
+def _accepted(fleets, x, lambdas, nu=None) -> np.ndarray:
     """The solve's acceptance rule, one flag per row of a stack: every
     multiplier finite, and each allocation in x meeting the fleet-sum rule
-    (game.fleet_sums_met). fleets is N x 2, x and nu N x 2 x m, lambdas N x 2."""
-    return (np.isfinite(lambdas) & np.isfinite(nu).all(axis=2)
-            & fleet_sums_met(fleets, x)).all(axis=1)
+    (game.fleet_sums_met). fleets is N x 2, x and nu N x 2 x m, lambdas N x 2;
+    nu is None for the closed form, whose nu is zero."""
+    met = np.isfinite(lambdas) & fleet_sums_met(fleets, x)
+    if nu is not None:
+        met &= np.isfinite(nu).all(axis=2)
+    return met.all(axis=1)
 
 
 def _rejection(solve: str, fleets, x, lambdas, nu) -> NumericalError | None:
@@ -456,7 +465,7 @@ def _interior_candidates(stack: SpecStack) -> _Solution:
     inside = ~empty_components(fleets, x).any(axis=(1, 2))
     closed = inside.tolist()
     if any(closed):  # Skipping the fleet-sum test saves about 1.7% of a boundary solve_spec.
-        closed = (inside & _accepted(fleets, x, lambdas, nu)).tolist()
+        closed = (inside & _accepted(fleets, x, lambdas)).tolist()
     errors = [_root_error(r, total) for r, total in zip(residuals, mass.tolist())]
     return _Solution(roots, kappa, residuals, x, lambdas, nu, ["interior"] * len(roots),
                      evaluations, closed, errors)
@@ -483,8 +492,8 @@ def interior_equilibrium(spec: GameSpec) -> InteriorOutcome:
         return InteriorOutcome(strategy=None, duals=None, trace=trace, not_interior=marker)
     if marker is None and not candidates.closed[0]:
         raise _rejection("closed form", fleets, x, lambdas, candidates.nu[0])
-    return InteriorOutcome(strategy=joint_from_arrays(*x), duals=candidates.duals(0), trace=trace,
-                           not_interior=marker)
+    return InteriorOutcome(strategy=candidates.strategies([0])[0], duals=candidates.duals(0),
+                           trace=trace, not_interior=marker)
 
 
 def _fleet_errors(sums: list, fleet_a: float, fleet_b: float) -> tuple[tuple, float]:

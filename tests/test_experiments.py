@@ -664,6 +664,25 @@ class TestSweepReadsTheStack:
         assert record.error.startswith("price solve leaves player 'b' infeasible")
 
 
+    def test_a_sweep_runs_no_allocation_check_per_row(self, monkeypatch):
+        """A sweep builds its strategies in one step: with Allocation's and
+        JointStrategy's per-object checks broken, 100-point `four`, `two`
+        and fleet sweeps print the same CSV bytes."""
+        sweeps = {"four": lambda: fc.alpha_sweep("four", np.linspace(1.0, 20.0, 100)),
+                  "two": lambda: fc.alpha_sweep("two", np.linspace(1.0, 50.0, 100)),
+                  "fleet": lambda: fc.fleet_sweep(np.linspace(200.0, 4000.0, 100))}
+        expected = {kind: fc.emit_csv(sweep()) for kind, sweep in sweeps.items()}
+
+        def broken(self):
+            raise AssertionError("the sweep checked a row on its own")
+
+        for cls in (fc.Allocation, fc.JointStrategy):
+            monkeypatch.setattr(cls, "__post_init__", broken)
+        for kind, sweep in sweeps.items():
+            assert fc.emit_csv(sweep()) == expected[kind], kind
+        assert "A2" in expected["two"]
+
+
 class TestSweepBytes:
     """The CSV bytes of three dense sweeps, pinned so that a change of solve
     path that moves any allocation, payoff, t_lambda or tag shows."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fleetcontest as fc
+from fleetcontest import game
 from helpers import random_feasible_point, random_spec
 
 
@@ -129,6 +130,52 @@ class TestAllocation:
                            match="joint strategy needs alloc_a owned by 'a' and alloc_b by 'b'"):
             fc.JointStrategy(alloc_a=fc.Allocation(np.array([1.0]), "b"),
                              alloc_b=fc.Allocation(np.array([1.0]), "a"))
+
+
+class TestJointRows:
+    """game._joint_rows builds a stack's strategies in one step, with
+    Allocation's checks and words, and values equal to the one-row build."""
+
+    @staticmethod
+    def rows():
+        rng = np.random.default_rng(28)
+        return rng.uniform(0.0, 1000.0, (5, 2, 3))
+
+    def test_a_non_finite_row_gets_the_allocation_message(self):
+        x = self.rows()
+        x[3, 1, 2] = float("inf")
+        with pytest.raises(fc.ValidationError) as built:
+            game._joint_rows(x)
+        with pytest.raises(fc.ValidationError) as alone:
+            fc.joint_from_arrays(*x[3])
+        assert str(built.value) == str(alone.value) == "allocation components must be finite"
+
+    def test_no_region_gets_the_allocation_message(self):
+        with pytest.raises(fc.ValidationError,
+                           match="^allocation must have at least one component$"):
+            game._joint_rows(np.zeros((3, 2, 0)))
+
+    def test_each_row_is_the_one_row_build(self):
+        x = self.rows()
+        for joint, row in zip(game._joint_rows(x), x, strict=True):
+            alone = fc.joint_from_arrays(*row)
+            assert isinstance(joint, fc.JointStrategy) and joint.m == 3
+            for player in fc.PLAYERS:
+                values = joint.of(player).values
+                assert joint.of(player).owner == player
+                assert values.dtype == float and values.shape == (3,)
+                assert values.tobytes() == alone.of(player).values.tobytes()
+                with pytest.raises(ValueError):
+                    values[0] = 1.0
+
+    def test_writing_to_the_source_moves_no_built_strategy(self):
+        x = self.rows()
+        before = x.copy()
+        joints = game._joint_rows(x)
+        x[:] = -1.0
+        for joint, row in zip(joints, before, strict=True):
+            assert joint.alloc_a.values.tobytes() == row[0].tobytes()
+            assert joint.alloc_b.values.tobytes() == row[1].tobytes()
 
 
 class TestDualCertificate:

@@ -11,6 +11,7 @@ PRIVATE_CROSSINGS = {
     ("experiments", "game", "_quiet"),
     ("interior", "game", "_quiet"),
     ("interior", "game", "_fleet_sum_miss"),
+    ("interior", "game", "_joint_rows"),
     ("verify", "game", "_quiet"),
     ("verify", "game", "_require_feasible"),
     ("verify", "game", "_require_nonnegative"),

@@ -19,7 +19,10 @@ Workloads, all timed as one call per operation:
   must give each of these specs, and each spec of ne_residual's +-6
   decade points below, the same solve_spec outcome: the same allocation
   bytes, multipliers, tag and iterations, or an error of the same type
-  and message.
+  and message. They must also give the same interior_equilibrium outcome
+  on the two CLOSED_FORM_REJECTIONS specs, so that each kind of words the
+  solve's rule can reject a row with (a multiplier not finite, a player
+  left infeasible, the price solve's fleet-sum error) is compared.
 - The case study: the 1000-point `four` sweep over alpha in [1, 20], the
   `two` sweep over [1, 50] and the fleet_sweep over fleet_b in
   [200, 4000], each with its CSV, detect_alpha_crit(1, 50, 0.1),
@@ -82,6 +85,19 @@ FLAT = dict(
     bc1=5.427827079572237, bc2=5.427827079572244,
     e1=890.7994921040937, e2=33.96448942760579,
     xa=677.5806911994487, xb=336.66382083160374, na=1000, nb=2000,
+)
+
+
+#: Two specs, as (regions, fleet_a, fleet_b), whose closed-form candidate has
+#: no empty component and fails the solve's rule: one from +-150 decade draws,
+#: whose multipliers overflow (lambda_a is NaN), and entry 92 of m = 2 in
+#: TestSolveBytes.wide_specs() (tests/test_experiments.py), which leaves b's
+#: fleet sum missed.
+CLOSED_FORM_REJECTIONS = (
+    (((3.08e-117, 3.96e-100, 6.06e82), (1.96e-32, 7.28e-25, 5.57e104)), 3.01e13, 4.29e-63),
+    (((25241.68868247985, 23568.328464290204, 0.04084454516637628),
+      (1950523.849203288, 0.002425162786255736, 613091.6743645718)),
+     185556731.07575703, 2.7695575717704104),
 )
 
 
@@ -203,6 +219,16 @@ def solve_outcome(fc, spec):
             result.iterations)
 
 
+def interior_outcome(fc, regions, fleet_a, fleet_b):
+    """interior_equilibrium on one spec as the type and message of the error
+    it raises, or whether it returned an interior candidate."""
+    spec = fc.GameSpec(tuple(fc.RegionParams(*r) for r in regions), fleet_a, fleet_b)
+    try:
+        return fc.interior_equilibrium(spec).is_interior
+    except fc.FleetContestError as exc:
+        return type(exc).__name__, str(exc)
+
+
 def ne_outcome(fc, point):
     """ne_residual at one point as its hex digits, or the error it raises."""
     try:
@@ -313,6 +339,12 @@ def main(argv: list) -> int:
     if solved["change"] != solved["parent"]:
         print("the change returns other solve_spec allocations, multipliers, tags, iterations or"
               " errors than the parent", file=sys.stderr)
+        return 1
+    rejected = {name: [interior_outcome(fc, *case) for case in CLOSED_FORM_REJECTIONS]
+                for name, fc in sides.items()}
+    if rejected["change"] != rejected["parent"]:
+        print("the change gives other interior_equilibrium outcomes than the parent on the"
+              " closed-form rejections", file=sys.stderr)
         return 1
     interior = [outcome[1] == "interior" for outcome in solved["parent"][:len(boxes["parent"])]]
     points = {name: [(o.strategy.alloc_a.values.tolist(), o.strategy.alloc_b.values.tolist(),
