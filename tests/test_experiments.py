@@ -664,6 +664,7 @@ class TestSweepReadsTheStack:
         assert record.error.startswith("price solve leaves player 'b' infeasible")
 
 
+class TestSweepBuildsItsStrategiesOnce:
     def test_a_sweep_runs_no_allocation_check_per_row(self, monkeypatch):
         """A sweep builds its strategies in one step: with Allocation's and
         JointStrategy's per-object checks broken, 100-point `four`, `two`
