@@ -638,6 +638,9 @@ def _solve_stack(stack: SpecStack) -> _Solution:
     accepted = _accepted(priced.fleets, p_x, p_lambdas, p_nu).tolist()
     for k, (i, tag) in enumerate(zip(rows, location_tags(priced.fleets, p_x))):
         tags[i], evaluations[i] = tag, p_evaluations[k]
+        # Beside _accepted, this binds only where a player is active in one region: such
+        # a player is handed its whole fleet, so only the Newton state's sum shows
+        # whether its water level converged.
         if not fleet_errors[k] <= BALANCE_RTOL:
             errors[i] = NumericalError(f"price solve fleet-sum error {fleet_errors[k]!r}"
                                        f" exceeds tolerance {BALANCE_RTOL!r}")

@@ -70,12 +70,17 @@ def fingerprint(result):
     )
 
 
+def solo_solve(spec):
+    """solve_spec(spec), or the error it raises."""
+    try:
+        return fc.solve_spec(spec)
+    except fc.FleetContestError as exc:
+        return exc
+
+
 def solo_fingerprint(spec):
     """fingerprint of solve_spec(spec), or of the error it raises."""
-    try:
-        return fingerprint(fc.solve_spec(spec))
-    except fc.FleetContestError as exc:
-        return fingerprint(exc)
+    return fingerprint(solo_solve(spec))
 
 
 def plain_filled(bm, y, cost, nu):

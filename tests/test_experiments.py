@@ -12,7 +12,7 @@ import pytest
 import fleetcontest as fc
 from fleetcontest import experiments, interior
 from fleetcontest.game import FEASIBILITY_RTOL, empty_components, is_feasible, stack_specs
-from helpers import fingerprint, random_spec, relative_kkt, solo_fingerprint
+from helpers import fingerprint, random_spec, relative_kkt, solo_fingerprint, solo_solve
 
 
 # Charging-price scale where the two-region equilibrium collapses into
@@ -708,6 +708,31 @@ class TestSweepBytes:
             "658c046e5f79f6a4cd20efbbe1f7c2d7daa75aa5a7e6f485faa2995898bf2c9d")
 
 
+def stationarity_residual(spec, result):
+    """A solved row's largest term-scaled stationarity residual: over each
+    player p and region j, |g - beta_c + lambda_p + nu_pj| / max(g, beta_c,
+    |lambda_p|), where g = beta_m (x_rival + eps) / T**2 is the row's
+    marginal market gain."""
+    x = np.array([result.strategy.alloc_a.values, result.strategy.alloc_b.values])
+    lambdas = np.array([[result.duals.lambda_a], [result.duals.lambda_b]])
+    nu = np.array([result.duals.nu_a, result.duals.nu_b])
+    total = x.sum(axis=0) + spec.eps
+    gain = spec.beta_m * (x[::-1] + spec.eps) / (total * total)
+    scale = np.maximum(np.maximum(gain, spec.beta_c), np.abs(lambdas))
+    return float((np.abs(gain - spec.beta_c + lambdas + nu) / scale).max())
+
+
+def assert_stationary(specs, results):
+    """Every solved row meets stationarity to 1e-12 of its terms. The price
+    solve's test of its Newton state's fleet sums is what holds this on rows
+    where a player is active in one region."""
+    solved = [(spec, r) for spec, r in zip(specs, results)
+              if not isinstance(r, fc.FleetContestError)]
+    assert solved
+    worst = max(stationarity_residual(spec, result) for spec, result in solved)
+    assert worst <= 1e-12
+
+
 class TestSolveBytes:
     """The fingerprints of solve_spec over a seeded set of specs, pinned so
     that a change of solve path that moves any allocation, multiplier,
@@ -735,7 +760,10 @@ class TestSolveBytes:
         return specs
 
     def test_solve_spec(self):
-        fingerprints = [solo_fingerprint(spec) for spec in self.specs()]
+        specs = self.specs()
+        results = [solo_solve(spec) for spec in specs]
+        assert_stationary(specs, results)
+        fingerprints = [fingerprint(result) for result in results]
         kinds = Counter(f[0] if isinstance(f[0], str) else f[5] for f in fingerprints)
         assert kinds == {"interior": 273, "boundary": 632, "A1": 27, "A2": 20, "B1": 4, "B2": 4,
                          "NumericalError": 2}
@@ -761,7 +789,9 @@ class TestSolveBytes:
         its solo solve, and the entries' fingerprints are pinned."""
         fingerprints = []
         for specs in self.wide_specs().values():
-            batch = [fingerprint(result) for result in fc.solve_batch(specs)]
+            results = fc.solve_batch(specs)
+            assert_stationary(specs, results)
+            batch = [fingerprint(result) for result in results]
             assert batch == [solo_fingerprint(spec) for spec in specs]
             fingerprints += batch
         kinds = Counter(f[0] if isinstance(f[0], str) else f[5] for f in fingerprints)

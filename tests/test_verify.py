@@ -294,6 +294,16 @@ class TestConcavityCertificate:
         with pytest.raises(fc.ValidationError):
             fc.concavity_certificate(spec, joint)
 
+    def test_disagreeing_schur_routes_raise(self, monkeypatch):
+        """A block inverse twice the true one moves the block route's Schur
+        complement off the closed form, and the certificate says so."""
+        inverse = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda matrix: 2.0 * inverse(matrix))
+        joint = fc.joint_from_arrays([1.0, 2.0], [3.0, 4.0])
+        with pytest.raises(fc.InconsistencyError,
+                           match="^Schur complement routes disagree beyond tolerance$"):
+            fc.concavity_certificate(fc.two_region_spec(1.0), joint)
+
 
 class TestGridEquilibrium:
     def test_published_point_recovered_at_tenth_step(self):

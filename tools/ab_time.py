@@ -10,55 +10,25 @@ few percent within minutes, which separate processes cannot tell from
 the code. The control is the parent timed against itself; a change
 whose ratio lies within the control's spread is not resolved.
 
-Workloads, all timed as one call per operation:
-- solve_spec on 120 box specs (20 for each m = 3..8, fixed seed), split
-  into interior and boundary specs by the parent's own tags. Each spec
-  keeps its fastest time over the rounds, and the line reads the sum of
-  those minima: a batch-of-one solve costs well under a millisecond, so
-  a median would carry the host's noise. Before any timing, both sides
-  must give each of these specs, and each spec of ne_residual's +-6
-  decade points below, the same solve_spec outcome: the same allocation
-  bytes, multipliers, tag and iterations, or an error of the same type
-  and message. They must also give the same interior_equilibrium outcome
-  on the two CLOSED_FORM_REJECTIONS specs, so that each kind of words the
-  solve's rule can reject a row with (a multiplier not finite, a player
-  left infeasible, the price solve's fleet-sum error) is compared.
-- The case study: the 1000-point `four` sweep over alpha in [1, 20], the
-  `two` sweep over [1, 50] and the fleet_sweep over fleet_b in
-  [200, 4000], each with its CSV, detect_alpha_crit(1, 50, 0.1),
-  detect_alpha_crit over 20 seeded windows drawn as perfbench's
-  casestudy draws them (lo in [37, 37.5], hi = min(50, alpha* + U(1,
-  8))), detect_optimal_fleet(200, 4000, 1), and detect_optimal_fleet(1714,
-  1794, 1), an 80-step window around the optimum like those perfbench's
-  casestudy draws. Each line reads each side's median time and the
-  median and quartiles of the round-by-round ratios. Both
-  sides must print the same CSV bytes, return the same detector doubles
-  (those of the 20 windows within one ulp of each other), and give the
-  same format_config text for each scenario path's one-spec views over
-  the grids the view pin in tests/test_experiments.py uses.
-- grid_equilibrium on 20 two-region box specs at the CLI's step,
-  max(fleet) / 2000, read as the sum of per-spec minima like the solves,
-  and on two_region_spec(1.0) at step 0.5 (a 2000 x 4000 grid), read
-  like the sweeps. Both sides must return the same grid points.
-- two_region_scan on tests/test_kernels.py's FLAT case at 1000 x 2000,
-  where no peak of b is certified and every row is scanned whole, read
-  like the sweeps. Both sides must return the same triple.
-- The steps of `fleetcontest verify` on 20 two-region box configs: parse,
-  solve_two_region, kkt_residual, ne_residual, duals_from_gradients and
-  grid_equilibrium at the CLI's step, read as the sum of per-config
-  minima, once with the grid oracle and once without it. Both sides must
-  return the same values.
-- enumerate_candidates on 100 two-region box specs, read as the sum of
-  per-spec minima. Both sides must give each family the same verdict:
-  the same error type, or the same certification with z* at the same end
-  of the free fleet's segment or inside it, and z* within 1e-13 of that
-  fleet.
-- ne_residual over 80 points each from box specs and from specs with
-  every parameter log-uniform over +-6 and +-30 decades (m = 1..8, a
-  zero charging cost a tenth of the time): each spec at a random
-  feasible point and, if it solves, at its solve_spec equilibrium. Read
-  as the sum of per-point minima. Both sides must return the same
-  residuals, or raise the same errors.
+Each side's inputs (box specs, ne_residual points over the box and
++-6 and +-30 decades, grid cases, verify configs, boundary specs and
+case-study calls) are built once, by side_inputs, and read by two
+tables:
+- An identity entry (IDENTITIES) says what the change would do
+  otherwise than the parent, how one side's outcome is formed from its
+  package and inputs, and when two outcomes agree: equal, or within a
+  stated tolerance. Before any timing, the change's outcome must agree
+  with the parent's for every entry; the tool stops at the first that
+  does not, names it and exits 1.
+- A timed section (sections) is a header, its rounds, where Python's
+  garbage collector runs (once a round, or before every call), each
+  side's calls, and the lines read from their times. Within a call the
+  sides take turns, in an order that rotates from round to round. A
+  line reads either the sum over some calls of each call's fastest
+  time, with change and control as ratios to the parent (a batch-of-one
+  solve costs well under a millisecond, so a median would carry the
+  host's noise), or one call's median time with the median and
+  quartiles of its round-by-round ratios to the parent.
 """
 
 import gc
@@ -67,7 +37,10 @@ import math
 import statistics
 import sys
 import time
+from functools import partial
+from operator import eq
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -127,37 +100,6 @@ def box_specs(fc, seed: int = 12345, counts=range(3, 9)) -> list:
     return specs
 
 
-def elapsed(call) -> float:
-    start = time.perf_counter()
-    call()
-    return time.perf_counter() - start
-
-
-def time_cases(sides: dict, cases: dict, run, rounds: int) -> dict:
-    """Per side, per case, the time of run(fc, case) in each round.
-
-    cases holds each side's own list of cases. Within a case the sides
-    take turns, in an order that rotates from round to round.
-    """
-    times = {name: [[] for _ in c] for name, c in cases.items()}
-    names = list(sides)
-    for r in range(rounds):
-        gc.collect()
-        order = names[r % len(names):] + names[:r % len(names)]
-        for k in range(len(cases[names[0]])):
-            for name in order:
-                fc, case = sides[name], cases[name][k]
-                times[name][k].append(elapsed(lambda: run(fc, case)))
-    return times
-
-
-def grid_cases(fc) -> list:
-    """(spec, step) pairs: the two-region box specs at the CLI's step, then the large grid."""
-    cases = [(spec, max(spec.fleet_a, spec.fleet_b) / 2000.0)
-             for spec in box_specs(fc, seed=2000, counts=(2,))]
-    return cases + [(fc.two_region_spec(1.0), 0.5)]
-
-
 def verify_steps(fc, text: str, grid: bool = True) -> list:
     """The steps of `fleetcontest verify` on one config text, as one list of floats."""
     spec = fc.parse_config(text)
@@ -174,14 +116,12 @@ def verify_steps(fc, text: str, grid: bool = True) -> list:
     return values
 
 
-def verify_configs(fc) -> list:
-    """20 two-region box configs, as config texts."""
-    return [fc.format_config(spec) for spec in box_specs(fc, seed=2100, counts=(2,))]
-
-
 def ne_points(fc, decades=None, count: int = 80) -> list:
-    """count (spec, joint) points for ne_residual, drawn from the box (decades
-    None) or log-uniform over 10**+-decades, as the module docstring says."""
+    """count (spec, joint) points for ne_residual. Each spec (m = 1..8) is
+    drawn from the box (decades None) or with every parameter log-uniform
+    over 10**+-decades, with a zero charging cost a tenth of the time, and
+    gives a random feasible point and, if it solves, its solve_spec
+    equilibrium."""
     rng = np.random.default_rng(2200 + (decades or 0))
 
     def draw(lo, hi):
@@ -248,13 +188,6 @@ def boundary_outcome(fc, spec, family):
     return cand.certified, kind, cand.z_star / free
 
 
-def outcomes_agree(mine, theirs) -> bool:
-    """Two boundary_outcome values are one verdict, with z* within 1e-13 of the fleet."""
-    if isinstance(mine, str) or isinstance(theirs, str):
-        return mine == theirs
-    return mine[:2] == theirs[:2] and abs(mine[2] - theirs[2]) <= 1e-13
-
-
 def alpha_crit_windows(crit: float, count: int = 20, seed: int = 2500) -> list:
     """count seeded (lo, hi, step) windows drawn as perfbench's casestudy
     draws them around the collapse scale crit."""
@@ -292,36 +225,148 @@ def view_texts(fc) -> str:
                    for t in np.linspace(path.lo, path.hi, points).tolist())
 
 
-def time_case_study(calls: dict) -> dict:
-    """Per side and label, the time of each round's case-study call."""
-    times = {(name, label): [] for name, side in calls.items() for label in side}
-    names = list(calls)
-    for r in range(SWEEP_ROUNDS):
-        order = names[r % len(names):] + names[:r % len(names)]
-        for label in calls[names[0]]:
-            for name in order:
-                gc.collect()
-                times[name, label].append(elapsed(calls[name][label]))
-    return times
-
-
-def minima_line(label: str, sums: dict) -> str:
-    """Each side's summed seconds as the parent's ms and the others' ratios to it."""
+def minima_line(label: str, times: dict) -> str:
+    """Each side's sum of per-call minima as the parent's ms and the others' ratios to it."""
+    sums = {name: sum(min(t) for t in runs) for name, runs in times.items()}
     return (f"  {label}: parent {sums['parent'] * 1e3:7.2f} ms"
             f"  change/parent {sums['change'] / sums['parent']:.3f}"
             f"  control/parent {sums['control'] / sums['parent']:.3f}")
 
 
 def paired_line(label: str, times: dict) -> str:
-    """Each side's median ms, with the median and quartiles of its round-by-round ratios."""
-    base = times["parent"]
+    """Each side's median ms of its one call, with the median and quartiles
+    of its round-by-round ratios."""
+    (base,) = times["parent"]
     line = f"  {label}: parent {statistics.median(base) * 1e3:6.1f}"
     for name in ("change", "control"):
-        ratios = [t / b for t, b in zip(times[name], base)]
-        q1, q2, q3 = statistics.quantiles(ratios, n=4)
-        line += (f"  {name} {statistics.median(times[name]) * 1e3:6.1f}"
-                 f" ({q2:.3f} [{q1:.3f}, {q3:.3f}])")
+        (runs,) = times[name]
+        q1, q2, q3 = statistics.quantiles([t / b for t, b in zip(runs, base)], n=4)
+        line += f"  {name} {statistics.median(runs) * 1e3:6.1f} ({q2:.3f} [{q1:.3f}, {q3:.3f}])"
     return line
+
+
+def timed(calls: dict, rounds: int, each: bool) -> dict:
+    """Per side, per call, the call's time in each round.
+
+    calls holds each side's own list of calls. Within a call the sides
+    take turns, in an order that rotates from round to round. The
+    garbage collector runs before every call if each, else as each
+    round starts.
+    """
+    times = {name: [[] for _ in side] for name, side in calls.items()}
+    names = list(calls)
+    for r in range(rounds):
+        if not each:
+            gc.collect()
+        order = names[r % len(names):] + names[:r % len(names)]
+        for k in range(len(calls[names[0]])):
+            for name in order:
+                if each:
+                    gc.collect()
+                start = time.perf_counter()
+                calls[name][k]()
+                times[name][k].append(time.perf_counter() - start)
+    return times
+
+
+def side_inputs(fc, windows: list) -> SimpleNamespace:
+    """One side's inputs to both tables: 120 box specs for m = 3..8; 80
+    ne_residual points each over the box and +-6 and +-30 decades; grid
+    cases, 20 two-region box specs at the CLI's step, max(fleet) / 2000,
+    and then two_region_spec(1.0) at step 0.5 (2000 x 4000); 20 two-region
+    box configs as config texts; 100 two-region box specs for the boundary
+    families; and the case-study calls, with the collapse windows."""
+    grids = [(spec, max(spec.fleet_a, spec.fleet_b) / 2000.0)
+             for spec in box_specs(fc, seed=2000, counts=(2,))]
+    return SimpleNamespace(
+        boxes=box_specs(fc), ne={decades: ne_points(fc, decades) for decades in (None, 6, 30)},
+        grids=grids + [(fc.two_region_spec(1.0), 0.5)],
+        configs=[fc.format_config(spec) for spec in box_specs(fc, seed=2100, counts=(2,))],
+        boundary=box_specs(fc, seed=2300, counts=(2,) * 5), calls=case_study(fc, windows))
+
+
+def verdicts_agree(mine: list, theirs: list) -> bool:
+    """Two lists of boundary_outcome values give each family one verdict,
+    with z* within 1e-13 of the free fleet."""
+    return all(m == t if isinstance(m, str) or isinstance(t, str)
+               else m[:2] == t[:2] and abs(m[2] - t[2]) <= 1e-13 for m, t in zip(mine, theirs))
+
+
+def case_study_agrees(mine: dict, theirs: dict) -> bool:
+    """Two sides' case-study outputs are equal, but for the collapse scales
+    of the windows, which may differ by one ulp."""
+    windows = "alpha-crit windows"
+    return {**mine, windows: None} == {**theirs, windows: None} and all(
+        m == t or None not in (m, t) and abs(m - t) <= math.ulp(t)
+        for m, t in zip(mine[windows], theirs[windows]))
+
+
+#: The identity entries, checked in this order: what the change does otherwise
+#: than the parent if the entry fails, one side's outcome from its package and
+#: inputs, and the agreement of two outcomes (the change's, the parent's).
+IDENTITIES = (
+    ("returns other solve_spec allocations, multipliers, tags, iterations or errors",
+     lambda fc, s: [solve_outcome(fc, spec) for spec in s.boxes + [p[0] for p in s.ne[6]]],
+     eq),
+    ("gives other interior_equilibrium outcomes on the closed-form rejections",
+     lambda fc, s: [interior_outcome(fc, *case) for case in CLOSED_FORM_REJECTIONS], eq),
+    ("returns other grid points",
+     lambda fc, s: [(o.strategy.alloc_a.values.tolist(), o.strategy.alloc_b.values.tolist(),
+                     o.eps_ne) for o in (fc.grid_equilibrium(*case) for case in s.grids)], eq),
+    ("scans the flat grid to another triple", lambda fc, s: fc._kernels.two_region_scan(**FLAT),
+     eq),
+    ("returns other verify values",
+     lambda fc, s: np.array([verify_steps(fc, text) for text in s.configs]).tobytes(), eq),
+    ("returns other ne_residual values or errors",
+     lambda fc, s: [ne_outcome(fc, p) for points in s.ne.values() for p in points], eq),
+    ("gives a boundary family another verdict",
+     lambda fc, s: [boundary_outcome(fc, spec, family) for spec in s.boundary
+                    for family in fc.FAMILIES], verdicts_agree),
+    ("prints other sweep CSV, or its detectors return other doubles,",
+     lambda fc, s: {label: call() for label, call in s.calls.items()}, case_study_agrees),
+    ("forms other one-spec views", lambda fc, s: view_texts(fc), eq),
+)
+
+
+def sections(parent, inputs) -> list:
+    """The timed sections, with counts and the interior split read off the
+    parent's package and inputs. Each is (header, or None to go on
+    under the last one; rounds; whether the collector runs before every
+    call; each side's calls from its package and inputs; lines as (label,
+    line, indices of the calls it reads))."""
+    interior = [solve_outcome(parent, spec)[1] == "interior" for spec in inputs.boxes]
+    split = [(label, [k for k, inside in enumerate(interior) if inside == keep])
+             for label, keep in (("interior", True), ("boundary", False))]
+    paired = "(median ms; paired ratio median [quartiles])"
+    return [
+        (f"solve_spec, sum of per-spec minima over {SOLVE_ROUNDS} rounds:", SOLVE_ROUNDS, False,
+         lambda fc, s: [partial(fc.solve_spec, spec) for spec in s.boxes],
+         [(f"{label:8} ({len(picked):3} specs)", minima_line, picked) for label, picked in split]),
+        (f"case study: 1000-point sweeps with CSV and both detectors, {SWEEP_ROUNDS} rounds"
+         f" {paired}:", SWEEP_ROUNDS, True, lambda fc, s: list(s.calls.values()),
+         [(f"{label:18}", paired_line, [k]) for k, label in enumerate(inputs.calls)]),
+        (f"grid_equilibrium, {GRID_ROUNDS} rounds:", GRID_ROUNDS, False,
+         lambda fc, s: [partial(fc.grid_equilibrium, *case) for case in s.grids],
+         [(f"box specs ({len(inputs.grids) - 1} specs, sum of per-spec minima)", minima_line,
+           range(len(inputs.grids) - 1)), (f"2000 x 4000 {paired}", paired_line, [-1])]),
+        (None, GRID_ROUNDS, False, lambda fc, s: [partial(fc._kernels.two_region_scan, **FLAT)],
+         [(f"flat full scan, 1000 x 2000, {GRID_ROUNDS} rounds {paired}", paired_line, [0])]),
+        (f"verify steps on {len(inputs.configs)} configs, sum of per-config minima over"
+         f" {VERIFY_ROUNDS} rounds:", VERIFY_ROUNDS, False,
+         lambda fc, s: [partial(verify_steps, fc, text, True) for text in s.configs],
+         [("with the grid oracle", minima_line, range(len(inputs.configs)))]),
+        (None, VERIFY_ROUNDS, False,
+         lambda fc, s: [partial(verify_steps, fc, text, False) for text in s.configs],
+         [("without it", minima_line, range(len(inputs.configs)))]),
+        (f"enumerate_candidates, sum of per-spec minima over {BOUNDARY_ROUNDS} rounds:",
+         BOUNDARY_ROUNDS, False,
+         lambda fc, s: [partial(fc.enumerate_candidates, spec) for spec in s.boundary],
+         [(f"box specs ({len(inputs.boundary)} specs)", minima_line, range(len(inputs.boundary)))]),
+        *((f"ne_residual, sum of per-point minima over {NE_ROUNDS} rounds:" if d is None else None,
+           NE_ROUNDS, False, lambda fc, s, d=d: [partial(ne_outcome, fc, p) for p in s.ne[d]],
+           [(f"{label:12} ({len(inputs.ne[d])} points)", minima_line, range(len(inputs.ne[d])))])
+          for label, d in (("box", None), ("+-6 decades", 6), ("+-30 decades", 30))),
+    ]
 
 
 def main(argv: list) -> int:
@@ -330,113 +375,18 @@ def main(argv: list) -> int:
         return 2
     sides = {"parent": load(argv[1], "fc_parent"), "control": load(argv[1], "fc_control"),
              "change": load(argv[2], "fc_change")}
-    ne_sets = {(name, decades): ne_points(fc, decades)
-               for name, fc in sides.items() for decades in (None, 6, 30)}
-    boxes = {name: box_specs(fc) for name, fc in sides.items()}
-    solved = {name: [solve_outcome(fc, spec)
-                     for spec in boxes[name] + [spec for spec, _ in ne_sets[name, 6]]]
-              for name, fc in sides.items()}
-    if solved["change"] != solved["parent"]:
-        print("the change returns other solve_spec allocations, multipliers, tags, iterations or"
-              " errors than the parent", file=sys.stderr)
-        return 1
-    rejected = {name: [interior_outcome(fc, *case) for case in CLOSED_FORM_REJECTIONS]
-                for name, fc in sides.items()}
-    if rejected["change"] != rejected["parent"]:
-        print("the change gives other interior_equilibrium outcomes than the parent on the"
-              " closed-form rejections", file=sys.stderr)
-        return 1
-    interior = [outcome[1] == "interior" for outcome in solved["parent"][:len(boxes["parent"])]]
-    points = {name: [(o.strategy.alloc_a.values.tolist(), o.strategy.alloc_b.values.tolist(),
-                      o.eps_ne) for o in (fc.grid_equilibrium(*case) for case in grid_cases(fc))]
-              for name, fc in sides.items()}
-    if points["change"] != points["parent"]:
-        print("the change returns other grid points than the parent", file=sys.stderr)
-        return 1
-    flat = {name: fc._kernels.two_region_scan(**FLAT) for name, fc in sides.items()}
-    if flat["change"] != flat["parent"]:
-        print("the change scans the flat grid to another triple than the parent", file=sys.stderr)
-        return 1
-    configs = {name: verify_configs(fc) for name, fc in sides.items()}
-    checked = {name: np.array([verify_steps(sides[name], text) for text in texts]).tobytes()
-               for name, texts in configs.items()}
-    if checked["change"] != checked["parent"]:
-        print("the change returns other verify values than the parent", file=sys.stderr)
-        return 1
-    for decades in (None, 6, 30):
-        if ([ne_outcome(sides["change"], p) for p in ne_sets["change", decades]]
-                != [ne_outcome(sides["parent"], p) for p in ne_sets["parent", decades]]):
-            print("the change returns other ne_residual values or errors than the parent",
-                  file=sys.stderr)
-            return 1
-    boundary = {name: box_specs(fc, seed=2300, counts=(2,) * 5) for name, fc in sides.items()}
-    if not all(outcomes_agree(boundary_outcome(sides["change"], mine, family),
-                              boundary_outcome(sides["parent"], theirs, family))
-               for mine, theirs in zip(boundary["change"], boundary["parent"])
-               for family in sides["parent"].FAMILIES):
-        print("the change gives a boundary family another verdict than the parent", file=sys.stderr)
-        return 1
     windows = alpha_crit_windows(sides["parent"].detect_alpha_crit(1.0, 50.0, 0.1))
-    calls = {name: case_study(fc, windows) for name, fc in sides.items()}
-    outputs = {name: {label: call() for label, call in side.items()}
-               for name, side in calls.items()}
-    scales = zip(*(outputs[name].pop("alpha-crit windows") for name in ("change", "parent")))
-    if outputs["change"] != outputs["parent"] or not all(
-            mine == theirs or None not in (mine, theirs) and abs(mine - theirs) <= math.ulp(theirs)
-            for mine, theirs in scales):
-        print("the change prints other sweep CSV, or its detectors return other doubles, than"
-              " the parent", file=sys.stderr)
-        return 1
-    if view_texts(sides["change"]) != view_texts(sides["parent"]):
-        print("the change forms other one-spec views than the parent", file=sys.stderr)
-        return 1
-
-    best = time_cases(sides, boxes, lambda fc, spec: fc.solve_spec(spec), SOLVE_ROUNDS)
-    print(f"solve_spec, sum of per-spec minima over {SOLVE_ROUNDS} rounds:")
-    for label, keep in (("interior", True), ("boundary", False)):
-        sums = {name: sum(min(t) for t, inside in zip(times, interior) if inside == keep)
-                for name, times in best.items()}
-        print(minima_line(f"{label:8} ({interior.count(keep):3} specs)", sums))
-
-    times = time_case_study(calls)
-    print(f"case study: 1000-point sweeps with CSV and both detectors, {SWEEP_ROUNDS} rounds"
-          " (median ms; paired ratio median [quartiles]):")
-    for label in calls["parent"]:
-        print(paired_line(f"{label:18}", {name: times[name, label] for name in sides}))
-
-    grids = time_cases(sides, {name: grid_cases(fc) for name, fc in sides.items()},
-                       lambda fc, case: fc.grid_equilibrium(*case), GRID_ROUNDS)
-    print(f"grid_equilibrium, {GRID_ROUNDS} rounds:")
-    sums = {name: sum(min(t) for t in runs[:-1]) for name, runs in grids.items()}
-    print(minima_line(f"box specs ({len(grids['parent']) - 1} specs, sum of per-spec minima)", sums))
-    print(paired_line("2000 x 4000 (median ms; paired ratio median [quartiles])",
-                      {name: runs[-1] for name, runs in grids.items()}))
-
-    flat_times = time_cases(sides, {name: [FLAT] for name in sides},
-                            lambda fc, case: fc._kernels.two_region_scan(**case), GRID_ROUNDS)
-    print(paired_line(f"flat full scan, 1000 x 2000, {GRID_ROUNDS} rounds (median ms; paired"
-                      " ratio median [quartiles])",
-                      {name: runs[0] for name, runs in flat_times.items()}))
-
-    print(f"verify steps on {len(configs['parent'])} configs, sum of per-config minima over"
-          f" {VERIFY_ROUNDS} rounds:")
-    for label, grid in (("with the grid oracle", True), ("without it", False)):
-        times = time_cases(sides, configs, lambda fc, text: verify_steps(fc, text, grid),
-                           VERIFY_ROUNDS)
-        print(minima_line(label, {name: sum(min(t) for t in runs) for name, runs in times.items()}))
-
-    print(f"enumerate_candidates, sum of per-spec minima over {BOUNDARY_ROUNDS} rounds:")
-    times = time_cases(sides, boundary, lambda fc, spec: fc.enumerate_candidates(spec),
-                       BOUNDARY_ROUNDS)
-    print(minima_line(f"box specs ({len(boundary['parent'])} specs)",
-                      {name: sum(min(t) for t in runs) for name, runs in times.items()}))
-
-    print(f"ne_residual, sum of per-point minima over {NE_ROUNDS} rounds:")
-    for label, decades in (("box", None), ("+-6 decades", 6), ("+-30 decades", 30)):
-        times = time_cases(sides, {name: ne_sets[name, decades] for name in sides},
-                           ne_outcome, NE_ROUNDS)
-        sums = {name: sum(min(t) for t in runs) for name, runs in times.items()}
-        print(minima_line(f"{label:12} ({len(ne_sets['parent', decades])} points)", sums))
+    given = {name: side_inputs(fc, windows) for name, fc in sides.items()}
+    for what, outcome, agree in IDENTITIES:
+        if not agree(*(outcome(sides[name], given[name]) for name in ("change", "parent"))):
+            print(f"the change {what} than the parent", file=sys.stderr)
+            return 1
+    for header, rounds, each, calls, lines in sections(sides["parent"], given["parent"]):
+        if header:
+            print(header)
+        times = timed({name: calls(fc, given[name]) for name, fc in sides.items()}, rounds, each)
+        for label, line, picked in lines:
+            print(line(label, {name: [runs[k] for k in picked] for name, runs in times.items()}))
     return 0
 
 

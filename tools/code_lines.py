@@ -1,10 +1,10 @@
-"""Count the package's code lines, per module and in total.
+"""Count the package's code lines, per module and in total, then the tools'.
 
 Usage: python tools/code_lines.py
 
-A code line is a line of src/fleetcontest/*.py that is not blank, not a
-comment alone, and not part of a docstring (the string that opens a
-module, class or function body).
+A code line is a line of src/fleetcontest/*.py (or of tools/*.py) that
+is not blank, not a comment alone, and not part of a docstring (the
+string that opens a module, class or function body).
 """
 
 import ast
@@ -12,7 +12,8 @@ import io
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fleetcontest"
+TOOLS = Path(__file__).resolve().parent
+PACKAGE = TOOLS.parent / "src" / "fleetcontest"
 
 
 def _docstring_lines(tree):
@@ -38,12 +39,13 @@ def code_lines(source):
 
 
 def main():
-    total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    for folder, prefix in ((PACKAGE, ""), (TOOLS, "tools/")):
+        total = 0
+        for path in sorted(folder.glob("*.py")):
+            count = code_lines(path.read_text())
+            total += count
+            print(f"{count:6d}  {prefix}{path.name}")
+        print(f"{total:6d}  {prefix}total")
 
 
 if __name__ == "__main__":
