@@ -3,13 +3,17 @@
 Each player's payoff is strictly concave along its own grid axis, so its
 best-response value for every opponent cell is the maximum over a few
 cells around the peak that a Newton solve of the payoff's first-order
-condition finds, instead of a joint pass. The regret at b's
-best-response cell of each of a's rows seeds an upper bound on the
-smallest max-regret. b's regret is convex along its own axis, so in a
-row whose window around that best response rises above the bound at
-both edges no other cell can reach it; every other row is scanned
-whole. This is the package's one kernel; fleetcontest.KERNEL_BACKEND
-names it "python".
+condition finds, instead of a joint pass. The scan finds b's peak for
+each row of a first. a's best-response values are then formed only over
+the span of b's windows around those peaks, the columns the regret pass
+reads. One pass over the window cells forms the two regional gains once
+and reads from them b's best-response values and both players' regrets.
+The regret at b's best-response cell of each of a's rows seeds an upper
+bound on the smallest max-regret. b's regret is convex along its own
+axis, so in a row whose window around that best response rises above
+the bound at both edges no other cell can reach it; every other row is
+scanned whole, after a's values over the remaining columns. This is the
+package's one kernel; fleetcontest.KERNEL_BACKEND names it "python".
 """
 
 import numpy as np
@@ -79,48 +83,62 @@ def _peaks(own, rem, other, rem_other, bm1, bm2, bc1, bc2, e1, e2):
     return np.where(np.isfinite(z), np.clip(np.rint(z), 0, n), 0).astype(np.intp)
 
 
+def _certified(window, peak, n, tol):
+    """Whether each column's window maximum is the maximum of its column.
+
+    window holds the payoffs at peak - _WINDOW .. peak + _WINDOW, clipped
+    to the grid 0 .. n, along its first axis. Concavity makes the window's
+    maximum global when the payoff rises by more than twice the rounding
+    bound tol into the window's left edge and falls by that much out of
+    its right edge; a grid end needs no such step. A certified peak lies
+    within the window's half-width of the exact maximizer of the payoff.
+    """
+    return (((peak - _WINDOW <= 0) | (window[1] > window[0] + 2.0 * tol))
+            & ((peak + _WINDOW >= n) | (window[-2] > window[-1] + 2.0 * tol)))
+
+
+def _column_maxima(own, rem, other, rem_other, *params):
+    """Largest payoff over the whole own grid axis for each opponent cell,
+    _BLOCK own cells at a time."""
+    best = np.full(other.size, -np.inf)
+    for lo in range(0, own.size, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        u = _payoff(own[rows, None], rem[rows, None], other, rem_other, *params)
+        np.maximum(best, u.max(axis=0), out=best)
+    return best
+
+
 def _best_response_values(own, rem, other, rem_other, tol, *params):
     """Largest payoff over the own grid axis, for each opponent cell.
 
     _peaks finds each column's peak from the payoff's first-order
     condition. The exact maximum over a window around the peak absorbs
-    the rounding of the peak and of the payoffs near it. Concavity makes
-    that maximum global when the payoff rises by more than twice the
-    rounding bound tol into the window's left edge and falls by that
-    much out of its right edge; columns where this does not hold get a
-    full scan, so the values never depend on the peak.
-
-    Returns the values, the peaks and the mask of certified peaks. A
-    certified peak lies within the window's half-width of the exact
-    maximizer of the payoff.
+    the rounding of the peak and of the payoffs near it; columns whose
+    window _certified does not certify get a full scan. Either way a
+    column's value is the exact maximum of its computed payoffs, so it
+    does not depend on the peak, nor on which other columns share the
+    call.
     """
     n = own.size - 1
     peak = _peaks(own, rem, other, rem_other, *params)
-
-    offsets = np.arange(-_WINDOW, _WINDOW + 1)[:, None]
-    index = np.clip(peak + offsets, 0, n)
+    index = np.clip(peak + np.arange(-_WINDOW, _WINDOW + 1)[:, None], 0, n)
     window = _payoff(own[index], rem[index], other, rem_other, *params)
     best = window.max(axis=0)
-    certified = (peak - _WINDOW <= 0) | (window[1] > window[0] + 2.0 * tol)
-    certified &= (peak + _WINDOW >= n) | (window[-2] > window[-1] + 2.0 * tol)
-    cols = np.flatnonzero(~certified)
+    cols = np.flatnonzero(~_certified(window, peak, n, tol))
     if cols.size:
-        best[cols] = -np.inf
-        for lo in range(0, n + 1, _BLOCK):
-            rows = slice(lo, lo + _BLOCK)
-            u = _payoff(own[rows, None], rem[rows, None], other[cols], rem_other[cols], *params)
-            best[cols] = np.maximum(best[cols], u.max(axis=0))
-    return best, peak, certified
+        best[cols] = _column_maxima(own, rem, other[cols], rem_other[cols], *params)
+    return best
 
 
-def _regrets(grid, ia, ib, bm1, bm2, bc1, bc2, e1, e2):
-    """Both players' regrets at the cells (ia, ib), index arrays that broadcast.
+def _payoffs(grid, ia, ib, bm1, bm2, bc1, bc2, e1, e2):
+    """Both players' payoffs at the cells (ia, ib), index arrays that broadcast.
 
-    Every cell's two regrets come from the same floating-point operations
-    in the same order wherever the cell is visited, so equal cells give
+    The two regional gains are formed once for both payoffs. Every cell's
+    payoffs come from the same floating-point operations in the same
+    order as _payoff's, wherever the cell is visited, so equal cells give
     equal bits.
     """
-    za, rem_a, zb, rem_b, br_a, br_b = grid
+    za, rem_a, zb, rem_b = grid
     own_a = za[ia]
     left_a = rem_a[ia]
     own_b = zb[ib]
@@ -134,16 +152,13 @@ def _regrets(grid, ia, ib, bm1, bm2, bc1, bc2, e1, e2):
     np.divide(bm2, gain2, out=gain2)
     gain2 -= bc2
 
-    # a's regret: br_a - (za * gain1 + rem_a * gain2)
     u_a = own_a * gain1
     u_a += left_a * gain2
-    regret_a = np.subtract(br_a[ib], u_a, out=u_a)
-    # b's regret: br_b - (zb * gain1 + rem_b * gain2), reusing the gain buffers
+    # b's payoff, reusing the gain buffers
     gain1 *= own_b
     gain2 *= left_b
     gain1 += gain2
-    regret_b = np.subtract(br_b[ia], gain1, out=gain1)
-    return regret_a, regret_b
+    return u_a, gain1
 
 
 def two_region_scan(bm1, bm2, bc1, bc2, e1, e2, xa, xb, na, nb):
@@ -156,51 +171,80 @@ def two_region_scan(bm1, bm2, bc1, bc2, e1, e2, xa, xb, na, nb):
     epsilon > 0, fleets > 0), which make each payoff concave along its
     own axis.
 
+    The scan runs in three steps. First _peaks finds b's peak for each
+    row of a. Then one pass over the window cells around those peaks
+    forms both payoffs from one pair of regional gains; their maxima
+    give b's best-response values where _certified certifies them, and
+    every other row of a gets a full scan along b's axis. a's
+    best-response values are formed only over the span of b's windows,
+    or over every column if some row's peak of b is not certified. Last,
+    both regrets over the windows follow from those values.
+
     The smallest max-regret over the cells where b best responds to a
     row of a, eps0, bounds the result from above. In each row b's regret
     is convex along b's axis, so when b's peak is certified and the
     regret at each edge of the window around it exceeds eps0 by more
     than four rounding bounds (or the edge is a grid end), no cell
     beyond the window can reach eps0. Every other row is scanned whole,
-    _BLOCK rows at a time, so the result is that of the full scan bit
-    for bit. A NaN at a window's edge does not rise above the bound, so
-    its row is scanned whole; argmin finds a NaN first, so a NaN regret
-    in any visited cell makes the scan return (0, 0, inf), as it does
-    when no regret is finite.
+    _BLOCK rows at a time, after a's remaining best-response values are
+    formed, so the result is that of the full scan bit for bit. A NaN at
+    a window's edge does not rise above the bound, so its row is scanned
+    whole; argmin finds a NaN first, so a NaN regret in any visited cell
+    makes the scan return (0, 0, inf), as it does when no regret is
+    finite.
     """
     params = (bm1, bm2, bc1, bc2, e1, e2)
     za = np.arange(na + 1) * (xa / na)
     zb = np.arange(nb + 1) * (xb / nb)
     rem_a = xa - za
     rem_b = xb - zb
+    grid = (za, rem_a, zb, rem_b)
 
     # A bound on the rounding error of one payoff: every term it sums is
     # at most fleet * (beta_m / epsilon + |beta_c|) in size.
     scale = max(xa, xb) * (bm1 / e1 + bm2 / e2 + abs(bc1) + abs(bc2))
     tol = 64.0 * np.finfo(float).eps * scale
-    br_a, _, _ = _best_response_values(za, rem_a, zb, rem_b, tol, *params)
-    br_b, peak, certified = _best_response_values(zb, rem_b, za, rem_a, tol, *params)
-    grid = (za, rem_a, zb, rem_b, br_a, br_b)
 
+    # Row _WINDOW of the windows holds b's peaks, the cells that seed the
+    # bound; column k is row k of a.
     rows = np.arange(na + 1)
-    index = np.clip(peak[:, None] + np.arange(-_WINDOW, _WINDOW + 1), 0, nb)
-    regret_a, regret_b = _regrets(grid, rows[:, None], index, *params)
+    peak = _peaks(zb, rem_b, za, rem_a, *params)
+    index = np.clip(peak + np.arange(-_WINDOW, _WINDOW + 1)[:, None], 0, nb)
+    u_a, u_b = _payoffs(grid, rows, index, *params)
+
+    br_b = u_b.max(axis=0)
+    certified = _certified(u_b, peak, nb, tol)
+    whole = np.flatnonzero(~certified)
+    if whole.size:
+        br_b[whole] = _column_maxima(zb, rem_b, za[whole], rem_a[whole], *params)
+    # A row whose peak of b is not certified is scanned whole, and reads
+    # a's values in every column.
+    span = slice(0, nb + 1) if whole.size else slice(index[0].min(), index[-1].max() + 1)
+    br_a = np.empty(nb + 1)
+    br_a[span] = _best_response_values(za, rem_a, zb[span], rem_b[span], tol, *params)
+
+    regret_a = np.subtract(br_a[index], u_a, out=u_a)
+    regret_b = np.subtract(br_b, u_b, out=u_b)
     worst = np.maximum(regret_a, regret_b)
-    # Column _WINDOW holds b's peaks, the cells that seed the bound.
-    bound = float(worst[:, _WINDOW].min()) + 4.0 * tol
-    certified = (certified & ((peak - _WINDOW <= 0) | (regret_b[:, 0] > bound))
-                 & ((peak + _WINDOW >= nb) | (regret_b[:, -1] > bound)))
-    pick = worst.argmin(axis=1)
-    best = worst[rows, pick]
-    best_ib = index[rows, pick]
+    bound = float(worst[_WINDOW].min()) + 4.0 * tol
+    certified &= (((peak - _WINDOW <= 0) | (regret_b[0] > bound))
+                  & ((peak + _WINDOW >= nb) | (regret_b[-1] > bound)))
+    pick = worst.argmin(axis=0)
+    best = worst[pick, rows]
+    best_ib = index[pick, rows]
 
     whole = np.flatnonzero(~certified)
+    if whole.size and span.stop - span.start <= nb:
+        rest = np.r_[:span.start, span.stop:nb + 1]
+        br_a[rest] = _best_response_values(za, rem_a, zb[rest], rem_b[rest], tol, *params)
+    cols = np.arange(nb + 1)
     for lo in range(0, whole.size, _BLOCK):
         ia = whole[lo:lo + _BLOCK]
-        regret_a, regret_b = _regrets(grid, ia[:, None], np.arange(nb + 1), *params)
-        np.maximum(regret_a, regret_b, out=regret_a)
-        pick = regret_a.argmin(axis=1)
-        best[ia] = regret_a[np.arange(ia.size), pick]
+        u_a, u_b = _payoffs(grid, ia[:, None], cols, *params)
+        worst = np.subtract(br_a, u_a, out=u_a)
+        np.maximum(worst, np.subtract(br_b[ia, None], u_b, out=u_b), out=worst)
+        pick = worst.argmin(axis=1)
+        best[ia] = worst[np.arange(ia.size), pick]
         best_ib[ia] = pick
 
     k = int(np.argmin(best))

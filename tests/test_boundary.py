@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fleetcontest as fc
-from fleetcontest import verify
+from fleetcontest import boundary, verify
 from fleetcontest.boundary import (
     _distinct_certified,
     _family,
@@ -134,6 +134,21 @@ class TestPinnedBestResponse:
     def test_bad_family_name(self):
         with pytest.raises(fc.ValidationError):
             fc.pinned_best_response(quad_spec(), "C1")
+
+    def test_residual_of_a_non_monotone_slope_raises(self, monkeypatch):
+        # A slope with a tooth at the bisection's final midpoint, where it
+        # rises by 1.0 above the smooth slope, whose terms there sum to
+        # 3.7; the bisection itself sees only the smooth slope.
+        spec = quad_spec()
+        z = fc.pinned_best_response(spec, "A1")
+        smooth = _slope
+
+        def toothed(spec, held, free, at):
+            return smooth(spec, held, free, at) + (1.0 if at == z else 0.0)
+
+        monkeypatch.setattr(boundary, "_slope", toothed)
+        with pytest.raises(fc.NumericalError, match="pinned best-response root residual"):
+            fc.pinned_best_response(spec, "A1")
 
 
 class TestFamilyStrategy:

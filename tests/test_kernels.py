@@ -169,19 +169,11 @@ def test_matches_brute_force_at_every_scale(decades):
             assert got[2] == expected[2] or (np.isnan(got[2]) and np.isnan(expected[2])), case
 
 
-def test_peaks_certify_every_column_on_verify_grids(monkeypatch):
-    # On the grids `fleetcontest verify` scans, the window around each
-    # peak certifies it, so no column falls back to the full scan.
-    masks = []
-    found = _kernels._best_response_values
-
-    def recording(*args):
-        values = found(*args)
-        masks.append(values[2])
-        return values
-
-    monkeypatch.setattr(_kernels, "_best_response_values", recording)
+def verify_grid_cases():
+    """20 seeded grids as `fleetcontest verify` scans them: one fleet
+    about half the other, at the CLI's step of a 2000th of the larger."""
     rng = np.random.default_rng(84)
+    cases = []
     for _ in range(20):
         case = random_case(rng)
         big = float(rng.uniform(1000.0, 5000.0))
@@ -189,31 +181,92 @@ def test_peaks_certify_every_column_on_verify_grids(monkeypatch):
         xa, xb = (big, small) if rng.random() < 0.5 else (small, big)
         step = big / 2000  # the CLI's step
         case.update(xa=xa, xb=xb, na=round(xa / step), nb=round(xb / step))
+        cases.append(case)
+    return cases
+
+
+def scan_grid(bm1, bm2, bc1, bc2, e1, e2, xa, xb, na, nb):
+    """The scan's grid (za, rem_a, zb, rem_b), its payoff rounding bound
+    and its payoff parameters, formed as two_region_scan forms them."""
+    za = np.arange(na + 1) * (xa / na)
+    zb = np.arange(nb + 1) * (xb / nb)
+    scale = max(xa, xb) * (bm1 / e1 + bm2 / e2 + abs(bc1) + abs(bc2))
+    tol = 64.0 * np.finfo(float).eps * scale
+    return (za, xa - za, zb, xb - zb), tol, (bm1, bm2, bc1, bc2, e1, e2)
+
+
+def test_peaks_certify_every_column_on_verify_grids(monkeypatch):
+    # On the grids `fleetcontest verify` scans, the window around each
+    # peak certifies it, so no column of either player's best responses
+    # falls back to the full scan.
+    formed = []
+    scanned = []
+    found = _kernels._best_response_values
+    maxima = _kernels._column_maxima
+
+    def recording(*args):
+        formed.append(args[2].size)
+        return found(*args)
+
+    def scanning(*args):
+        scanned.append(args[2].size)
+        return maxima(*args)
+
+    monkeypatch.setattr(_kernels, "_best_response_values", recording)
+    monkeypatch.setattr(_kernels, "_column_maxima", scanning)
+    for case in verify_grid_cases():
         two_region_scan(**case)
-    assert len(masks) == 40
-    assert all(mask.all() for mask in masks)
+    assert len(formed) == 20
+    assert scanned == []
 
 
 def test_regret_pass_scans_no_row_whole_on_verify_grids(monkeypatch):
     # On the same grids every row's window is certified, so the regret
-    # pass visits at most 2 * _WINDOW + 1 cells per row of a.
+    # pass makes one pass over the windows, visits at most
+    # 2 * _WINDOW + 1 cells per row of a, and scans no row whole.
     calls = []
-    found = _kernels._regrets
+    found = _kernels._payoffs
 
     def recording(grid, ia, ib, *params):
         calls.append((grid, np.broadcast(ia, ib).size))
         return found(grid, ia, ib, *params)
 
-    monkeypatch.setattr(_kernels, "_regrets", recording)
+    monkeypatch.setattr(_kernels, "_payoffs", recording)
     test_peaks_certify_every_column_on_verify_grids(monkeypatch)
     # calls keeps each scan's grid alive, so its id names that scan.
     cells = {}
+    passes = {}
     rows = {}
     for grid, count in calls:
         cells[id(grid)] = cells.get(id(grid), 0) + count
+        passes[id(grid)] = passes.get(id(grid), 0) + 1
         rows[id(grid)] = grid[0].size
     assert len(cells) == 20
+    assert all(count == 1 for count in passes.values())
     assert all(cells[k] <= (2 * _kernels._WINDOW + 1) * rows[k] for k in cells)
+
+
+def test_best_responses_of_a_span_the_windows_of_b_on_verify_grids(monkeypatch):
+    # a's best-response values are formed over at most the columns from
+    # the first cell of b's windows to the last, the span the regret
+    # pass reads.
+    formed = []
+    found = _kernels._best_response_values
+
+    def recording(*args):
+        formed.append(args[2].size)
+        return found(*args)
+
+    monkeypatch.setattr(_kernels, "_best_response_values", recording)
+    for case in verify_grid_cases():
+        formed.clear()
+        two_region_scan(**case)
+        (za, rem_a, zb, rem_b), _, params = scan_grid(**case)
+        peak = _kernels._peaks(zb, rem_b, za, rem_a, *params)
+        first = max(peak.min() - _kernels._WINDOW, 0)
+        last = min(peak.max() + _kernels._WINDOW, case["nb"])
+        assert len(formed) == 1
+        assert formed[0] <= last - first + 1
 
 
 @pytest.mark.parametrize("case, expected", [
@@ -296,3 +349,38 @@ def test_whole_row_spans_bound_memory():
         tracemalloc.stop()
     assert result == (144, 14, 0.0)
     assert peak < 32 * 2**20
+
+
+def best_response_grids(kind):
+    """Ten seeded scan cases of one kind: box parameters, parameters
+    log-uniform over +-6 decades, or FLAT's, on seeded grid sizes."""
+    rng = np.random.default_rng(85)
+    cases = []
+    for _ in range(10):
+        if kind == "box":
+            case = random_case(rng)
+        elif kind == "six decades":
+            case = log_uniform_case(rng, 6)
+        else:
+            case = dict(FLAT)
+        case.update(na=int(rng.integers(20, 300)), nb=int(rng.integers(20, 300)))
+        cases.append(case)
+    return cases
+
+
+@pytest.mark.parametrize("kind", ["box", "six decades", "flat"])
+def test_best_response_values_do_not_depend_on_the_columns_passed(kind):
+    # A column's value is the exact maximum of its computed payoffs, so
+    # passing a contiguous sub-span of the columns, which may move the
+    # peaks through the Newton slack of the span's first column, gives
+    # the same bits.
+    rng = np.random.default_rng(86)
+    for case in best_response_grids(kind):
+        (za, rem_a, zb, rem_b), tol, params = scan_grid(**case)
+        for own, rem, other, rem_other in ((za, rem_a, zb, rem_b), (zb, rem_b, za, rem_a)):
+            whole = _kernels._best_response_values(own, rem, other, rem_other, tol, *params)
+            for _ in range(10):
+                lo, hi = np.sort(rng.choice(other.size + 1, size=2, replace=False))
+                part = _kernels._best_response_values(own, rem, other[lo:hi], rem_other[lo:hi],
+                                                      tol, *params)
+                assert part.tobytes() == whole[lo:hi].tobytes(), (case, lo, hi)

@@ -60,6 +60,21 @@ FLAT = dict(
     xa=677.5806911994487, xb=336.66382083160374, na=1000, nb=2000,
 )
 
+#: The two cases of tests/test_kernels.py's
+#: test_minimum_beyond_the_window_of_a_certified_peak, whose smallest regrets,
+#: 1.786347957235385e-07 and 0.46609870787480645, are not 0.0 as every other
+#: grid regret compared here is. The second scans rows whole, which read a's
+#: best responses outside b's windows.
+BEYOND_THE_WINDOW = (
+    dict(bm1=0.002096900204086986, bm2=0.005926062584702359, bc1=0.0, bc2=0.0,
+         e1=0.06071359031057972, e2=0.18963363933168978,
+         xa=11.947072115328027, xb=0.018198709563248996, na=48, nb=271),
+    dict(bm1=7627.096086414264, bm2=77.39624554600309,
+         bc1=3.1933583791704197e-06, bc2=0.17235945672510644,
+         e1=4.587656486044541, e2=0.013361812538495223,
+         xa=2989.423286378751, xb=22.149917210155692, na=157, nb=205),
+)
+
 
 #: Two specs, as (regions, fleet_a, fleet_b), whose closed-form candidate has
 #: no empty component and fails the solve's rule: one from +-150 decade draws,
@@ -313,7 +328,8 @@ IDENTITIES = (
     ("returns other grid points",
      lambda fc, s: [(o.strategy.alloc_a.values.tolist(), o.strategy.alloc_b.values.tolist(),
                      o.eps_ne) for o in (fc.grid_equilibrium(*case) for case in s.grids)], eq),
-    ("scans the flat grid to another triple", lambda fc, s: fc._kernels.two_region_scan(**FLAT),
+    ("scans the flat grid or a grid whose minimum lies beyond b's window to another triple",
+     lambda fc, s: [fc._kernels.two_region_scan(**case) for case in (FLAT, *BEYOND_THE_WINDOW)],
      eq),
     ("returns other verify values",
      lambda fc, s: np.array([verify_steps(fc, text) for text in s.configs]).tobytes(), eq),
