@@ -229,9 +229,11 @@ def two_region_scan(bm1, bm2, bc1, bc2, e1, e2, xa, xb, na, nb):
     bound = float(worst[_WINDOW].min()) + 4.0 * tol
     certified &= (((peak - _WINDOW <= 0) | (regret_b[0] > bound))
                   & ((peak + _WINDOW >= nb) | (regret_b[-1] > bound)))
-    pick = worst.argmin(axis=0)
-    best = worst[pick, rows]
-    best_ib = index[pick, rows]
+    # Each row's smallest regret; a window row's cell is found only if the
+    # row is returned. min gives argmin's value up to the sign of a zero,
+    # which the argmin over the rows does not tell apart.
+    best = worst.min(axis=0)
+    best_ib = np.zeros(na + 1, dtype=np.intp)
 
     whole = np.flatnonzero(~certified)
     if whole.size and span.stop - span.start <= nb:
@@ -241,13 +243,16 @@ def two_region_scan(bm1, bm2, bc1, bc2, e1, e2, xa, xb, na, nb):
     for lo in range(0, whole.size, _BLOCK):
         ia = whole[lo:lo + _BLOCK]
         u_a, u_b = _payoffs(grid, ia[:, None], cols, *params)
-        worst = np.subtract(br_a, u_a, out=u_a)
-        np.maximum(worst, np.subtract(br_b[ia, None], u_b, out=u_b), out=worst)
-        pick = worst.argmin(axis=1)
-        best[ia] = worst[np.arange(ia.size), pick]
+        larger = np.subtract(br_a, u_a, out=u_a)
+        np.maximum(larger, np.subtract(br_b[ia, None], u_b, out=u_b), out=larger)
+        pick = larger.argmin(axis=1)
+        best[ia] = larger[np.arange(ia.size), pick]
         best_ib[ia] = pick
 
     k = int(np.argmin(best))
     if not best[k] < np.inf:
         return 0, 0, np.inf
+    if certified[k]:
+        pick = int(worst[:, k].argmin())
+        return k, int(index[pick, k]), float(worst[pick, k])
     return k, int(best_ib[k]), float(best[k])
