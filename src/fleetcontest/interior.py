@@ -20,6 +20,18 @@ Both the root find and the price Newton run one scalar search per row,
 in lockstep (_lockstep): each step evaluates the kernel once for every
 row, and each row decides its next trial from its own row alone, in
 math, so a batch entry is bit for bit the spec solved alone.
+
+Each kernel has two forms. The array kernels (_balance, _contests and
+_contest_jacobian) evaluate any stack; the row kernels (_balance_row,
+_contest_row) evaluate a stack of one row with fewer than 8 regions in
+Python floats, without numpy's per-call cost on arrays that short. The
+stack's shape alone picks the form. A row kernel makes the array
+kernel's operations (+, -, *, / and sqrt, which IEEE 754 rounds
+correctly in Python and numpy alike) in the same order, and sums
+regions left to right from 0.0, as numpy sums a contiguous row of fewer
+than 8 doubles; so both forms give the same bits. Where Python raises
+(a division by zero or the square root of a negative number, where
+numpy gives inf or nan), the array kernel redoes that evaluation.
 """
 
 import math
@@ -59,6 +71,14 @@ _MAX_EVALUATIONS = 100
 _MAX_LOG_STEP = 2.0
 
 _ULP = float(np.finfo(float).eps)
+
+# The row kernels serve one-row stacks of fewer regions than this: numpy sums
+# a contiguous row of fewer than 8 doubles left to right, as they do.
+_ROW_REGIONS = 8
+
+# What Python float arithmetic raises where numpy gives inf or nan; the array
+# kernel redoes such an evaluation.
+_ROW_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
 
 
 def _checked_gaps(spec: GameSpec, offsets, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -107,6 +127,26 @@ def _balance(terms: tuple, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     two_gaps = 2.0 * gaps
     slopes = bm * (root + bm + two_eps * gaps) / (two_gaps * gaps * root)
     return (bm + root) / two_gaps, slopes.sum(axis=-1)
+
+
+def _balance_row(terms: list, gaps: list) -> tuple[list, float, float]:
+    """_balance for one row in Python floats: the region masses, their sum
+    and the sum of their t-derivatives.
+
+    terms holds the row of each of _balance_terms' arrays as a list, and
+    gaps the row's gaps. The operations and sums are _balance's, so the
+    bits are too (see the module docstring). A zero gap raises
+    ZeroDivisionError and a negative discriminant ValueError.
+    """
+    kappa, total, slope = [], 0.0, 0.0
+    for bm, bm_squared, disc_slope, two_eps, gap in zip(*terms, gaps):
+        root = math.sqrt(bm_squared + disc_slope * gap)
+        two_gap = 2.0 * gap
+        mass = (bm + root) / two_gap
+        kappa.append(mass)
+        total += mass
+        slope += bm * (root + bm + two_eps * gap) / (two_gap * gap * root)
+    return kappa, total, slope
 
 
 def _contest_terms(bm: np.ndarray, eps: np.ndarray, cost: np.ndarray) -> tuple:
@@ -169,6 +209,49 @@ def _contest_jacobian(x: np.ndarray, terms: tuple, parts) -> list:
     ]
 
 
+def _contest_row(terms: list, mu_a: float, mu_b: float) -> tuple:
+    """_contests and _contest_jacobian for one row in Python floats, in one
+    pass over the regions.
+
+    terms holds the row of each of _contest_terms' arrays as a list. Returns
+    as lists the allocations [x_a, x_b], the prices [p_a, p_b] and active
+    flags [active_a, active_b] of _contests' parts, the fleet sums and the
+    Jacobian. The operations and sums are the array kernels', so the bits
+    are too (see the module docstring); a zero price or price sum raises
+    ZeroDivisionError.
+    """
+    x_a, x_b, price_a, price_b, active_a, active_b = [], [], [], [], [], []
+    sum_a = sum_b = up_a = up_b = w_sum = lone_a = lone_b = 0.0
+    for bm, eps, cost, four_eps, bm_eps in zip(*terms):
+        p_a, p_b = mu_a + cost, mu_b + cost
+        s = p_a + p_b
+        root = math.sqrt(bm * (bm + four_eps * s))
+        t = (bm + root) / (s + s)
+        w = t * t / bm
+        a, b = p_b * w - eps, p_a * w - eps
+        a, b = (a if b > 0.0 else math.sqrt(bm_eps / p_a) - eps,
+                b if a > 0.0 else math.sqrt(bm_eps / p_b) - eps)
+        in_a, in_b = a > 0.0, b > 0.0
+        a, b = a if in_a else 0.0, b if in_b else 0.0
+        x_a.append(a)
+        x_b.append(b)
+        price_a.append(p_a)
+        price_b.append(p_b)
+        active_a.append(in_a)
+        active_b.append(in_b)
+        sum_a += a
+        sum_b += b
+        both = in_a and in_b
+        moved = 2.0 * w * t / root if both else 0.0
+        up_a += p_a * moved
+        up_b += p_b * moved
+        w_sum += w if both else 0.0
+        lone_a += (a + eps) / (p_a + p_a) if in_a and not in_b else 0.0
+        lone_b += (b + eps) / (p_b + p_b) if in_b and not in_a else 0.0
+    jacobian = (-up_b - lone_a, w_sum - up_b, w_sum - up_a, -up_a - lone_b)
+    return [x_a, x_b], [price_a, price_b], [active_a, active_b], [sum_a, sum_b], jacobian
+
+
 def mass_balance(spec: GameSpec, offsets, t: float) -> float:
     """Implied total regional mass at multiplier sum t, minus available mass.
 
@@ -187,6 +270,12 @@ def mass_balance_derivative(spec: GameSpec, offsets, t: float) -> float:
     if not disc.min() > 0.0:
         raise DomainError(f"t={float(t)!r} is not strictly inside the domain")
     return float(_balance(_balance_terms(spec.beta_m, spec.eps), gaps)[1])
+
+
+def _short_row(values: np.ndarray) -> bool:
+    """Whether a stack's N x m values are one row of fewer than _ROW_REGIONS
+    regions, which the row kernels evaluate."""
+    return values.shape[0] == 1 and values.shape[1] < _ROW_REGIONS
 
 
 def _lockstep(searches: list, evaluate) -> list:
@@ -283,10 +372,19 @@ def _multiplier_sums(
     pole = offsets.min(axis=1)
     shifts = offsets - pole[:, None]
     terms = _balance_terms(bm, eps)
+    row = ([a[0].tolist() for a in terms], shifts[0].tolist()) if _short_row(bm) else None
     kappa = None
 
     def evaluate(gaps):
         nonlocal kappa
+        if row is not None:
+            row_terms, row_shifts = row
+            try:
+                masses, total, slope = _balance_row(row_terms, [s + gaps[0] for s in row_shifts])
+                kappa = [masses]
+                return [total], [slope]
+            except _ROW_ERRORS:
+                pass
         kappa, slopes = _balance(terms, shifts + np.array(gaps)[:, None])
         return kappa.sum(axis=1).tolist(), slopes.tolist()
 
@@ -297,7 +395,7 @@ def _multiplier_sums(
     gaps, evaluations, residuals = zip(*_lockstep(searches, evaluate))
     roots = [p - g for p, g in zip(pole.tolist(), gaps)]
     # The last evaluation holds every row at its final gap.
-    return roots, kappa, list(evaluations), list(residuals)
+    return roots, np.asarray(kappa, dtype=float), list(evaluations), list(residuals)
 
 
 def _root_error(residual: float, mass: float) -> NumericalError | None:
@@ -587,7 +685,16 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
     rounding = 4.0 * bm.shape[1] * _ULP
     rounding *= rounding
 
+    row = [a[0, 0].tolist() for a in terms] if _short_row(bm) else None
+
     def evaluate(levels):
+        if row is not None:
+            try:
+                x, price, active, sums, jacobian = _contest_row(row, *levels[0])
+                # _newton_search reads only the prices and active flags of the parts.
+                return [x], ([price], None, None, None, [active]), [sums], [jacobian]
+            except _ROW_ERRORS:
+                pass
         x, parts = _contests(terms, np.array(levels)[:, :, None])
         return x, parts, x.sum(axis=2).tolist(), []
 

@@ -13,6 +13,19 @@ import numpy as np
 import fleetcontest as fc
 
 
+#: Specs whose root-find bracket leaves the range of a double, because the
+#: square of the total mass overflows or underflows, by test id.
+BRACKET_OUT_OF_RANGE = {
+    "square-overflows-1e154": fc.GameSpec(fc.two_region_spec(3.0).regions,
+                                          fleet_a=1e154, fleet_b=1e154),
+    "square-overflows-1e300": fc.GameSpec(fc.two_region_spec(3.0).regions,
+                                          fleet_a=1e300, fleet_b=1e300),
+    "square-underflows": fc.GameSpec((fc.RegionParams(1e4, 1.0, 1e-200),
+                                      fc.RegionParams(2e4, 2.0, 1e-200)),
+                                     fleet_a=1e-200, fleet_b=1e-200),
+}
+
+
 def random_spec(rng, m=2):
     regions = tuple(
         fc.RegionParams(

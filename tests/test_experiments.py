@@ -12,7 +12,8 @@ import pytest
 import fleetcontest as fc
 from fleetcontest import experiments, interior
 from fleetcontest.game import FEASIBILITY_RTOL, empty_components, is_feasible, stack_specs
-from helpers import fingerprint, random_spec, relative_kkt, solo_fingerprint, solo_solve
+from helpers import (BRACKET_OUT_OF_RANGE, fingerprint, random_spec, relative_kkt, solo_fingerprint,
+                     solo_solve)
 
 
 # Charging-price scale where the two-region equilibrium collapses into
@@ -486,12 +487,7 @@ class TestSolveBatch:
             assert record.u_b == fc.utility(spec, "b", solo)
             assert record.t_lambda == fc.solve_spec(spec).trace.multiplier_sum
 
-    @pytest.mark.parametrize("spec", [
-        fc.GameSpec(fc.two_region_spec(3.0).regions, fleet_a=1e154, fleet_b=1e154),
-        fc.GameSpec(fc.two_region_spec(3.0).regions, fleet_a=1e300, fleet_b=1e300),
-        fc.GameSpec((fc.RegionParams(1e4, 1.0, 1e-200), fc.RegionParams(2e4, 2.0, 1e-200)),
-                    fleet_a=1e-200, fleet_b=1e-200),
-    ], ids=["square-overflows-1e154", "square-overflows-1e300", "square-underflows"])
+    @pytest.mark.parametrize("spec", BRACKET_OUT_OF_RANGE.values(), ids=BRACKET_OUT_OF_RANGE.keys())
     def test_a_bracket_out_of_range_fails_alone(self, spec):
         """The square of the total mass leaves the range of a double, so the
         root find's bracket cannot be formed. That row fails its root check,

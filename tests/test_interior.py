@@ -10,7 +10,7 @@ from fleetcontest import interior
 from fleetcontest.experiments import _FLEET
 from fleetcontest.game import stack_specs
 from fleetcontest.interior import BALANCE_RTOL, _balance, _balance_terms
-from helpers import random_spec
+from helpers import BRACKET_OUT_OF_RANGE, random_spec
 
 
 def single_region_spec():
@@ -143,15 +143,28 @@ def _scaled(spec, factor):
     )
 
 
+ROW_KERNELS = ("_balance_row", "_contest_row")
+ARRAY_KERNELS = ("_balance", "_contests", "_contest_jacobian")
+
+
+def counted_kernels(monkeypatch, names=ROW_KERNELS + ARRAY_KERNELS) -> list:
+    """Hooks the named interior kernels. Returns a list that gets the name
+    of each hooked call that returns; a row kernel's call that raises, and
+    so is redone by the array kernel, is not counted."""
+    calls = []
+    for name in names:
+        def counted(*args, kernel=getattr(interior, name), name=name):
+            out = kernel(*args)
+            calls.append(name)
+            return out
+
+        monkeypatch.setattr(interior, name, counted)
+    return calls
+
+
 class TestRootFind:
     def test_iterations_count_every_balance_evaluation(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return _balance(*args)
-
-        monkeypatch.setattr(interior, "_balance", counted)
+        calls = counted_kernels(monkeypatch, ("_balance", "_balance_row"))
         out = fc.interior_equilibrium(fc.two_region_spec(1.0))
         assert out.trace.iterations == len(calls)
         assert len(calls) > 0
@@ -404,16 +417,9 @@ class TestPriceSolve:
             assert duals.lambda_a == pytest.approx(expected.duals.lambda_a, rel=1e-12)
 
     def test_iterations_count_every_contest_evaluation(self, monkeypatch):
-        """A boundary solve's iterations are its _contests calls: the price
-        solve makes no kernel call that it does not count."""
-        calls = []
-        kernel = interior._contests
-
-        def counted(*args):
-            calls.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(interior, "_contests", counted)
+        """A boundary solve's iterations are its _contests and _contest_row
+        calls: the price solve makes no kernel call that it does not count."""
+        calls = counted_kernels(monkeypatch, ("_contests", "_contest_row"))
         rng = np.random.default_rng(34)
         checked = 0
         while checked < 280:
@@ -425,3 +431,127 @@ class TestPriceSolve:
                 continue
             assert result.iterations == len(calls) > 0
             checked += 1
+
+
+def row_specs(rng, m: int, decades, count: int) -> list:
+    """count specs of m regions from the box (decades None), or with every
+    parameter log-uniform over 10**+-decades around the box's centres and
+    a tenth of the charging costs zero."""
+    if decades is None:
+        return [random_spec(rng, m) for _ in range(count)]
+
+    def draw(centre, size):
+        return (centre * 10.0 ** rng.uniform(-decades, decades, size)).tolist()
+
+    return [fc.GameSpec(tuple(map(fc.RegionParams, draw(1e4, m),
+                                  [c * (rng.random() < 0.9) for c in draw(100.0, m)],
+                                  draw(100.0, m))), *draw(1000.0, 2))
+            for _ in range(count)]
+
+
+def bits(*values) -> bytes:
+    """The bytes of values as one float array."""
+    return np.array(values, dtype=float).tobytes()
+
+
+def tried(monkeypatch, name: str, specs: list) -> list:
+    """Row by row, the arguments of every call of the array kernel name
+    while solve_batch solves specs: for each call and row i, row i of the
+    kernel's terms and row i of its gaps or levels. The searches try these
+    around each row's root."""
+    calls = []
+    kernel = getattr(interior, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(interior, name, recorded)
+        fc.solve_batch(specs)
+    return [([a[i] for a in args[0]], args[1][i]) for args in calls
+            for i in range(len(args[1]))]
+
+
+class TestRowKernels:
+    """The row kernels give the array kernels' bits on one-row stacks of
+    m < 8 regions, and the solve picks them by the stack's shape alone."""
+
+    @pytest.mark.parametrize("decades", [None, 6, 30])
+    def test_balance_row_gives_balances_bits(self, decades, monkeypatch):
+        """At every gap the root find tries on 20-row stacks of m = 1..7
+        regions, and at each scaled by up to a decade either way. No such
+        gap makes Python raise."""
+        rng = np.random.default_rng(41)
+        compared = 0
+        for m in range(1, 8):
+            for terms, gaps in tried(monkeypatch, "_balance", row_specs(rng, m, decades, 20)):
+                for scaled in (gaps, gaps * 10.0 ** rng.uniform(-1.0, 1.0)):
+                    kappa_row, total, slope = interior._balance_row(
+                        [a.tolist() for a in terms], scaled.tolist())
+                    with np.errstate(all="ignore"):
+                        kappa, slopes = _balance(tuple(a[None] for a in terms), scaled[None])
+                    assert bits(kappa_row) == kappa.tobytes()
+                    assert bits(total, slope) == bits(kappa.sum(axis=1)[0], slopes[0])
+                    compared += 1
+        assert compared >= 500
+
+    @pytest.mark.parametrize("decades", [None, 6, 30])
+    def test_contest_row_gives_the_contests_and_jacobians_bits(self, decades, monkeypatch):
+        """At every pair of water levels the price Newton tries on 20-row
+        stacks of m = 1..7 regions, and at each scaled by up to a decade
+        either way. No such pair makes Python raise."""
+        rng = np.random.default_rng(42)
+        compared = 0
+        for m in range(1, 8):
+            for terms, mu in tried(monkeypatch, "_contests", row_specs(rng, m, decades, 20)):
+                for scaled in (mu, mu * 10.0 ** rng.uniform(-1.0, 1.0, (2, 1))):
+                    x_row, price, active, sums, jacobian = interior._contest_row(
+                        [a[0].tolist() for a in terms], *scaled[:, 0].tolist())
+                    row_terms = tuple(a[None] for a in terms)
+                    with np.errstate(all="ignore"):
+                        x, parts = interior._contests(row_terms, scaled[None])
+                        expected = interior._contest_jacobian(x, row_terms, parts)
+                    assert bits(x_row) == x.tobytes()
+                    assert bits(price) == parts[0].tobytes()
+                    assert active == parts[-1][0].tolist()
+                    assert bits(sums) == x.sum(axis=2).tobytes()
+                    assert bits(jacobian) == bits(expected)
+                    compared += 1
+        assert compared >= 500
+
+    @pytest.mark.parametrize("spec", BRACKET_OUT_OF_RANGE.values(), ids=BRACKET_OUT_OF_RANGE.keys())
+    def test_a_one_row_solve_redoes_what_python_cannot_evaluate(self, spec, monkeypatch):
+        """The bracket's gap is zero, where Python raises and numpy gives inf:
+        _balance redoes the row's evaluation, and the solve raises the words
+        of the spec's row in a batch."""
+        batch = fc.solve_batch([spec, fc.two_region_spec(3.0)])[0]
+        calls = counted_kernels(monkeypatch)
+        with pytest.raises(fc.NumericalError) as error:
+            fc.solve_spec(spec)
+        assert "_balance" in calls
+        assert str(error.value) == str(batch)
+
+    def test_a_short_row_calls_no_array_kernel(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        calls = counted_kernels(monkeypatch)
+        for m in range(1, 8):
+            for _ in range(10):
+                fc.solve_spec(random_spec(rng, m))
+        assert set(calls) == set(ROW_KERNELS)
+
+    def test_two_rows_or_eight_regions_call_no_row_kernel(self, monkeypatch):
+        """Two boundary specs solved together, so that both reach the price
+        solve, and one spec of 8 regions."""
+        rng = np.random.default_rng(44)
+        pairs = []
+        while len(pairs) < 6:
+            spec = random_spec(rng, len(pairs) + 2)
+            if fc.solve_spec(spec).location != "interior":
+                pairs.append([spec, spec])
+        calls = counted_kernels(monkeypatch)
+        for pair in pairs:
+            fc.solve_batch(pair)
+        for _ in range(10):
+            fc.solve_spec(random_spec(rng, 8))
+        assert set(calls) == set(ARRAY_KERNELS)

@@ -321,8 +321,8 @@ def case_study_agrees(mine: dict, theirs: dict) -> bool:
 #: inputs, and the agreement of two outcomes (the change's, the parent's).
 IDENTITIES = (
     ("returns other solve_spec allocations, multipliers, tags, iterations or errors",
-     lambda fc, s: [solve_outcome(fc, spec) for spec in s.boxes + [p[0] for p in s.ne[6]]],
-     eq),
+     lambda fc, s: [solve_outcome(fc, spec)
+                    for spec in s.boxes + [p[0] for p in s.ne[6] + s.ne[30]]], eq),
     ("gives other interior_equilibrium outcomes on the closed-form rejections",
      lambda fc, s: [interior_outcome(fc, *case) for case in CLOSED_FORM_REJECTIONS], eq),
     ("returns other grid points",
