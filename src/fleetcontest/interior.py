@@ -76,9 +76,10 @@ _ULP = float(np.finfo(float).eps)
 # a contiguous row of fewer than 8 doubles left to right, as they do.
 _ROW_REGIONS = 8
 
-# What Python float arithmetic raises where numpy gives inf or nan; the array
-# kernel redoes such an evaluation.
-_ROW_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
+# What the row kernels raise where numpy gives inf or nan: a division by zero,
+# and math.sqrt of a negative number. Python's float +, -, * and / overflow to
+# inf as numpy's do. The array kernel redoes such an evaluation.
+_ROW_ERRORS = (ZeroDivisionError, ValueError)
 
 
 def _checked_gaps(spec: GameSpec, offsets, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -381,10 +382,11 @@ def _multiplier_sums(
             row_terms, row_shifts = row
             try:
                 masses, total, slope = _balance_row(row_terms, [s + gaps[0] for s in row_shifts])
+            except _ROW_ERRORS:
+                pass  # The array kernel redoes the evaluation.
+            else:
                 kappa = [masses]
                 return [total], [slope]
-            except _ROW_ERRORS:
-                pass
         kappa, slopes = _balance(terms, shifts + np.array(gaps)[:, None])
         return kappa.sum(axis=1).tolist(), slopes.tolist()
 
@@ -684,17 +686,17 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
     terms = _contest_terms(bm, eps, bc - floor_cost[:, None])
     rounding = 4.0 * bm.shape[1] * _ULP
     rounding *= rounding
-
     row = [a[0, 0].tolist() for a in terms] if _short_row(bm) else None
 
     def evaluate(levels):
         if row is not None:
             try:
                 x, price, active, sums, jacobian = _contest_row(row, *levels[0])
+            except _ROW_ERRORS:
+                pass  # The array kernel redoes the evaluation.
+            else:
                 # _newton_search reads only the prices and active flags of the parts.
                 return [x], ([price], None, None, None, [active]), [sums], [jacobian]
-            except _ROW_ERRORS:
-                pass
         x, parts = _contests(terms, np.array(levels)[:, :, None])
         return x, parts, x.sum(axis=2).tolist(), []
 

@@ -89,6 +89,20 @@ CLOSED_FORM_REJECTIONS = (
 )
 
 
+#: Specs, as (regions, fleet_a, fleet_b), whose solve makes a row kernel
+#: raise, so that numpy's kernel redoes the evaluation: the three of
+#: tests/test_experiments.py's test_a_bracket_out_of_range_fails_alone, whose
+#: root-find bracket is a zero gap, and a +-150-decade draw whose price
+#: solve starts at water levels that underflow to zero.
+REDONE = (
+    (((35000.0, 10.0, 100.0), (120000.0, 30.0, 300.0)), 1e154, 1e154),
+    (((35000.0, 10.0, 100.0), (120000.0, 30.0, 300.0)), 1e300, 1e300),
+    (((1e4, 1.0, 1e-200), (2e4, 2.0, 1e-200)), 1e-200, 1e-200),
+    (((2.8898566228714435e-70, 3.3334332632912153e-15, 1.1199680213231962e+18),),
+     4.4677105668905464e+151, 6.288915567857167e+90),
+)
+
+
 def load(checkout: str, name: str):
     """checkout's src/fleetcontest, imported as the top-level package name."""
     package = Path(checkout) / "src" / "fleetcontest"
@@ -322,7 +336,9 @@ def case_study_agrees(mine: dict, theirs: dict) -> bool:
 IDENTITIES = (
     ("returns other solve_spec allocations, multipliers, tags, iterations or errors",
      lambda fc, s: [solve_outcome(fc, spec)
-                    for spec in s.boxes + [p[0] for p in s.ne[6] + s.ne[30]]], eq),
+                    for spec in s.boxes + [p[0] for p in s.ne[6] + s.ne[30]]]
+     + [solve_outcome(fc, fc.GameSpec(tuple(fc.RegionParams(*r) for r in regions), *fleets))
+        for regions, *fleets in REDONE], eq),
     ("gives other interior_equilibrium outcomes on the closed-form rejections",
      lambda fc, s: [interior_outcome(fc, *case) for case in CLOSED_FORM_REJECTIONS], eq),
     ("returns other grid points",
