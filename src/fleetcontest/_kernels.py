@@ -13,7 +13,7 @@ bound on the smallest max-regret. b's regret is convex along its own
 axis, so in a row whose window around that best response rises above
 the bound at both edges no other cell can reach it; every other row is
 scanned whole, after a's values over the remaining columns. This is the
-package's one kernel; fleetcontest.KERNEL_BACKEND names it "python".
+grid oracle's one kernel; fleetcontest.KERNEL_BACKEND names it "python".
 """
 
 import numpy as np

@@ -21,17 +21,21 @@ in lockstep (_lockstep): each step evaluates the kernel once for every
 row, and each row decides its next trial from its own row alone, in
 math, so a batch entry is bit for bit the spec solved alone.
 
-Each kernel has two forms. The array kernels (_balance, _contests and
-_contest_jacobian) evaluate any stack; the row kernels (_balance_row,
-_contest_row) evaluate a stack of one row with fewer than 8 regions in
-Python floats, without numpy's per-call cost on arrays that short. The
-stack's shape alone picks the form. A row kernel makes the array
-kernel's operations (+, -, *, / and sqrt, which IEEE 754 rounds
-correctly in Python and numpy alike) in the same order, and sums
-regions left to right from 0.0, as numpy sums a contiguous row of fewer
-than 8 doubles; so both forms give the same bits. Where Python raises
-(a division by zero or the square root of a negative number, where
-numpy gives inf or nan), the array kernel redoes that evaluation.
+Each kernel has two forms. The array kernels (_balance, _contests)
+evaluate any stack; the row kernels (_balance_row, _contest_row)
+evaluate a stack of one row with fewer than 8 regions in Python floats,
+without numpy's per-call cost on arrays that short. The stack's shape
+alone picks the form, and a search reads one contract from either:
+_contests and _contest_row both return the allocations, prices, active
+flags, fleet sums and Jacobian of each row, and the root find's
+evaluate hands _root_search each row's mass sum and slope sum from
+either balance kernel. A row kernel makes the array kernel's operations
+(+, -, *, / and sqrt, which IEEE 754 rounds correctly in Python and
+numpy alike) in the same order, and sums regions left to right from
+0.0, as numpy sums a contiguous row of fewer than 8 doubles; so both
+forms give the same bits. Where Python raises (a division by zero or
+the square root of a negative number, where numpy gives inf or nan),
+the array kernel redoes that evaluation.
 """
 
 import math
@@ -158,8 +162,9 @@ def _contest_terms(bm: np.ndarray, eps: np.ndarray, cost: np.ndarray) -> tuple:
     return bm, eps, cost[:, None], 4.0 * eps, bm * eps
 
 
-def _contests(terms: tuple, mu: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Each region's one-region equilibrium at the water levels of each row.
+def _contests(terms: tuple, mu: np.ndarray) -> tuple:
+    """Each region's one-region equilibrium at the water levels of each row,
+    with the fleet sums and their Jacobian.
 
     mu is N x 2 x 1 (mu_a, mu_b). The costs in terms are beta_c -
     min(beta_c), so the per-vehicle prices are cost + mu_a (player a)
@@ -168,9 +173,15 @@ def _contests(terms: tuple, mu: np.ndarray) -> tuple[np.ndarray, tuple]:
     for the summed price s, and each player holds the rival's price
     times T**2 / beta_m, less eps. A player that formula leaves at or
     below zero stays out, and its rival alone holds
-    sqrt(beta_m eps / p) - eps, or nothing. Returns the allocations as
-    an N x 2 x m array and the parts _contest_jacobian needs. terms
-    comes from _contest_terms.
+    sqrt(beta_m eps / p) - eps, or nothing. terms comes from
+    _contest_terms.
+
+    Returns the contract both forms of the kernel share: the allocations,
+    prices and active flags as N x 2 x m arrays, then per row the fleet
+    sums [S_a, S_b] and the Jacobian (dS_a/dmu_a, dS_a/dmu_b, dS_b/dmu_a,
+    dS_b/dmu_b), as lists. Where both players are active, dT/ds =
+    -T**2 / root moves both holdings; a lone player's holding moves with
+    its own price as -(x + eps) / (2 p).
     """
     bm, eps, cost, four_eps, bm_eps = terms
     price = mu + cost
@@ -185,41 +196,25 @@ def _contests(terms: tuple, mu: np.ndarray) -> tuple[np.ndarray, tuple]:
     x = np.where(active[:, ::-1], x, np.sqrt(bm_eps / price) - eps)
     active = x > 0.0
     x = np.where(active, x, 0.0)
-    return x, (price, root, t, w, active)
-
-
-def _contest_jacobian(x: np.ndarray, terms: tuple, parts) -> list:
-    """Derivatives of the fleet sums of _contests in (mu_a, mu_b), per row.
-
-    Returns (dS_a/dmu_a, dS_a/dmu_b, dS_b/dmu_a, dS_b/dmu_b) for each
-    row. Where both players are active, dT/ds = -T**2 / root moves both
-    holdings; a lone player's holding moves with its own price as
-    -(x + eps) / (2 p).
-    """
-    price, root, t, w, active = parts
-    eps = terms[1]
     both = active[:, :1] & active[:, 1:]
     up = (price * np.where(both, 2.0 * w * t / root, 0.0)).sum(axis=2)
     w_sum = np.where(both, w, 0.0).sum(axis=2)
     lone = np.where(active & ~active[:, ::-1], (x + eps) / (price + price), 0.0).sum(axis=2)
-    return [
-        (-up_b - lone_a, w_b - up_b, w_b - up_a, -up_a - lone_b)
-        for (up_a, up_b), (lone_a, lone_b), (w_b,) in zip(
-            up.tolist(), lone.tolist(), w_sum.tolist()
-        )
-    ]
+    jacobian = [(-up_b - lone_a, w_b - up_b, w_b - up_a, -up_a - lone_b)
+                for (up_a, up_b), (lone_a, lone_b), (w_b,) in zip(
+                    up.tolist(), lone.tolist(), w_sum.tolist())]
+    return x, price, active, x.sum(axis=2).tolist(), jacobian
 
 
 def _contest_row(terms: list, mu_a: float, mu_b: float) -> tuple:
-    """_contests and _contest_jacobian for one row in Python floats, in one
-    pass over the regions.
+    """_contests for one row in Python floats, in one pass over the regions.
 
-    terms holds the row of each of _contest_terms' arrays as a list. Returns
-    as lists the allocations [x_a, x_b], the prices [p_a, p_b] and active
-    flags [active_a, active_b] of _contests' parts, the fleet sums and the
-    Jacobian. The operations and sums are the array kernels', so the bits
-    are too (see the module docstring); a zero price or price sum raises
-    ZeroDivisionError.
+    terms holds the row of each of _contest_terms' arrays as a list.
+    Returns _contests' contract for the row: the allocations [x_a, x_b],
+    prices [p_a, p_b] and active flags [active_a, active_b] as lists, the
+    fleet sums [S_a, S_b] and the Jacobian 4-tuple. The operations and
+    sums are _contests', so the bits are too (see the module docstring);
+    a zero price or price sum raises ZeroDivisionError.
     """
     x_a, x_b, price_a, price_b, active_a, active_b = [], [], [], [], [], []
     sum_a = sum_b = up_a = up_b = w_sum = lone_a = lone_b = 0.0
@@ -604,20 +599,20 @@ def _fleet_errors(sums: list, fleet_a: float, fleet_b: float) -> tuple[tuple, fl
     return (err_a, err_b), err_a * err_a + err_b * err_b
 
 
-def _newton_search(i: int, terms: tuple, levels: tuple, lowest: float, fleet_a: float,
-                   fleet_b: float, rounding: float):
+def _newton_search(i: int, levels: tuple, lowest: float, fleet_a: float, fleet_b: float,
+                   rounding: float):
     """Row i's Newton on its water levels, as _solve_prices describes.
 
-    An evaluation holds x, the parts, the fleet sums and a list caching the
-    Jacobian of every row. Returns the accepted levels, their larger fleet-sum
-    error, the evaluations, and the accepting evaluation's x, prices and
-    active flags in row i.
+    An evaluation is _contests' contract for every row: x, prices, active
+    flags, fleet sums and Jacobians. Returns the accepted levels, their
+    larger fleet-sum error, the evaluations, and the accepting evaluation's
+    x, prices and active flags in row i.
     """
     evaluations = 0
     for levels in (levels, (lowest, lowest)):
         held = yield levels
         evaluations += 1
-        errors, merit = _fleet_errors(held[2][i], fleet_a, fleet_b)
+        errors, merit = _fleet_errors(held[3][i], fleet_a, fleet_b)
         if merit != math.inf:
             break  # Else retry at the floor, where both players are active in the cheapest region.
     fresh = True  # The last evaluation set the state; its Newton direction is not formed.
@@ -626,10 +621,7 @@ def _newton_search(i: int, terms: tuple, levels: tuple, lowest: float, fleet_a: 
         if fresh:
             if evaluations >= _MAX_EVALUATIONS or merit <= rounding:
                 break
-            x, parts, _, jac = held
-            if not jac:
-                jac += _contest_jacobian(x, terms, parts)
-            j_aa, j_ab, j_ba, j_bb = jac[i]
+            j_aa, j_ab, j_ba, j_bb = held[4][i]
             det = j_aa * j_bb - j_ab * j_ba
             if not det > 0.0:
                 break  # Positive whenever both players are active somewhere, bar rounding.
@@ -647,7 +639,7 @@ def _newton_search(i: int, terms: tuple, levels: tuple, lowest: float, fleet_a: 
             break
         evaluation = yield trial
         evaluations += 1
-        trial_errors, trial_merit = _fleet_errors(evaluation[2][i], fleet_a, fleet_b)
+        trial_errors, trial_merit = _fleet_errors(evaluation[3][i], fleet_a, fleet_b)
         fresh = trial_merit < merit
         if fresh:
             levels, errors, merit, held = trial, trial_errors, trial_merit, evaluation
@@ -655,7 +647,7 @@ def _newton_search(i: int, terms: tuple, levels: tuple, lowest: float, fleet_a: 
             step *= 0.5
         else:
             break
-    x, (price, _, _, _, active), _, _ = held
+    x, price, active, _, _ = held
     return levels, max(abs(errors[0]), abs(errors[1])), evaluations, x[i], price[i], active[i]
 
 
@@ -695,10 +687,8 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
             except _ROW_ERRORS:
                 pass  # The array kernel redoes the evaluation.
             else:
-                # _newton_search reads only the prices and active flags of the parts.
-                return [x], ([price], None, None, None, [active]), [sums], [jacobian]
-        x, parts = _contests(terms, np.array(levels)[:, :, None])
-        return x, parts, x.sum(axis=2).tolist(), []
+                return [x], [price], [active], [sums], [jacobian]
+        return _contests(terms, np.array(levels)[:, :, None])
 
     searches = []
     for i, (f, (l_a, l_b), bm_i, eps_i, j, (fleet_a, fleet_b)) in enumerate(zip(
@@ -709,7 +699,7 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
         except ZeroDivisionError:
             lowest = math.inf  # The square underflows to 0: the row fails its fleet sums alone.
         start = (max(f - l_a, lowest), max(f - l_b, lowest))
-        searches.append(_newton_search(i, terms, start, lowest, fleet_a, fleet_b, rounding))
+        searches.append(_newton_search(i, start, lowest, fleet_a, fleet_b, rounding))
     levels, fleet_errors, evaluations, x, price, active = zip(*_lockstep(searches, evaluate))
     x, price, active = np.array(x), np.array(price), np.array(active)
     # A player active in one region holds its whole fleet there.

@@ -144,7 +144,7 @@ def _scaled(spec, factor):
 
 
 ROW_KERNELS = ("_balance_row", "_contest_row")
-ARRAY_KERNELS = ("_balance", "_contests", "_contest_jacobian")
+ARRAY_KERNELS = ("_balance", "_contests")
 
 
 def counted_kernels(monkeypatch, names=ROW_KERNELS + ARRAY_KERNELS) -> list:
@@ -296,10 +296,10 @@ class TestInteriorEquilibrium:
 
 
 def contests(bm, eps, cost, mu_a, mu_b):
-    """interior._contests for one spec: its allocations (2 x m) and parts."""
+    """interior._contests for one spec: its allocations, prices and active
+    flags (2 x m), fleet sums and Jacobian."""
     terms = interior._contest_terms(bm[None], eps[None], cost[None])
-    x, parts = interior._contests(terms, np.array([[[mu_a], [mu_b]]]))
-    return x[0], parts
+    return [field[0] for field in interior._contests(terms, np.array([[[mu_a], [mu_b]]]))]
 
 
 def solve_prices(spec, lambda_a, lambda_b):
@@ -321,7 +321,7 @@ class TestContests:
             eps = 10.0 ** rng.uniform(0.0, 3.0, m)
             cost = np.concatenate([[0.0], (bm / eps * 10.0 ** rng.uniform(-4.0, 1.0, m))[1:]])
             mu_a, mu_b = (float(bm[0] / eps[0]) * 10.0 ** rng.uniform(-4.0, 1.0, 2)).tolist()
-            x, _ = contests(bm, eps, cost, mu_a, mu_b)
+            x, *_ = contests(bm, eps, cost, mu_a, mu_b)
             price = np.add.outer((mu_a, mu_b), cost)
             total = x[0] + x[1] + eps
             gain = bm * (x[::-1] + eps) / total**2
@@ -337,18 +337,17 @@ class TestContests:
             spec = random_spec(rng, int(rng.integers(1, 9)))
             cost = spec.beta_c - spec.beta_c.min()
             levels = 10.0 ** rng.uniform(-1.0, 2.0, 2)
-            x, parts = contests(spec.beta_m, spec.eps, cost, *levels)
-            terms = interior._contest_terms(spec.beta_m[None], spec.eps[None], cost[None])
-            jac = np.reshape(interior._contest_jacobian(x[None], terms, parts), (2, 2))
+            x, _, active, _, jacobian = contests(spec.beta_m, spec.eps, cost, *levels)
+            jac = np.reshape(jacobian, (2, 2))
             for k in range(2):
                 h = 1e-6 * levels[k]
                 up, down = levels.copy(), levels.copy()
                 up[k] += h
                 down[k] -= h
-                x_up, parts_up = contests(spec.beta_m, spec.eps, cost, *up)
-                x_down, parts_down = contests(spec.beta_m, spec.eps, cost, *down)
-                if not (np.array_equal(parts_up[-1], parts[-1])
-                        and np.array_equal(parts_down[-1], parts[-1])):
+                x_up, _, active_up, _, _ = contests(spec.beta_m, spec.eps, cost, *up)
+                x_down, _, active_down, _, _ = contests(spec.beta_m, spec.eps, cost, *down)
+                if not (np.array_equal(active_up, active)
+                        and np.array_equal(active_down, active)):
                     continue  # A support change inside the stencil.
                 fd = (x_up.sum(axis=1) - x_down.sum(axis=1)) / (2.0 * h)
                 scale = np.abs(jac).max()
@@ -508,15 +507,14 @@ class TestRowKernels:
                 for scaled in (mu, mu * 10.0 ** rng.uniform(-1.0, 1.0, (2, 1))):
                     x_row, price, active, sums, jacobian = interior._contest_row(
                         [a[0].tolist() for a in terms], *scaled[:, 0].tolist())
-                    row_terms = tuple(a[None] for a in terms)
                     with np.errstate(all="ignore"):
-                        x, parts = interior._contests(row_terms, scaled[None])
-                        expected = interior._contest_jacobian(x, row_terms, parts)
+                        x, prices, actives, fleet_sums, jacobians = interior._contests(
+                            tuple(a[None] for a in terms), scaled[None])
                     assert bits(x_row) == x.tobytes()
-                    assert bits(price) == parts[0].tobytes()
-                    assert active == parts[-1][0].tolist()
-                    assert bits(sums) == x.sum(axis=2).tobytes()
-                    assert bits(jacobian) == bits(expected)
+                    assert bits(price) == prices.tobytes()
+                    assert active == actives[0].tolist()
+                    assert bits(sums) == bits(fleet_sums) == x.sum(axis=2).tobytes()
+                    assert bits(jacobian) == bits(jacobians)
                     compared += 1
         assert compared >= 500
 

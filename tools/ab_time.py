@@ -51,6 +51,10 @@ VERIFY_ROUNDS = 20
 NE_ROUNDS = 20
 BOUNDARY_ROUNDS = 20
 
+#: A one-row solve of fewer regions than this runs the solver's row kernels,
+#: and one of this many its array kernels; the largest box specs have this many.
+ROW_REGIONS = 8
+
 #: tests/test_kernels.py's FLAT case, whose payoffs are flat to rounding,
 #: on a 1000 x 2000 grid.
 FLAT = dict(
@@ -361,19 +365,23 @@ IDENTITIES = (
 
 
 def sections(parent, inputs) -> list:
-    """The timed sections, with counts and the interior split read off the
-    parent's package and inputs. Each is (header, or None to go on
-    under the last one; rounds; whether the collector runs before every
-    call; each side's calls from its package and inputs; lines as (label,
-    line, indices of the calls it reads))."""
-    interior = [solve_outcome(parent, spec)[1] == "interior" for spec in inputs.boxes]
-    split = [(label, [k for k, inside in enumerate(interior) if inside == keep])
-             for label, keep in (("interior", True), ("boundary", False))]
+    """The timed sections, with counts and the split of the box specs read
+    off the parent's package and inputs: interior or boundary, and m < 8,
+    whose one-row solves run the row kernels, or m = 8, which runs the
+    array kernels. Each is (header, or None to go on under the last one;
+    rounds; whether the collector runs before every call; each side's
+    calls from its package and inputs; lines as (label, line, indices of
+    the calls it reads))."""
+    kinds = [(solve_outcome(parent, spec)[1] == "interior", len(spec.regions) < ROW_REGIONS)
+             for spec in inputs.boxes]
+    split = [(f"{place}, {form}", [k for k, kind in enumerate(kinds) if kind == (inside, row)])
+             for place, inside in (("interior", True), ("boundary", False))
+             for form, row in ((f"m < {ROW_REGIONS}", True), (f"m = {ROW_REGIONS}", False))]
     paired = "(median ms; paired ratio median [quartiles])"
     return [
         (f"solve_spec, sum of per-spec minima over {SOLVE_ROUNDS} rounds:", SOLVE_ROUNDS, False,
          lambda fc, s: [partial(fc.solve_spec, spec) for spec in s.boxes],
-         [(f"{label:8} ({len(picked):3} specs)", minima_line, picked) for label, picked in split]),
+         [(f"{label:15} ({len(picked):3} specs)", minima_line, picked) for label, picked in split]),
         (f"case study: 1000-point sweeps with CSV and both detectors, {SWEEP_ROUNDS} rounds"
          f" {paired}:", SWEEP_ROUNDS, True, lambda fc, s: list(s.calls.values()),
          [(f"{label:18}", paired_line, [k]) for k, label in enumerate(inputs.calls)]),
