@@ -41,12 +41,62 @@ def empty_components(fleets, x) -> np.ndarray:
     return np.asarray(x) <= SUPPORT_RTOL * np.asarray(fleets)[..., None]
 
 
+def _fleet_sum_met(total, fleet):
+    """The fleet-sum comparison: total lies within FEASIBILITY_RTOL * fleet
+    of fleet. Elementwise on arrays, a bool on floats."""
+    return abs(total - fleet) <= FEASIBILITY_RTOL * fleet
+
+
 def fleet_sums_met(fleets, x: np.ndarray) -> np.ndarray:
-    """The fleet-sum rule: each allocation in x sums to its owner's fleet to
-    within FEASIBILITY_RTOL of that fleet. fleets is (..., 2) (fleet_a,
-    fleet_b) against x (..., 2, m), or one fleet against its player's m values.
+    """The fleet-sum rule on stacks: each allocation in x sums to its owner's
+    fleet by _fleet_sum_met. fleets is (..., 2) (fleet_a, fleet_b) against
+    x (..., 2, m).
     """
-    return abs(x.sum(-1) - fleets) <= FEASIBILITY_RTOL * fleets
+    return _fleet_sum_met(x.sum(-1), fleets)
+
+
+def _add(values: list) -> float:
+    """The sum of a list of floats in numpy's order, so with np.add.reduce's
+    bits on a contiguous row: below 8 terms left to right from 0.0; from 8
+    to 128, eight interleaved partial sums, added pairwise, then the terms
+    past the last multiple of 8; beyond 128, the halves split at a multiple
+    of 8, each summed so, then added. numpy adds the result to 0.0, which
+    turns a -0.0 into 0.0.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _add(values[:half]) + _add(values[half:])
+    stop = n - n % 8
+    r = values[:8]
+    for i in range(8, stop, 8):
+        r = [s + v for s, v in zip(r, values[i:i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[stop:]:
+        total += v
+    return 0.0 + total
+
+
+def _floats(values) -> list:
+    """A float vector, an array or a sequence, as a list of Python floats."""
+    if isinstance(values, np.ndarray):
+        return np.asarray(values, dtype=float).tolist()
+    return [float(v) for v in values]
+
+
+def _divide(a: float, b: float) -> float:
+    """a / b in Python floats with numpy's bits. Where Python raises
+    ZeroDivisionError, numpy gives a times an infinity of the zero's sign:
+    a signed inf, or nan for a zero or nan a."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        return a * math.copysign(math.inf, b)
 
 
 def _fleet_sum_miss(total: float, fleet: float) -> str:
@@ -316,15 +366,19 @@ def stack_specs(specs) -> SpecStack:
 
 
 def is_feasible(spec: GameSpec, alloc: Allocation) -> bool:
-    """True when alloc is nonnegative and meets the fleet-sum rule
-    (fleet_sums_met) for its owner's fleet."""
-    if alloc.values.size != spec.m:
-        raise ValidationError(
-            f"allocation covers {alloc.values.size} regions, spec has {spec.m}"
-        )
-    if (alloc.values < 0).any():
+    """True when alloc is nonnegative and its sum meets the fleet-sum
+    comparison (_fleet_sum_met) for its owner's fleet.
+
+    Evaluated in Python floats: the sum is _add's, numpy's order, so it
+    has the bits of alloc.values.sum() and the verdict is the one
+    fleet_sums_met gives on a stack.
+    """
+    values = alloc.values.tolist()
+    if len(values) != spec.m:
+        raise ValidationError(f"allocation covers {len(values)} regions, spec has {spec.m}")
+    if min(values) < 0.0:
         return False
-    return fleet_sums_met(spec.fleet_of(alloc.owner), alloc.values)
+    return _fleet_sum_met(_add(values), spec.fleet_of(alloc.owner))
 
 
 def _require_feasible(spec: GameSpec, joint: JointStrategy) -> None:
@@ -361,17 +415,24 @@ def profit_loss(region: RegionParams, x_a: float, x_b: float) -> float:
     return region.beta_m * region.epsilon / (x_a + x_b + region.epsilon)
 
 
-@_quiet
-def raw_utility(spec: GameSpec, own: np.ndarray, rival: np.ndarray) -> float:
+def raw_utility(spec: GameSpec, own, rival) -> float:
     """Total payoff for raw allocation vectors, no feasibility check.
 
-    Defined for any nonnegative vectors so oracles can probe off-simplex
-    points.
+    Defined for any nonnegative m-vectors so oracles can probe off-simplex
+    points. Evaluated in Python floats from spec.regions: per region
+    own * (beta_m / (own + rival + epsilon) - beta_c), with numpy's
+    operations in numpy's order (a zero total divides as numpy does, by
+    _divide), and the terms added by _add in numpy's order; so the
+    payoff has the bits of the same expression on arrays, np.sum
+    included.
     """
-    own = np.asarray(own, dtype=float)
-    rival = np.asarray(rival, dtype=float)
-    totals = own + rival + spec.eps
-    return float(np.sum(own * (spec.beta_m / totals - spec.beta_c)))
+    return _payoff(spec, _floats(own), _floats(rival))
+
+
+def _payoff(spec: GameSpec, own: list, rival: list) -> float:
+    """raw_utility for own and rival given as lists of Python floats."""
+    return _add([o * (_divide(r.beta_m, o + v + r.epsilon) - r.beta_c)
+                 for r, o, v in zip(spec.regions, own, rival, strict=True)])
 
 
 @_quiet
@@ -398,7 +459,9 @@ def stacked_utilities(stack: SpecStack, x: np.ndarray) -> np.ndarray:
     """Both players' payoffs at N joint strategies of the N stacked specs.
 
     x is N x 2 x m, player a's allocations in x[:, 0]; the result is N x 2.
-    Each payoff is raw_utility's sum, row by row, to the same bits.
+    Each payoff has raw_utility's bits: the terms are its operations on
+    arrays, and numpy sums each contiguous row in the order of _add,
+    which raw_utility adds its Python-float terms by.
     """
     margin = stack.beta_m / (x[:, 0] + x[:, 1] + stack.eps) - stack.beta_c
     return (x * margin[:, None]).sum(axis=2)

@@ -23,12 +23,15 @@ from .game import (
     DualCertificate,
     GameSpec,
     JointStrategy,
+    _add,
+    _divide,
+    _floats,
+    _payoff,
     _quiet,
     _require_feasible,
     _require_nonnegative,
     empty_components,
     joint_from_arrays,
-    raw_utility,
     raw_utility_gradient,
 )
 from .result import EquilibriumResult, location_tags
@@ -53,32 +56,45 @@ _FILL_NEWTON_STEPS = 10
 _FILL_PROBES = tuple(4e-16 * 4.0**k for k in range(11))
 
 
-def _fill(bmy: np.ndarray, y: np.ndarray, cost: np.ndarray, nu: float) -> np.ndarray:
-    """The water fill's holdings at level nu, for bmy = beta_m * y."""
-    return np.maximum(0.0, np.sqrt(bmy / (cost + nu)) - y)
+def _filled(parts: list, nu: float) -> tuple[list, float]:
+    """The water fill's holdings at level nu and their sum; parts holds each
+    region's (beta_m * y, y, shifted cost)."""
+    x = []
+    for bmy, y, cost in parts:
+        held = math.sqrt(_divide(bmy, cost + nu)) - y
+        x.append(held if not held <= 0.0 else 0.0)  # As np.maximum(0.0, held): nan stays.
+    return x, _add(x)
 
 
 def _water_fill(spec: GameSpec, y: np.ndarray, target: float) -> np.ndarray:
     """Maximize the contest payoff over x >= 0 with components summing to target.
 
-    y holds the rival-plus-epsilon masses. Each positive component obeys
-    x = sqrt(beta_m * y / (cost + nu)) - y for a common level nu; the
-    charging costs are shifted by their minimum, so nu is the cheapest
-    region's price and cancels against no large cost. At beta_m * y /
-    (y + target)**2 (the cheapest region's) that region alone holds the
-    target, and at max(beta_m / y - cost) no region holds anything; log
-    nu is bisected between the two down to adjacent doubles, and the
-    positive part rescaled to an exact sum. A sum still off by more than
+    y holds the rival-plus-epsilon masses, as an array or a list. Each
+    positive component obeys x = sqrt(beta_m * y / (cost + nu)) - y for a
+    common level nu; the charging costs are shifted by their minimum, so
+    nu is the cheapest region's price and cancels against no large cost.
+    At beta_m * y / (y + target)**2 (the cheapest region's) that region
+    alone holds the target, and at max(beta_m / y - cost) no region holds
+    anything; log nu is bisected between the two down to adjacent
+    doubles, and the positive part rescaled to an exact sum. A sum still off by more than
     BR_SUM_RTOL raises NumericalError: a target far below a held y lets
     sqrt(.) - y cancel.
 
+    The fill runs in Python floats, reading the parameters from
+    spec.regions; only its result is an array. Each operation is the one
+    numpy would make on the arrays, in the same order, and sums are
+    game._add's, numpy's order; where Python would raise or differ, it
+    does as numpy does: a zero divisor gives an inf or nan (game._divide),
+    an overflowing square inf, max(0, .) and the maximum for hi keep a
+    nan. So the fill has the bits of the same algorithm on arrays.
+
     The bisection evaluates only the midpoints whose side it does not
     already know, and returns the bits of one that evaluates them all.
-    Its test, fill(nu).sum() > target, is non-increasing in nu wherever
-    the sum is not NaN: each step of the fill (cost + nu, beta_m * y over
-    it, sqrt, - y, max(0, .)) is a correctly rounded operation monotone
-    in nu, and numpy adds the m terms in a fixed order, each addition
-    monotone in both operands. Levels are positive, so a term is NaN
+    Its test, fill(nu) summing above target, is non-increasing in nu
+    wherever the sum is not NaN: each step of the fill (cost + nu, beta_m
+    * y over it, sqrt, - y, max(0, .)) is a correctly rounded operation
+    monotone in nu, and _add adds the m terms in a fixed order, each
+    addition monotone in both operands. Levels are positive, so a term is NaN
     only where an infinite beta_m * y meets an infinite cost + nu or an
     infinite y, and a term NaN at one level is NaN at every higher one. Hence a sum above target
     settles the test for every lower level, and a sum not above it that
@@ -101,30 +117,38 @@ def _water_fill(spec: GameSpec, y: np.ndarray, target: float) -> np.ndarray:
     fill makes at most _FILL_NEWTON_STEPS + 2 * len(_FILL_PROBES) more
     evaluations than that bisection.
     """
-    bmy = spec.beta_m * y
-    cheapest = int(spec.beta_c.argmin())
-    cost = spec.beta_c - spec.beta_c[cheapest]
-    lo = float(bmy[cheapest] / (y[cheapest] + target) ** 2)
-    hi = float((spec.beta_m / y - cost).max())
+    y = _floats(y)
+    costs = [r.beta_c for r in spec.regions]
+    cheapest = costs.index(min(costs))
+    parts = [(r.beta_m * v, v, c - costs[cheapest]) for r, v, c in zip(spec.regions, y, costs)]
+    try:
+        square = (y[cheapest] + target) ** 2
+    except OverflowError:
+        square = math.inf
+    lo = _divide(parts[cheapest][0], square)
+    tops = [_divide(r.beta_m, v) - c for r, (_, v, c) in zip(spec.regions, parts)]
+    hi = math.nan if any(map(math.isnan, tops)) else max(tops)
     # fill(lo) sums to at least target and fill(hi) to zero.
     left, right = lo, hi
 
     def settle(nu: float) -> tuple:
         """fill(nu) and its sum, recording nu as left or right by the bisection's test."""
         nonlocal left, right
-        x = _fill(bmy, y, cost, nu)
-        total = float(x.sum())
+        x, total = _filled(parts, nu)
         if total > target:
-            left = max(left, nu)
-        elif total <= target:
-            right = min(right, nu)
+            if nu > left:
+                left = nu
+        elif total <= target and nu < right:
+            right = nu
         return x, total
 
     if lo < math.sqrt(lo) * math.sqrt(hi) < hi:  # Else the bisection makes no step.
         nu = lo
         for _ in range(_FILL_NEWTON_STEPS):
             x, total = settle(nu)
-            slope = nu * float(((x + y) / (cost + nu))[x > 0.0].sum())  # u * dsum/du
+            # u * dsum/du; nu > 0 here, so no divisor is zero.
+            slope = nu * _add([(held + v) / (c + nu) for held, (_, v, c) in zip(x, parts)
+                               if held > 0.0])
             ratio = 1.0 - (total - target) / slope if slope > 0.0 else math.nan  # u_new / u
             step = nu / (ratio * ratio) if ratio > 0.0 and ratio * ratio > 0.0 else math.nan
             # Tested before the bracket, which may have closed onto the root.
@@ -139,37 +163,41 @@ def _water_fill(spec: GameSpec, y: np.ndarray, target: float) -> np.ndarray:
                         break
                 break
             nu = step if left < step < right else math.sqrt(left) * math.sqrt(right)
+    sqrt = math.sqrt  # Some 60 steps: most move lo or hi unevaluated.
+    root_lo, root_hi = sqrt(lo), sqrt(hi)
     while True:
-        mid = math.sqrt(lo) * math.sqrt(hi)
+        mid = root_lo * root_hi
         if not lo < mid < hi:
             break
-        if mid <= left or (mid < right and _fill(bmy, y, cost, mid).sum() > target):
-            lo = mid
+        if mid <= left or (mid < right and _filled(parts, mid)[1] > target):
+            lo, root_lo = mid, sqrt(mid)
         else:
-            hi = mid
-    x = _fill(bmy, y, cost, lo)
-    total = float(x.sum())
+            hi, root_hi = mid, sqrt(mid)
+    x, total = _filled(parts, lo)
     if not abs(total - target) <= BR_SUM_RTOL * target:
         raise NumericalError("best-response bisection missed its fleet-sum tolerance")
-    return x * (target / total)
+    scale = target / total
+    return np.array([v * scale for v in x])
 
 
-@_quiet
 def ne_residual(spec: GameSpec, joint: JointStrategy) -> float:
     """Largest unilateral payoff improvement available to either player.
 
     Each reply redistributes the mass the player actually deployed (its
     component sum) rather than the nominal fleet, so a sum sitting at the
     edge of the feasibility tolerance is not charged the water level
-    times the sum slack.
+    times the sum slack. Python floats throughout (_water_fill, and the
+    payoffs by game._payoff, raw_utility's form on lists), so no numpy
+    warning can arise.
     """
     _require_feasible(spec, joint)
     worst = -math.inf
-    x_a, x_b = joint.alloc_a.values, joint.alloc_b.values
+    x_a, x_b = joint.alloc_a.values.tolist(), joint.alloc_b.values.tolist()
     for own, rival in ((x_a, x_b), (x_b, x_a)):
-        current = raw_utility(spec, own, rival)
-        reply = _water_fill(spec, rival + spec.eps, float(own.sum()))
-        worst = max(worst, raw_utility(spec, reply, rival) - current)
+        current = _payoff(spec, own, rival)
+        y = [v + r.epsilon for v, r in zip(rival, spec.regions)]
+        reply = _water_fill(spec, y, _add(own))
+        worst = max(worst, _payoff(spec, reply.tolist(), rival) - current)
     return worst
 
 

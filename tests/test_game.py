@@ -1,5 +1,7 @@
 """Parameter containers, payoffs, and gradients."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,43 @@ class TestDualCertificate:
             fc.DualCertificate(lambda_a=0.0, lambda_b=0.0,
                                nu_a=np.array([float("inf"), 0.0]),
                                nu_b=np.array([0.0, 0.0]))
+
+
+def bits(value) -> bytes:
+    """A double's bytes, which tell apart the signs of zeros and NaNs."""
+    return np.float64(value).tobytes()
+
+
+class TestNumpyOrderSum:
+    """game._add adds a list of floats with np.add.reduce's bits."""
+
+    def test_random_rows_of_every_length(self):
+        rng = np.random.default_rng(104)
+        for n in range(1, 301):
+            for _ in range(5):
+                row = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+                assert bits(game._add(row.tolist())) == bits(np.add.reduce(row)), n
+
+    def test_rows_with_signed_zeros_infinities_and_nan(self):
+        """The NaN is the one arithmetic makes (inf - inf, as numpy's 0/0), so
+        a row holds one NaN payload however its infinities meet."""
+        specials = [0.0, -0.0, math.inf, -math.inf, math.inf - math.inf]
+        rng = np.random.default_rng(105)
+        with np.errstate(invalid="ignore"):
+            for n in range(1, 301):
+                for _ in range(5):
+                    row = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-30.0, 30.0, n)
+                    for i in rng.integers(0, n, int(rng.integers(1, 4))):
+                        row[i] = specials[rng.integers(len(specials))]
+                    assert bits(game._add(row.tolist())) == bits(np.add.reduce(row)), n
+                for zeros in (np.full(n, -0.0), rng.choice([0.0, -0.0], n)):
+                    assert bits(game._add(zeros.tolist())) == bits(np.add.reduce(zeros)), n
+
+    def test_a_zero_divisor_gives_numpys_quotient(self):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for a in (1.5, -1.5, 0.0, -0.0, math.inf, -math.inf, math.inf - math.inf):
+                for b in (0.0, -0.0, 2.0):
+                    assert bits(game._divide(a, b)) == bits(np.divide(a, b)), (a, b)
 
 
 def test_is_feasible_accepts_exact_split():

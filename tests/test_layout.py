@@ -12,6 +12,10 @@ PRIVATE_CROSSINGS = {
     ("interior", "game", "_quiet"),
     ("interior", "game", "_fleet_sum_miss"),
     ("interior", "game", "_joint_rows"),
+    ("verify", "game", "_add"),
+    ("verify", "game", "_divide"),
+    ("verify", "game", "_floats"),
+    ("verify", "game", "_payoff"),
     ("verify", "game", "_quiet"),
     ("verify", "game", "_require_feasible"),
     ("verify", "game", "_require_nonnegative"),

@@ -114,7 +114,7 @@ def counted_fills(monkeypatch, cases):
 
         monkeypatch.setattr(module, name, counted)
 
-    counting(verify, "_fill")
+    counting(verify, "_filled")
     counting(helpers, "plain_filled")
     with np.errstate(all="ignore"):
         for case in cases:

@@ -11,7 +11,7 @@ the code. The control is the parent timed against itself; a change
 whose ratio lies within the control's spread is not resolved.
 
 Each side's inputs (box specs, ne_residual points over the box and
-+-6 and +-30 decades, grid cases, verify configs, boundary specs and
++-6, +-30 and +-300 decades, grid cases, verify configs, boundary specs and
 case-study calls) are built once, by side_inputs, and read by two
 tables:
 - An identity entry (IDENTITIES) says what the change would do
@@ -210,6 +210,34 @@ def ne_outcome(fc, point):
         return type(exc).__name__, str(exc)
 
 
+def bits(value: float) -> str:
+    """A double's eight bytes in hex, which tell apart the signs of zeros and NaNs."""
+    return np.float64(value).tobytes().hex()
+
+
+def payoff_outcome(fc, point):
+    """At one (spec, joint) point and at the spec's corner joint (a's fleet
+    all in the first region, b's all in the last), per player:
+    is_feasible's flag, and raw_utility's and utility's bits, or the type
+    and message of the error utility raises. Over +-300 decades some
+    payoffs overflow to inf, and at a corner a zero holding times an
+    infinite margin gives NaN."""
+    spec, joint = point
+    corner_a, corner_b = np.zeros(spec.m), np.zeros(spec.m)
+    corner_a[0], corner_b[-1] = spec.fleet_a, spec.fleet_b
+    outcome = []
+    for joint in (joint, fc.joint_from_arrays(corner_a, corner_b)):
+        for player in ("a", "b"):
+            own, rival = joint.of(player).values, joint.of(fc.opponent(player)).values
+            try:
+                utility = bits(fc.utility(spec, player, joint))
+            except fc.FleetContestError as exc:
+                utility = type(exc).__name__, str(exc)
+            outcome += [bool(fc.is_feasible(spec, joint.of(player))),
+                        bits(fc.raw_utility(spec, own, rival)), utility]
+    return outcome
+
+
 def boundary_outcome(fc, spec, family):
     """(certified, where z* lies, z* over the free fleet) of one family, or the error's type."""
     free = spec.fleet_b if family.startswith("A") else spec.fleet_a
@@ -304,7 +332,8 @@ def timed(calls: dict, rounds: int, each: bool) -> dict:
 
 def side_inputs(fc, windows: list) -> SimpleNamespace:
     """One side's inputs to both tables: 120 box specs for m = 3..8; 80
-    ne_residual points each over the box and +-6 and +-30 decades; grid
+    ne_residual points each over the box and +-6, +-30 and +-300 decades
+    (timed at all but +-300); grid
     cases, 20 two-region box specs at the CLI's step, max(fleet) / 2000,
     and then two_region_spec(1.0) at step 0.5 (2000 x 4000); 20 two-region
     box configs as config texts; 100 two-region box specs for the boundary
@@ -312,7 +341,8 @@ def side_inputs(fc, windows: list) -> SimpleNamespace:
     grids = [(spec, max(spec.fleet_a, spec.fleet_b) / 2000.0)
              for spec in box_specs(fc, seed=2000, counts=(2,))]
     return SimpleNamespace(
-        boxes=box_specs(fc), ne={decades: ne_points(fc, decades) for decades in (None, 6, 30)},
+        boxes=box_specs(fc),
+        ne={decades: ne_points(fc, decades) for decades in (None, 6, 30, 300)},
         grids=grids + [(fc.two_region_spec(1.0), 0.5)],
         configs=[fc.format_config(spec) for spec in box_specs(fc, seed=2100, counts=(2,))],
         boundary=box_specs(fc, seed=2300, counts=(2,) * 5), calls=case_study(fc, windows))
@@ -355,6 +385,8 @@ IDENTITIES = (
      lambda fc, s: np.array([verify_steps(fc, text) for text in s.configs]).tobytes(), eq),
     ("returns other ne_residual values or errors",
      lambda fc, s: [ne_outcome(fc, p) for points in s.ne.values() for p in points], eq),
+    ("returns other payoffs or feasibility flags at the ne_residual points or their corners",
+     lambda fc, s: [payoff_outcome(fc, p) for points in s.ne.values() for p in points], eq),
     ("gives a boundary family another verdict",
      lambda fc, s: [boundary_outcome(fc, spec, family) for spec in s.boundary
                     for family in fc.FAMILIES], verdicts_agree),
