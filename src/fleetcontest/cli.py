@@ -16,7 +16,7 @@ from .experiments import (
     solve_spec,
 )
 from .game import is_feasible, raw_utility_gradient, utility
-from .verify import GRID_MAX_CELLS, grid_equilibrium, kkt_residual
+from .verify import GRID_MAX_CELLS, _kkt_terms, grid_equilibrium
 
 
 def _read_config(path: str):
@@ -98,7 +98,11 @@ def _cmd_verify(args) -> int:
 
     x = np.array([result.strategy.alloc_a.values, result.strategy.alloc_b.values])
     grad_scale = max(1.0, float(np.abs(raw_utility_gradient(spec, x, x[::-1])).max()))
-    kkt = kkt_residual(spec, result.strategy, result.duals)
+    # The fleet sums and x >= 0 count vehicles, which the feasibility line judges
+    # against its fleets; the rest is judged in the gradient's units, the slackness
+    # products per vehicle of the larger fleet.
+    stationarity, _, _, dual_sign, slackness = _kkt_terms(spec, result.strategy, result.duals)
+    kkt = max(0.0, stationarity, dual_sign, slackness / max(spec.fleet_a, spec.fleet_b))
     kkt_tol = 1e-8 * grad_scale
     checks.append(("kkt_residual", kkt <= kkt_tol, f"{kkt:.3e} <= {kkt_tol:.3e}"))
 

@@ -23,23 +23,23 @@ math, so a batch entry is bit for bit the spec solved alone.
 
 Each kernel has two forms. The array kernels (_balance, _contests)
 evaluate any stack; the row kernels (_balance_row, _contest_row)
-evaluate a stack of one row with fewer than 8 regions in Python floats,
-without numpy's per-call cost on arrays that short. The stack's shape
-alone picks the form, and a search reads one contract from either:
-_contests and _contest_row both return the allocations, prices, active
-flags, fleet sums and Jacobian of each row, and the root find's
-evaluate hands _root_search each row's mass sum and slope sum from
-either balance kernel. A row kernel makes the array kernel's operations
-(+, -, *, / and sqrt, which IEEE 754 rounds correctly in Python and
-numpy alike) in the same order, and sums regions left to right from
-0.0, as numpy sums a contiguous row of fewer than 8 doubles; so both
-forms give the same bits. Where Python raises (a division by zero or
-the square root of a negative number, where numpy gives inf or nan),
-the array kernel redoes that evaluation.
+evaluate a stack of one row in Python floats, without numpy's per-call
+cost on a single row. The row count alone picks the form (_evaluator),
+and a search reads one contract from either: _balance and _balance_row
+return the region masses and each row's mass sum and slope sum,
+_contests and _contest_row the allocations and each row's fleet sums
+and Jacobian. A row kernel makes the array kernel's operations (+, -,
+*, / and sqrt, which IEEE 754 rounds correctly in Python and numpy
+alike) in the same order, and adds its regions with game._add, which
+sums in numpy's order at any length; so both forms give the same bits.
+Where Python raises (a division by zero or the square root of a
+negative number, where numpy gives inf or nan), the array kernel
+redoes that evaluation.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +50,7 @@ from .game import (
     GameSpec,
     JointStrategy,
     SpecStack,
+    _add,
     _fleet_sum_miss,
     _joint_rows,
     _quiet,
@@ -75,10 +76,6 @@ _MAX_EVALUATIONS = 100
 _MAX_LOG_STEP = 2.0
 
 _ULP = float(np.finfo(float).eps)
-
-# The row kernels serve one-row stacks of fewer regions than this: numpy sums
-# a contiguous row of fewer than 8 doubles left to right, as they do.
-_ROW_REGIONS = 8
 
 # What the row kernels raise where numpy gives inf or nan: a division by zero,
 # and math.sqrt of a negative number. Python's float +, -, * and / overflow to
@@ -119,39 +116,42 @@ def _balance_terms(bm: np.ndarray, eps: np.ndarray) -> tuple:
     return bm, bm * bm, 4.0 * bm * eps, 2.0 * eps
 
 
-def _balance(terms: tuple, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Region masses at the given gaps = offsets - t, and the t-derivative
-    of their sum, for each row of a stack.
+def _balance(terms: tuple, gaps: np.ndarray) -> tuple:
+    """Region masses at the given gaps = offsets - t for each row of a
+    stack, with their sum and the t-derivative of their sum.
 
     The unchecked kernel of the root find and mass_balance_derivative;
-    one square root serves both outputs. terms comes from _balance_terms.
+    one square root serves every output. terms comes from _balance_terms.
     Every discriminant must be positive, as it is for positive gaps.
+
+    Returns the contract both forms of the kernel share: the masses
+    (N x m), then per row the mass sums and the slope sums, as lists.
     """
     bm, bm_squared, disc_slope, two_eps = terms
     root = np.sqrt(bm_squared + disc_slope * gaps)
     two_gaps = 2.0 * gaps
+    kappa = (bm + root) / two_gaps
     slopes = bm * (root + bm + two_eps * gaps) / (two_gaps * gaps * root)
-    return (bm + root) / two_gaps, slopes.sum(axis=-1)
+    return kappa, kappa.sum(axis=-1).tolist(), slopes.sum(axis=-1).tolist()
 
 
-def _balance_row(terms: list, gaps: list) -> tuple[list, float, float]:
-    """_balance for one row in Python floats: the region masses, their sum
-    and the sum of their t-derivatives.
+def _balance_row(terms: list, g: float) -> tuple:
+    """_balance for a one-row stack in Python floats, with its contract.
 
-    terms holds the row of each of _balance_terms' arrays as a list, and
-    gaps the row's gaps. The operations and sums are _balance's, so the
-    bits are too (see the module docstring). A zero gap raises
-    ZeroDivisionError and a negative discriminant ValueError.
+    terms holds the row of each of _balance_terms' arrays, then the row's
+    shifts, as lists; the gaps are shifts + g. The operations are
+    _balance's and the sums _add's, so the bits are _balance's (see the
+    module docstring). A zero gap raises ZeroDivisionError and a negative
+    discriminant ValueError.
     """
-    kappa, total, slope = [], 0.0, 0.0
-    for bm, bm_squared, disc_slope, two_eps, gap in zip(*terms, gaps):
+    masses, slopes = [], []
+    for bm, bm_squared, disc_slope, two_eps, shift in zip(*terms):
+        gap = shift + g
         root = math.sqrt(bm_squared + disc_slope * gap)
         two_gap = 2.0 * gap
-        mass = (bm + root) / two_gap
-        kappa.append(mass)
-        total += mass
-        slope += bm * (root + bm + two_eps * gap) / (two_gap * gap * root)
-    return kappa, total, slope
+        masses.append((bm + root) / two_gap)
+        slopes.append(bm * (root + bm + two_eps * gap) / (two_gap * gap * root))
+    return [masses], [_add(masses)], [_add(slopes)]
 
 
 def _contest_terms(bm: np.ndarray, eps: np.ndarray, cost: np.ndarray) -> tuple:
@@ -176,12 +176,12 @@ def _contests(terms: tuple, mu: np.ndarray) -> tuple:
     sqrt(beta_m eps / p) - eps, or nothing. terms comes from
     _contest_terms.
 
-    Returns the contract both forms of the kernel share: the allocations,
-    prices and active flags as N x 2 x m arrays, then per row the fleet
-    sums [S_a, S_b] and the Jacobian (dS_a/dmu_a, dS_a/dmu_b, dS_b/dmu_a,
-    dS_b/dmu_b), as lists. Where both players are active, dT/ds =
-    -T**2 / root moves both holdings; a lone player's holding moves with
-    its own price as -(x + eps) / (2 p).
+    Returns the contract both forms of the kernel share: the allocations
+    (N x 2 x m), then per row the fleet sums [S_a, S_b] and the Jacobian
+    (dS_a/dmu_a, dS_a/dmu_b, dS_b/dmu_a, dS_b/dmu_b), as lists. A player
+    is active exactly where its allocation is above 0.0. Where both
+    players are active, dT/ds = -T**2 / root moves both holdings; a lone
+    player's holding moves with its own price as -(x + eps) / (2 p).
     """
     bm, eps, cost, four_eps, bm_eps = terms
     price = mu + cost
@@ -203,21 +203,19 @@ def _contests(terms: tuple, mu: np.ndarray) -> tuple:
     jacobian = [(-up_b - lone_a, w_b - up_b, w_b - up_a, -up_a - lone_b)
                 for (up_a, up_b), (lone_a, lone_b), (w_b,) in zip(
                     up.tolist(), lone.tolist(), w_sum.tolist())]
-    return x, price, active, x.sum(axis=2).tolist(), jacobian
+    return x, x.sum(axis=2).tolist(), jacobian
 
 
-def _contest_row(terms: list, mu_a: float, mu_b: float) -> tuple:
-    """_contests for one row in Python floats, in one pass over the regions.
+def _contest_row(terms: list, mu: tuple) -> tuple:
+    """_contests for a one-row stack in Python floats, with its contract.
 
-    terms holds the row of each of _contest_terms' arrays as a list.
-    Returns _contests' contract for the row: the allocations [x_a, x_b],
-    prices [p_a, p_b] and active flags [active_a, active_b] as lists, the
-    fleet sums [S_a, S_b] and the Jacobian 4-tuple. The operations and
-    sums are _contests', so the bits are too (see the module docstring);
-    a zero price or price sum raises ZeroDivisionError.
+    terms holds the row of each of _contest_terms' arrays as a list, and
+    mu the levels (mu_a, mu_b). The operations are _contests' and the
+    sums _add's, so the bits are _contests' (see the module docstring); a
+    zero price or price sum raises ZeroDivisionError.
     """
-    x_a, x_b, price_a, price_b, active_a, active_b = [], [], [], [], [], []
-    sum_a = sum_b = up_a = up_b = w_sum = lone_a = lone_b = 0.0
+    mu_a, mu_b = mu
+    x_a, x_b, up_a, up_b, w_both, lone_a, lone_b = [], [], [], [], [], [], []
     for bm, eps, cost, four_eps, bm_eps in zip(*terms):
         p_a, p_b = mu_a + cost, mu_b + cost
         s = p_a + p_b
@@ -231,21 +229,17 @@ def _contest_row(terms: list, mu_a: float, mu_b: float) -> tuple:
         a, b = a if in_a else 0.0, b if in_b else 0.0
         x_a.append(a)
         x_b.append(b)
-        price_a.append(p_a)
-        price_b.append(p_b)
-        active_a.append(in_a)
-        active_b.append(in_b)
-        sum_a += a
-        sum_b += b
         both = in_a and in_b
         moved = 2.0 * w * t / root if both else 0.0
-        up_a += p_a * moved
-        up_b += p_b * moved
-        w_sum += w if both else 0.0
-        lone_a += (a + eps) / (p_a + p_a) if in_a and not in_b else 0.0
-        lone_b += (b + eps) / (p_b + p_b) if in_b and not in_a else 0.0
+        up_a.append(p_a * moved)
+        up_b.append(p_b * moved)
+        w_both.append(w if both else 0.0)
+        lone_a.append((a + eps) / (p_a + p_a) if in_a and not in_b else 0.0)
+        lone_b.append((b + eps) / (p_b + p_b) if in_b and not in_a else 0.0)
+    sum_a, sum_b, up_a, up_b, w_sum, lone_a, lone_b = map(
+        _add, (x_a, x_b, up_a, up_b, w_both, lone_a, lone_b))
     jacobian = (-up_b - lone_a, w_sum - up_b, w_sum - up_a, -up_a - lone_b)
-    return [x_a, x_b], [price_a, price_b], [active_a, active_b], [sum_a, sum_b], jacobian
+    return [[x_a, x_b]], [[sum_a, sum_b]], [jacobian]
 
 
 def mass_balance(spec: GameSpec, offsets, t: float) -> float:
@@ -265,17 +259,33 @@ def mass_balance_derivative(spec: GameSpec, offsets, t: float) -> float:
     gaps, disc = _checked_gaps(spec, offsets, t)
     if not disc.min() > 0.0:
         raise DomainError(f"t={float(t)!r} is not strictly inside the domain")
-    return float(_balance(_balance_terms(spec.beta_m, spec.eps), gaps)[1])
+    return float(_balance(_balance_terms(spec.beta_m, spec.eps), gaps)[2])
 
 
-def _short_row(values: np.ndarray) -> bool:
-    """Whether a stack's N x m values are one row of fewer than _ROW_REGIONS
-    regions, which the row kernels evaluate."""
-    return values.shape[0] == 1 and values.shape[1] < _ROW_REGIONS
+def _evaluator(rows: int, kernel, row_kernel):
+    """The evaluate of a search over a stack of rows (see _lockstep).
+
+    kernel evaluates the list of every row's trials with an array kernel,
+    and row_kernel the one trial of a one-row stack with the row kernel
+    of the same contract, its terms bound. A one-row stack takes
+    row_kernel, and kernel redoes an evaluation where Python raises one
+    of _ROW_ERRORS; any other stack takes kernel.
+    """
+    if rows != 1:
+        return kernel
+
+    def evaluate(trials):
+        try:
+            return row_kernel(trials[0])
+        except _ROW_ERRORS:
+            return kernel(trials)
+
+    return evaluate
 
 
-def _lockstep(searches: list, evaluate) -> list:
-    """Run one search per row of a stack in lockstep and return their results.
+def _lockstep(searches: list, evaluate) -> tuple[list, tuple]:
+    """Run one search per row of a stack in lockstep; return their results
+    and the last evaluation, which holds every row at its last trial.
 
     Each search is a generator: it yields a trial, is sent the whole
     evaluation of all rows' trials, and returns its result. Each step
@@ -299,14 +309,15 @@ def _lockstep(searches: list, evaluate) -> list:
             except StopIteration as stop:
                 results[i] = stop.value
         live = going
-    return results
+    return results, evaluation
 
 
 def _root_search(i: int, bm: float, eps: float, mass: float, b: float, c: float):
     """Row i's search for the gap g to its pole, as _multiplier_sums describes.
 
     bm and eps are the pole region's, b and c the row's sums of beta_m and
-    sqrt(beta_m eps). Returns the last gap, the evaluations and the residual.
+    sqrt(beta_m eps). An evaluation is _balance's contract for every row.
+    Returns the last gap, the evaluations and the residual.
     """
     try:
         low = bm * (mass + eps) / (mass * mass)
@@ -316,7 +327,7 @@ def _root_search(i: int, bm: float, eps: float, mass: float, b: float, c: float)
     g = low
     evaluations = 0
     while True:
-        totals, slopes = yield g
+        _, totals, slopes = yield g
         evaluations += 1
         total = totals[i]
         residual = total - mass
@@ -368,30 +379,15 @@ def _multiplier_sums(
     pole = offsets.min(axis=1)
     shifts = offsets - pole[:, None]
     terms = _balance_terms(bm, eps)
-    row = ([a[0].tolist() for a in terms], shifts[0].tolist()) if _short_row(bm) else None
-    kappa = None
-
-    def evaluate(gaps):
-        nonlocal kappa
-        if row is not None:
-            row_terms, row_shifts = row
-            try:
-                masses, total, slope = _balance_row(row_terms, [s + gaps[0] for s in row_shifts])
-            except _ROW_ERRORS:
-                pass  # The array kernel redoes the evaluation.
-            else:
-                kappa = [masses]
-                return [total], [slope]
-        kappa, slopes = _balance(terms, shifts + np.array(gaps)[:, None])
-        return kappa.sum(axis=1).tolist(), slopes.tolist()
-
+    evaluate = _evaluator(len(bm), lambda gaps: _balance(terms, shifts + np.array(gaps)[:, None]),
+                          partial(_balance_row, [a[0].tolist() for a in (*terms, shifts)]))
     searches = [_root_search(i, bm_i[j], eps_i[j], mass_i, b, c)
                 for i, (bm_i, eps_i, j, mass_i, b, c) in enumerate(zip(
                     bm.tolist(), eps.tolist(), pole_region.tolist(), mass.tolist(),
                     bm.sum(axis=1).tolist(), np.sqrt(bm * eps).sum(axis=1).tolist()))]
-    gaps, evaluations, residuals = zip(*_lockstep(searches, evaluate))
+    results, (kappa, _, _) = _lockstep(searches, evaluate)
+    gaps, evaluations, residuals = zip(*results)
     roots = [p - g for p, g in zip(pole.tolist(), gaps)]
-    # The last evaluation holds every row at its final gap.
     return roots, np.asarray(kappa, dtype=float), list(evaluations), list(residuals)
 
 
@@ -603,16 +599,15 @@ def _newton_search(i: int, levels: tuple, lowest: float, fleet_a: float, fleet_b
                    rounding: float):
     """Row i's Newton on its water levels, as _solve_prices describes.
 
-    An evaluation is _contests' contract for every row: x, prices, active
-    flags, fleet sums and Jacobians. Returns the accepted levels, their
-    larger fleet-sum error, the evaluations, and the accepting evaluation's
-    x, prices and active flags in row i.
+    An evaluation is _contests' contract for every row: x, fleet sums and
+    Jacobians. Returns the accepted levels, their larger fleet-sum error,
+    the evaluations, and the accepting evaluation's x in row i.
     """
     evaluations = 0
     for levels in (levels, (lowest, lowest)):
         held = yield levels
         evaluations += 1
-        errors, merit = _fleet_errors(held[3][i], fleet_a, fleet_b)
+        errors, merit = _fleet_errors(held[1][i], fleet_a, fleet_b)
         if merit != math.inf:
             break  # Else retry at the floor, where both players are active in the cheapest region.
     fresh = True  # The last evaluation set the state; its Newton direction is not formed.
@@ -621,7 +616,7 @@ def _newton_search(i: int, levels: tuple, lowest: float, fleet_a: float, fleet_b
         if fresh:
             if evaluations >= _MAX_EVALUATIONS or merit <= rounding:
                 break
-            j_aa, j_ab, j_ba, j_bb = held[4][i]
+            j_aa, j_ab, j_ba, j_bb = held[2][i]
             det = j_aa * j_bb - j_ab * j_ba
             if not det > 0.0:
                 break  # Positive whenever both players are active somewhere, bar rounding.
@@ -639,7 +634,7 @@ def _newton_search(i: int, levels: tuple, lowest: float, fleet_a: float, fleet_b
             break
         evaluation = yield trial
         evaluations += 1
-        trial_errors, trial_merit = _fleet_errors(evaluation[3][i], fleet_a, fleet_b)
+        trial_errors, trial_merit = _fleet_errors(evaluation[1][i], fleet_a, fleet_b)
         fresh = trial_merit < merit
         if fresh:
             levels, errors, merit, held = trial, trial_errors, trial_merit, evaluation
@@ -647,8 +642,7 @@ def _newton_search(i: int, levels: tuple, lowest: float, fleet_a: float, fleet_b
             step *= 0.5
         else:
             break
-    x, price, active, _, _ = held
-    return levels, max(abs(errors[0]), abs(errors[1])), evaluations, x[i], price[i], active[i]
+    return levels, max(abs(errors[0]), abs(errors[1])), evaluations, held[0][i]
 
 
 def _solve_prices(stack: SpecStack, lambdas) -> tuple:
@@ -678,18 +672,8 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
     terms = _contest_terms(bm, eps, bc - floor_cost[:, None])
     rounding = 4.0 * bm.shape[1] * _ULP
     rounding *= rounding
-    row = [a[0, 0].tolist() for a in terms] if _short_row(bm) else None
-
-    def evaluate(levels):
-        if row is not None:
-            try:
-                x, price, active, sums, jacobian = _contest_row(row, *levels[0])
-            except _ROW_ERRORS:
-                pass  # The array kernel redoes the evaluation.
-            else:
-                return [x], [price], [active], [sums], [jacobian]
-        return _contests(terms, np.array(levels)[:, :, None])
-
+    evaluate = _evaluator(len(bm), lambda levels: _contests(terms, np.array(levels)[:, :, None]),
+                          partial(_contest_row, [a[0, 0].tolist() for a in terms]))
     searches = []
     for i, (f, (l_a, l_b), bm_i, eps_i, j, (fleet_a, fleet_b)) in enumerate(zip(
             floor_cost.tolist(), lambdas, bm.tolist(), eps.tolist(), bc.argmin(axis=1).tolist(),
@@ -700,15 +684,17 @@ def _solve_prices(stack: SpecStack, lambdas) -> tuple:
             lowest = math.inf  # The square underflows to 0: the row fails its fleet sums alone.
         start = (max(f - l_a, lowest), max(f - l_b, lowest))
         searches.append(_newton_search(i, start, lowest, fleet_a, fleet_b, rounding))
-    levels, fleet_errors, evaluations, x, price, active = zip(*_lockstep(searches, evaluate))
-    x, price, active = np.array(x), np.array(price), np.array(active)
+    levels, fleet_errors, evaluations, x = zip(*_lockstep(searches, evaluate)[0])
+    levels, x = np.array(levels), np.array(x)
+    # The prices and active flags of the accepting evaluations, as _contests forms them.
+    price, active = levels[:, :, None] + terms[2], x > 0.0
     # A player active in one region holds its whole fleet there.
     x = np.where(active & (active.sum(axis=2, keepdims=True) == 1), fleets[:, :, None], x)
     # An inactive player's multiplier is its price less its marginal payoff.
     total = x[:, :1] + x[:, 1:] + eps[:, None]
     gain = bm[:, None] * (x[:, ::-1] + eps[:, None]) / (total * total)
     nu = np.where(active, 0.0, np.maximum(price - gain, 0.0))
-    return x, floor_cost[:, None] - np.array(levels), nu, list(evaluations), list(fleet_errors)
+    return x, floor_cost[:, None] - levels, nu, list(evaluations), list(fleet_errors)
 
 
 @_quiet

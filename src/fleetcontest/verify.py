@@ -209,6 +209,15 @@ def kkt_residual(spec: GameSpec, joint: JointStrategy, duals: DualCertificate) -
     the returned value also covers primal feasibility, nu >= 0, and the
     complementary slackness products.
     """
+    return max(0.0, *_kkt_terms(spec, joint, duals))
+
+
+def _kkt_terms(spec: GameSpec, joint: JointStrategy, duals: DualCertificate) -> tuple:
+    """kkt_residual's largest violation of each part, in its order:
+    stationarity, the fleet sums, x >= 0, nu >= 0 and the slackness
+    products nu x. Stationarity and nu >= 0 are in the gradient's units,
+    the fleet sums and x >= 0 in vehicles, the slackness products in
+    payoff."""
     _require_feasible(spec, joint)
     if duals.nu_a.size != spec.m or duals.nu_b.size != spec.m:
         raise ValidationError("dual certificate region count does not match the spec")
@@ -217,8 +226,8 @@ def kkt_residual(spec: GameSpec, joint: JointStrategy, duals: DualCertificate) -
     lambdas = np.array([[duals.lambda_a], [duals.lambda_b]])
     stationarity = raw_utility_gradient(spec, x, x[::-1]) + lambdas + nu
     fleet_gap = x.sum(axis=1) - [spec.fleet_a, spec.fleet_b]
-    return max(0.0, float(np.abs(stationarity).max()), float(np.abs(fleet_gap).max()),
-               -float(x.min()), -float(nu.min()), float(np.abs(nu * x).max()))
+    return (float(np.abs(stationarity).max()), float(np.abs(fleet_gap).max()),
+            -float(x.min()), -float(nu.min()), float(np.abs(nu * x).max()))
 
 
 @dataclass(frozen=True)

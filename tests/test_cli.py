@@ -255,3 +255,21 @@ class TestVerify:
         assert out.count("SKIP") == 1
         assert "FAIL" not in out
         assert "SKIP grid_agreement: the grid oracle needs two regions\n" in out
+
+    @pytest.mark.parametrize("vehicles", [1e5, 1e7])
+    @pytest.mark.parametrize("money", [1e-3, 1e-6])
+    def test_a_config_in_other_units_passes_all_checks(self, vehicles, money, tmp_path, capsys):
+        """two_region_spec(1.0) with fleets and eps counted in other units and
+        payoffs in another currency: beta_m scales by both, beta_c by money.
+        A fleet-sum gap of one ulp of a large fleet is a count of vehicles,
+        which the feasibility line judges, not the gradient tolerance."""
+        spec = fc.two_region_spec(1.0)
+        path = tmp_path / "scaled.cfg"
+        path.write_text(fc.format_config(fc.GameSpec(
+            tuple(fc.RegionParams(r.beta_m * vehicles * money, r.beta_c * money,
+                                  r.epsilon * vehicles) for r in spec.regions),
+            spec.fleet_a * vehicles, spec.fleet_b * vehicles)))
+        assert cli_main(["verify", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 4
+        assert "FAIL" not in out

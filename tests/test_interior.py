@@ -81,8 +81,8 @@ class TestMassBalance:
                 pole = float(offsets.min())
                 t = pole - float(np.exp(rng.uniform(-6.0, 8.0)))
                 terms = _balance_terms(spec.beta_m, spec.eps)
-                kappa, slope = _balance(terms, (offsets - pole) + (pole - t))
-                total = float(kappa.sum())
+                kappa, total, slope = _balance(terms, (offsets - pole) + (pole - t))
+                assert total == float(kappa.sum())
                 mass = spec.fleet_a + spec.fleet_b + float(spec.eps.sum())
                 assert abs(total - mass - fc.mass_balance(spec, offsets, t)) <= 1e-14 * total
                 assert slope == pytest.approx(
@@ -296,8 +296,8 @@ class TestInteriorEquilibrium:
 
 
 def contests(bm, eps, cost, mu_a, mu_b):
-    """interior._contests for one spec: its allocations, prices and active
-    flags (2 x m), fleet sums and Jacobian."""
+    """interior._contests for one spec: its allocations (2 x m), fleet sums
+    and Jacobian. A player is active where its allocation is above 0.0."""
     terms = interior._contest_terms(bm[None], eps[None], cost[None])
     return [field[0] for field in interior._contests(terms, np.array([[[mu_a], [mu_b]]]))]
 
@@ -337,17 +337,18 @@ class TestContests:
             spec = random_spec(rng, int(rng.integers(1, 9)))
             cost = spec.beta_c - spec.beta_c.min()
             levels = 10.0 ** rng.uniform(-1.0, 2.0, 2)
-            x, _, active, _, jacobian = contests(spec.beta_m, spec.eps, cost, *levels)
+            x, _, jacobian = contests(spec.beta_m, spec.eps, cost, *levels)
+            active = x > 0.0
             jac = np.reshape(jacobian, (2, 2))
             for k in range(2):
                 h = 1e-6 * levels[k]
                 up, down = levels.copy(), levels.copy()
                 up[k] += h
                 down[k] -= h
-                x_up, _, active_up, _, _ = contests(spec.beta_m, spec.eps, cost, *up)
-                x_down, _, active_down, _, _ = contests(spec.beta_m, spec.eps, cost, *down)
-                if not (np.array_equal(active_up, active)
-                        and np.array_equal(active_down, active)):
+                x_up = contests(spec.beta_m, spec.eps, cost, *up)[0]
+                x_down = contests(spec.beta_m, spec.eps, cost, *down)[0]
+                if not (np.array_equal(x_up > 0.0, active)
+                        and np.array_equal(x_down > 0.0, active)):
                     continue  # A support change inside the stencil.
                 fd = (x_up.sum(axis=1) - x_down.sum(axis=1)) / (2.0 * h)
                 scale = np.abs(jac).max()
@@ -454,10 +455,9 @@ def bits(*values) -> bytes:
 
 
 def tried(monkeypatch, name: str, specs: list) -> list:
-    """Row by row, the arguments of every call of the array kernel name
-    while solve_batch solves specs: for each call and row i, row i of the
-    kernel's terms and row i of its gaps or levels. The searches try these
-    around each row's root."""
+    """The arguments of every call of the array kernel name while
+    solve_batch solves specs: each call's terms, and its gaps or levels,
+    which the searches try around each row's root."""
     calls = []
     kernel = getattr(interior, name)
 
@@ -468,55 +468,54 @@ def tried(monkeypatch, name: str, specs: list) -> list:
     with monkeypatch.context() as patched:
         patched.setattr(interior, name, recorded)
         fc.solve_batch(specs)
-    return [([a[i] for a in args[0]], args[1][i]) for args in calls
-            for i in range(len(args[1]))]
+    return calls
 
 
 class TestRowKernels:
     """The row kernels give the array kernels' bits on one-row stacks of
-    m < 8 regions, and the solve picks them by the stack's shape alone."""
+    any region count, and the solve picks them by the row count alone."""
 
     @pytest.mark.parametrize("decades", [None, 6, 30])
     def test_balance_row_gives_balances_bits(self, decades, monkeypatch):
-        """At every gap the root find tries on 20-row stacks of m = 1..7
-        regions, and at each scaled by up to a decade either way. No such
-        gap makes Python raise."""
+        """At every gap the root find tries on 20-row stacks of m = 1..16
+        regions, and at each scaled by up to a decade either way, row by row:
+        numpy sums 8 terms and more pairwise. No such gap makes Python raise."""
         rng = np.random.default_rng(41)
         compared = 0
-        for m in range(1, 8):
+        for m in range(1, 17):
             for terms, gaps in tried(monkeypatch, "_balance", row_specs(rng, m, decades, 20)):
-                for scaled in (gaps, gaps * 10.0 ** rng.uniform(-1.0, 1.0)):
-                    kappa_row, total, slope = interior._balance_row(
-                        [a.tolist() for a in terms], scaled.tolist())
+                for scaled in (gaps, gaps * 10.0 ** rng.uniform(-1.0, 1.0, (len(gaps), 1))):
                     with np.errstate(all="ignore"):
-                        kappa, slopes = _balance(tuple(a[None] for a in terms), scaled[None])
-                    assert bits(kappa_row) == kappa.tobytes()
-                    assert bits(total, slope) == bits(kappa.sum(axis=1)[0], slopes[0])
-                    compared += 1
-        assert compared >= 500
+                        kappa, totals, slopes = _balance(terms, scaled)
+                    for i, row in enumerate(scaled.tolist()):
+                        kappa_row, total, slope = interior._balance_row(
+                            [*(a[i].tolist() for a in terms), row], 0.0)
+                        assert bits(kappa_row) == kappa[i].tobytes()
+                        assert bits(total, slope) == bits(totals[i], slopes[i])
+                        assert bits(total) == kappa[i].sum().tobytes()
+                        compared += 1
+        assert compared >= 1200
 
     @pytest.mark.parametrize("decades", [None, 6, 30])
     def test_contest_row_gives_the_contests_and_jacobians_bits(self, decades, monkeypatch):
         """At every pair of water levels the price Newton tries on 20-row
-        stacks of m = 1..7 regions, and at each scaled by up to a decade
-        either way. No such pair makes Python raise."""
+        stacks of m = 1..16 regions, and at each scaled by up to a decade
+        either way, row by row. No such pair makes Python raise."""
         rng = np.random.default_rng(42)
         compared = 0
-        for m in range(1, 8):
+        for m in range(1, 17):
             for terms, mu in tried(monkeypatch, "_contests", row_specs(rng, m, decades, 20)):
-                for scaled in (mu, mu * 10.0 ** rng.uniform(-1.0, 1.0, (2, 1))):
-                    x_row, price, active, sums, jacobian = interior._contest_row(
-                        [a[0].tolist() for a in terms], *scaled[:, 0].tolist())
+                for scaled in (mu, mu * 10.0 ** rng.uniform(-1.0, 1.0, (len(mu), 2, 1))):
                     with np.errstate(all="ignore"):
-                        x, prices, actives, fleet_sums, jacobians = interior._contests(
-                            tuple(a[None] for a in terms), scaled[None])
-                    assert bits(x_row) == x.tobytes()
-                    assert bits(price) == prices.tobytes()
-                    assert active == actives[0].tolist()
-                    assert bits(sums) == bits(fleet_sums) == x.sum(axis=2).tobytes()
-                    assert bits(jacobian) == bits(jacobians)
-                    compared += 1
-        assert compared >= 500
+                        x, fleet_sums, jacobians = interior._contests(terms, scaled)
+                    for i, row in enumerate(scaled[:, :, 0].tolist()):
+                        x_row, sums, jacobian = interior._contest_row(
+                            [a[i, 0].tolist() for a in terms], row)
+                        assert bits(x_row) == x[i].tobytes()
+                        assert bits(sums) == bits(fleet_sums[i]) == x[i].sum(axis=1).tobytes()
+                        assert bits(jacobian) == bits(jacobians[i])
+                        compared += 1
+        assert compared >= 1200
 
     @pytest.mark.parametrize("spec", BRACKET_OUT_OF_RANGE.values(), ids=BRACKET_OUT_OF_RANGE.keys())
     def test_a_one_row_solve_redoes_what_python_cannot_evaluate(self, spec, monkeypatch):
@@ -531,16 +530,17 @@ class TestRowKernels:
         assert str(error.value) == str(batch)
 
     def test_a_short_row_calls_no_array_kernel(self, monkeypatch):
+        """One spec at a time, m = 1..12."""
         rng = np.random.default_rng(43)
         calls = counted_kernels(monkeypatch)
-        for m in range(1, 8):
+        for m in range(1, 13):
             for _ in range(10):
                 fc.solve_spec(random_spec(rng, m))
         assert set(calls) == set(ROW_KERNELS)
 
-    def test_two_rows_or_eight_regions_call_no_row_kernel(self, monkeypatch):
+    def test_two_rows_call_no_row_kernel(self, monkeypatch):
         """Two boundary specs solved together, so that both reach the price
-        solve, and one spec of 8 regions."""
+        solve."""
         rng = np.random.default_rng(44)
         pairs = []
         while len(pairs) < 6:
@@ -550,6 +550,4 @@ class TestRowKernels:
         calls = counted_kernels(monkeypatch)
         for pair in pairs:
             fc.solve_batch(pair)
-        for _ in range(10):
-            fc.solve_spec(random_spec(rng, 8))
         assert set(calls) == set(ARRAY_KERNELS)

@@ -9,6 +9,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fleetcontest"
 PRIVATE_CROSSINGS = {
     ("experiments", "interior", "_solve_stack"),
     ("experiments", "game", "_quiet"),
+    ("interior", "game", "_add"),
     ("interior", "game", "_quiet"),
     ("interior", "game", "_fleet_sum_miss"),
     ("interior", "game", "_joint_rows"),
@@ -20,6 +21,7 @@ PRIVATE_CROSSINGS = {
     ("verify", "game", "_require_feasible"),
     ("verify", "game", "_require_nonnegative"),
     ("cli", "config", "_fmt"),
+    ("cli", "verify", "_kkt_terms"),
 }
 
 

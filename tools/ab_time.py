@@ -10,7 +10,8 @@ few percent within minutes, which separate processes cannot tell from
 the code. The control is the parent timed against itself; a change
 whose ratio lies within the control's spread is not resolved.
 
-Each side's inputs (box specs, ne_residual points over the box and
+Each side's inputs (box specs, one-spec solves of 9 to 16 regions over
+the box and +-6 and +-30 decades, ne_residual points over the box and
 +-6, +-30 and +-300 decades, grid cases, verify configs, boundary specs and
 case-study calls) are built once, by side_inputs, and read by two
 tables:
@@ -23,7 +24,8 @@ tables:
 - A timed section (sections) is a header, its rounds, where Python's
   garbage collector runs (once a round, or before every call), each
   side's calls, and the lines read from their times. Within a call the
-  sides take turns, in an order that rotates from round to round. A
+  sides take turns, in each of their six orders in turn, so that each
+  side follows each other side equally often. A
   line reads either the sum over some calls of each call's fastest
   time, with change and control as ratios to the parent (a batch-of-one
   solve costs well under a millisecond, so a median would carry the
@@ -33,6 +35,7 @@ tables:
 
 import gc
 import importlib.util
+import itertools
 import math
 import statistics
 import sys
@@ -44,16 +47,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
+# Multiples of 6, so that each order of the three sides takes as many rounds.
 SOLVE_ROUNDS = 60
 SWEEP_ROUNDS = 30
-GRID_ROUNDS = 10
-VERIFY_ROUNDS = 20
-NE_ROUNDS = 20
-BOUNDARY_ROUNDS = 20
-
-#: A one-row solve of fewer regions than this runs the solver's row kernels,
-#: and one of this many its array kernels; the largest box specs have this many.
-ROW_REGIONS = 8
+GRID_ROUNDS = 12
+VERIFY_ROUNDS = 18
+NE_ROUNDS = 18
+BOUNDARY_ROUNDS = 18
 
 #: tests/test_kernels.py's FLAT case, whose payoffs are flat to rounding,
 #: on a 1000 x 2000 grid.
@@ -118,18 +118,26 @@ def load(checkout: str, name: str):
     return module
 
 
-def box_specs(fc, seed: int = 12345, counts=range(3, 9)) -> list:
-    """20 specs for each region count m in counts from the oracles' parameter box."""
+def box_specs(fc, seed: int = 12345, counts=range(3, 9), decades=None) -> list:
+    """20 specs for each region count m in counts from the oracles' parameter
+    box, or with every parameter log-uniform over 10**+-decades around the
+    box's centres and a tenth of the charging costs zero."""
     rng = np.random.default_rng(seed)
+
+    def draw(lo, hi):
+        if decades is None:
+            return float(rng.uniform(lo, hi))
+        return (lo + hi) / 2.0 * 10.0 ** float(rng.uniform(-decades, decades))
+
     specs = []
     for m in counts:
         for _ in range(20):
             regions = tuple(
-                fc.RegionParams(float(rng.uniform(1e3, 2e5)), float(rng.uniform(0.0, 500.0)),
-                                float(rng.uniform(10.0, 500.0)))
+                fc.RegionParams(draw(1e3, 2e5),
+                                draw(0.0, 500.0) * (decades is None or rng.random() < 0.9),
+                                draw(10.0, 500.0))
                 for _ in range(m))
-            specs.append(fc.GameSpec(regions, float(rng.uniform(100.0, 5000.0)),
-                                     float(rng.uniform(100.0, 5000.0))))
+            specs.append(fc.GameSpec(regions, draw(100.0, 5000.0), draw(100.0, 5000.0)))
     return specs
 
 
@@ -310,16 +318,17 @@ def timed(calls: dict, rounds: int, each: bool) -> dict:
     """Per side, per call, the call's time in each round.
 
     calls holds each side's own list of calls. Within a call the sides
-    take turns, in an order that rotates from round to round. The
+    take turns, in round r in the (r mod 6)th of their six orders. The
     garbage collector runs before every call if each, else as each
     round starts.
     """
     times = {name: [[] for _ in side] for name, side in calls.items()}
     names = list(calls)
+    orders = list(itertools.permutations(names))
     for r in range(rounds):
         if not each:
             gc.collect()
-        order = names[r % len(names):] + names[:r % len(names)]
+        order = orders[r % len(orders)]
         for k in range(len(calls[names[0]])):
             for name in order:
                 if each:
@@ -331,7 +340,8 @@ def timed(calls: dict, rounds: int, each: bool) -> dict:
 
 
 def side_inputs(fc, windows: list) -> SimpleNamespace:
-    """One side's inputs to both tables: 120 box specs for m = 3..8; 80
+    """One side's inputs to both tables: 120 box specs for m = 3..8; 160
+    specs for m = 9..16 each from the box and over +-6 and +-30 decades; 80
     ne_residual points each over the box and +-6, +-30 and +-300 decades
     (timed at all but +-300); grid
     cases, 20 two-region box specs at the CLI's step, max(fleet) / 2000,
@@ -342,6 +352,8 @@ def side_inputs(fc, windows: list) -> SimpleNamespace:
              for spec in box_specs(fc, seed=2000, counts=(2,))]
     return SimpleNamespace(
         boxes=box_specs(fc),
+        rows=[spec for decades in (None, 6, 30)
+              for spec in box_specs(fc, seed=2600, counts=range(9, 17), decades=decades)],
         ne={decades: ne_points(fc, decades) for decades in (None, 6, 30, 300)},
         grids=grids + [(fc.two_region_spec(1.0), 0.5)],
         configs=[fc.format_config(spec) for spec in box_specs(fc, seed=2100, counts=(2,))],
@@ -370,7 +382,7 @@ def case_study_agrees(mine: dict, theirs: dict) -> bool:
 IDENTITIES = (
     ("returns other solve_spec allocations, multipliers, tags, iterations or errors",
      lambda fc, s: [solve_outcome(fc, spec)
-                    for spec in s.boxes + [p[0] for p in s.ne[6] + s.ne[30]]]
+                    for spec in s.boxes + s.rows + [p[0] for p in s.ne[6] + s.ne[30]]]
      + [solve_outcome(fc, fc.GameSpec(tuple(fc.RegionParams(*r) for r in regions), *fleets))
         for regions, *fleets in REDONE], eq),
     ("gives other interior_equilibrium outcomes on the closed-form rejections",
@@ -397,23 +409,20 @@ IDENTITIES = (
 
 
 def sections(parent, inputs) -> list:
-    """The timed sections, with counts and the split of the box specs read
-    off the parent's package and inputs: interior or boundary, and m < 8,
-    whose one-row solves run the row kernels, or m = 8, which runs the
-    array kernels. Each is (header, or None to go on under the last one;
-    rounds; whether the collector runs before every call; each side's
-    calls from its package and inputs; lines as (label, line, indices of
-    the calls it reads))."""
-    kinds = [(solve_outcome(parent, spec)[1] == "interior", len(spec.regions) < ROW_REGIONS)
-             for spec in inputs.boxes]
-    split = [(f"{place}, {form}", [k for k, kind in enumerate(kinds) if kind == (inside, row)])
-             for place, inside in (("interior", True), ("boundary", False))
-             for form, row in ((f"m < {ROW_REGIONS}", True), (f"m = {ROW_REGIONS}", False))]
+    """The timed sections, with counts and the split of the box specs into
+    interior and boundary read off the parent's package and inputs. Each
+    is (header, or None to go on under the last one; rounds; whether the
+    collector runs before every call; each side's calls from its package
+    and inputs; lines as (label, line, indices of the calls it reads))."""
+    inside = [solve_outcome(parent, spec)[1] == "interior" for spec in inputs.boxes]
+    split = [("interior", [k for k, kind in enumerate(inside) if kind]),
+             ("boundary", [k for k, kind in enumerate(inside) if not kind]),
+             ("all", range(len(inside)))]
     paired = "(median ms; paired ratio median [quartiles])"
     return [
         (f"solve_spec, sum of per-spec minima over {SOLVE_ROUNDS} rounds:", SOLVE_ROUNDS, False,
          lambda fc, s: [partial(fc.solve_spec, spec) for spec in s.boxes],
-         [(f"{label:15} ({len(picked):3} specs)", minima_line, picked) for label, picked in split]),
+         [(f"{label:8} ({len(picked):3} specs)", minima_line, picked) for label, picked in split]),
         (f"case study: 1000-point sweeps with CSV and both detectors, {SWEEP_ROUNDS} rounds"
          f" {paired}:", SWEEP_ROUNDS, True, lambda fc, s: list(s.calls.values()),
          [(f"{label:18}", paired_line, [k]) for k, label in enumerate(inputs.calls)]),
